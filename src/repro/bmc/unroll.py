@@ -44,6 +44,22 @@ class _Frame:
         self.input_vars: Dict[int, int] = {}
 
 
+class _PartitionSink:
+    """The frame encoders' clause sink: adds clauses to the solver under the
+    partition label being encoded.  It never points back at the
+    :class:`Unroller`, so an unroller that goes out of scope is freed at once,
+    solver and proof included, instead of waiting for the cycle collector."""
+
+    __slots__ = ("solver", "partition")
+
+    def __init__(self, solver: CdclSolver) -> None:
+        self.solver = solver
+        self.partition: Optional[int] = None
+
+    def __call__(self, clause: List[int]) -> None:
+        self.solver.add_clause(clause, partition=self.partition)
+
+
 class Unroller:
     """Unrolls a model's transition relation into a partition-labelled CNF."""
 
@@ -51,7 +67,7 @@ class Unroller:
         self.model = model
         self.solver = solver
         self._frames: List[_Frame] = []
-        self._current_partition: Optional[int] = None
+        self._sink = _PartitionSink(solver)
 
     # ------------------------------------------------------------------ #
     # Frame and variable management
@@ -66,7 +82,7 @@ class Unroller:
             for var in self.model.input_vars:
                 frame.input_vars[var] = self.solver.new_var()
             frame.encoder = TseitinEncoder(
-                aig, self.solver.new_var, self._emit, allocate_leaves=False)
+                aig, self.solver.new_var, self._sink, allocate_leaves=False)
             for var, cnf_var in frame.latch_vars.items():
                 frame.encoder.declare_leaf(var, cnf_var)
             for var, cnf_var in frame.input_vars.items():
@@ -95,18 +111,15 @@ class Unroller:
         return {cnf_var: lit_from_var(latch_var)
                 for latch_var, cnf_var in self.frame(frame).latch_vars.items()}
 
-    def _emit(self, clause: List[int]) -> None:
-        self.solver.add_clause(clause, partition=self._current_partition)
-
     def _encode(self, frame: int, aig_lit: int, partition: Optional[int]) -> int:
         """Encode an AIG literal's cone at a frame; return the DIMACS literal."""
-        self._current_partition = partition
+        self._sink.partition = partition
         try:
             encoder = self.frame(frame).encoder
             assert encoder is not None
             return encoder.literal(aig_lit)
         finally:
-            self._current_partition = None
+            self._sink.partition = None
 
     def _add_clause(self, clause: Sequence[int], partition: Optional[int]) -> None:
         self.solver.add_clause(list(clause), partition=partition)

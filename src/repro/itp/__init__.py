@@ -1,7 +1,7 @@
 """Craig interpolation over resolution proofs: labelling, extraction, sequences."""
 
 from .craig import ITP_SYSTEMS, InterpolantBuilder, InterpolationError
-from .labeling import VarClass, VariableClassification, classify_variables
+from .labeling import VarClass
 from .sequence import InterpolationSequence, extract_sequence
 
 __all__ = [
@@ -9,8 +9,6 @@ __all__ = [
     "InterpolantBuilder",
     "InterpolationError",
     "VarClass",
-    "VariableClassification",
-    "classify_variables",
     "InterpolationSequence",
     "extract_sequence",
 ]

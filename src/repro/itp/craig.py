@@ -20,19 +20,59 @@ compact relative to the proof size.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping
 
-from ..aig.aig import FALSE, TRUE, Aig, lit_negate
-from ..sat.proof import ProofError, ResolutionProof
-from .labeling import VarClass, VariableClassification, classify_variables
+from ..aig.aig import FALSE, TRUE, Aig
+from ..sat.proof import ProofError, ProofNode, ResolutionProof
+from .labeling import PartitionSpans
 
-__all__ = ["InterpolationError", "InterpolantBuilder", "ITP_SYSTEMS"]
+__all__ = ["InterpolationError", "InterpolantBuilder", "RefutationCore",
+           "ITP_SYSTEMS"]
 
 ITP_SYSTEMS = ("mcmillan", "pudlak")
 
 
 class InterpolationError(RuntimeError):
     """Raised when interpolant extraction is impossible or inconsistent."""
+
+
+class RefutationCore:
+    """A refutation's core DAG, prepared once for extraction at many cuts.
+
+    Holds the core nodes in topological order, the partition spans of the
+    proof's original clauses, and for every core node the least rank among
+    the leaves it derives from (``reach``).  A node whose ``reach`` exceeds
+    the cut derives only from B clauses, so its McMillan partial
+    interpolant is exactly ⊤: every leaf is ⊤ and ⊤ ∧ ⊤ = ⊤ ∨ ⊤ = ⊤ creates
+    no AIG node.  Every chain is checked here, once, rather than per cut.
+    """
+
+    def __init__(self, proof: ResolutionProof, spans: PartitionSpans) -> None:
+        if not proof.is_refutation():
+            raise InterpolationError("proof does not derive the empty clause")
+        self.proof = proof
+        self.spans = spans
+        self.root_id = proof.empty_clause_id
+        self.nodes: List[ProofNode] = [proof.node(cid) for cid in proof.core_ids()]
+        reach: Dict[int, int] = {}
+        for node in self.nodes:
+            chain = node.chain
+            if not chain:
+                reach[node.clause_id] = spans.rank(node.partition)
+                continue
+            low = reach[chain[0][1]]
+            for pivot, antecedent_id in chain[1:]:
+                if pivot is None:
+                    raise ProofError("only the first chain entry may omit the pivot")
+                literals = proof.node(antecedent_id).clause.literals
+                if pivot not in literals and -pivot not in literals:
+                    raise InterpolationError(
+                        f"pivot {pivot} does not occur in antecedent clause "
+                        f"{antecedent_id}")
+                if reach[antecedent_id] < low:
+                    low = reach[antecedent_id]
+            reach[node.clause_id] = low
+        self.reach = [reach[node.clause_id] for node in self.nodes]
 
 
 class InterpolantBuilder:
@@ -64,100 +104,104 @@ class InterpolantBuilder:
     # Public API
     # ------------------------------------------------------------------ #
     def extract(self, proof: ResolutionProof,
-                a_partitions: Iterable[int],
-                core_order: Optional[Sequence[int]] = None) -> int:
+                a_partitions: Iterable[int]) -> int:
         """Return the AIG literal of ITP(A, B) for the given A-side partitions.
 
         The proof may be a raw solver trace or a reduced refutation from
         :func:`repro.sat.proof.reduce_proof` — extraction only walks the
         core DAG, so a trimmed proof with recycled pivots yields smaller
-        partial-interpolant cones at no loss of validity.  ``core_order``
-        lets callers extracting several cuts from one proof (sequence
-        extraction) share a single core walk.
+        partial-interpolant cones at no loss of validity.
         """
-        if not proof.is_refutation():
-            raise InterpolationError("proof does not derive the empty clause")
-        classes = classify_variables(proof, a_partitions)
-        partial: Dict[int, int] = {}
-        core = proof.core_ids() if core_order is None else core_order
-        for cid in core:
-            node = proof.node(cid)
-            if node.is_original:
-                partial[cid] = self._leaf_interpolant(node, classes)
-            else:
-                partial[cid] = self._replay_chain(proof, node, classes, partial)
-        assert proof.empty_clause_id is not None
-        return partial[proof.empty_clause_id]
+        core = RefutationCore(proof, PartitionSpans.split(proof, a_partitions))
+        return self.extract_at(core, 1)
+
+    def extract_at(self, core: RefutationCore, cut: int) -> int:
+        """ITP(A, B) where A is every clause of rank ``<= cut`` in ``core``.
+
+        Replays the core's chains bottom-up.  The AIG operations, and so the
+        nodes created and their order, are exactly those of the rules in
+        the module docstring; the partial interpolants are threaded through
+        :meth:`Aig.add_and` directly, with ``a ∨ b`` as ``¬(¬a ∧ ¬b)``.
+        """
+        if self.system == "mcmillan":
+            return self._mcmillan(core, cut)
+        return self._pudlak(core, cut)
 
     # ------------------------------------------------------------------ #
     # Leaf and resolution rules
     # ------------------------------------------------------------------ #
-    def _aig_literal_for(self, cnf_lit: int) -> int:
-        var = abs(cnf_lit)
+    def _aig_var(self, var: int) -> int:
         mapped = self.global_var_map.get(var)
         if mapped is None:
             raise InterpolationError(
                 f"global CNF variable {var} has no AIG mapping; the partition "
                 "labelling does not cut the formula on state variables")
-        return lit_negate(mapped) if cnf_lit < 0 else mapped
+        return mapped
 
-    def _leaf_interpolant(self, node, classes: VariableClassification) -> int:
-        is_a_clause = (node.partition is not None
-                       and node.partition in classes.a_partitions)
-        if self.system == "mcmillan":
-            if not is_a_clause:
-                return TRUE
-            lits = [self._aig_literal_for(l) for l in node.clause.literals
-                    if classes.var_class(abs(l)) is VarClass.GLOBAL]
-            return self.aig.op_or(*lits) if lits else FALSE
-        # Pudlák / symmetric system.
-        return FALSE if is_a_clause else TRUE
+    def _mcmillan(self, core: RefutationCore, cut: int) -> int:
+        """A-leaves give the disjunction of their global literals, B-leaves
+        ⊤; A-local pivots disjoin, all others conjoin.  Nodes deriving only
+        from B clauses are ⊤ and are skipped (see :class:`RefutationCore`)."""
+        add_and = self.aig.add_and
+        hi = core.spans.hi
+        beyond = core.spans.beyond
+        partial: Dict[int, int] = {}
+        for node, reach in zip(core.nodes, core.reach):
+            if reach > cut:
+                continue
+            chain = node.chain
+            if not chain:
+                # An A clause: every variable has lo <= cut, so it is global
+                # exactly when it also occurs right of the cut.
+                out = TRUE
+                for lit in node.clause.literals:
+                    var = lit if lit > 0 else -lit
+                    if hi[var] > cut:
+                        out = add_and(out, self._aig_var(var) ^ (lit > 0))
+                partial[node.clause_id] = out ^ 1
+                continue
+            # Both rules are symmetric in the premises: no pivot polarity.
+            current = partial.get(chain[0][1], TRUE)
+            for pivot, antecedent_id in chain[1:]:
+                other = partial.get(antecedent_id, TRUE)
+                if hi.get(pivot, beyond) <= cut:
+                    current = add_and(current ^ 1, other ^ 1) ^ 1
+                else:
+                    current = add_and(current, other)
+            partial[node.clause_id] = current
+        return partial.get(core.root_id, TRUE)
 
-    def _resolve_interpolants(self, pivot_var: int, itp_pos: int, itp_neg: int,
-                              classes: VariableClassification) -> int:
-        """Combine premise interpolants for a resolution on ``pivot_var``.
-
-        ``itp_pos`` belongs to the premise containing the positive pivot
-        literal, ``itp_neg`` to the premise containing the negative one.
-        """
-        var_class = classes.var_class(pivot_var)
-        if self.system == "mcmillan":
-            if var_class is VarClass.A_LOCAL:
-                return self.aig.op_or(itp_pos, itp_neg)
-            return self.aig.add_and(itp_pos, itp_neg)
-        # Pudlák.
-        if var_class is VarClass.A_LOCAL:
-            return self.aig.op_or(itp_pos, itp_neg)
-        if var_class is VarClass.B_LOCAL:
-            return self.aig.add_and(itp_pos, itp_neg)
-        pivot_aig = self._aig_literal_for(pivot_var)
-        # (pivot ∨ itp_pos) ∧ (¬pivot ∨ itp_neg)
-        return self.aig.add_and(self.aig.op_or(pivot_aig, itp_pos),
-                                self.aig.op_or(lit_negate(pivot_aig), itp_neg))
-
-    def _replay_chain(self, proof: ResolutionProof, node,
-                      classes: VariableClassification,
-                      partial: Dict[int, int]) -> int:
-        chain = node.chain
-        first_id = chain[0][1]
-        current_itp = partial.get(first_id)
-        if current_itp is None:
-            raise InterpolationError(
-                f"antecedent {first_id} missing a partial interpolant")
-        for pivot, antecedent_id in chain[1:]:
-            if pivot is None:
-                raise ProofError("only the first chain entry may omit the pivot")
-            antecedent = proof.node(antecedent_id)
-            other_itp = partial.get(antecedent_id)
-            if other_itp is None:
-                raise InterpolationError(
-                    f"antecedent {antecedent_id} missing a partial interpolant")
-            if pivot in antecedent.clause.literals:
-                itp_pos, itp_neg = other_itp, current_itp
-            elif -pivot in antecedent.clause.literals:
-                itp_pos, itp_neg = current_itp, other_itp
-            else:
-                raise InterpolationError(
-                    f"pivot {pivot} does not occur in antecedent clause {antecedent_id}")
-            current_itp = self._resolve_interpolants(pivot, itp_pos, itp_neg, classes)
-        return current_itp
+    def _pudlak(self, core: RefutationCore, cut: int) -> int:
+        """A-leaves give ⊥, B-leaves ⊤; A-local pivots disjoin, B-local
+        pivots conjoin, global pivots select on the pivot variable."""
+        add_and = self.aig.add_and
+        spans = core.spans
+        lo, hi = spans.lo, spans.hi
+        node_of = core.proof.node
+        partial: Dict[int, int] = {}
+        for node in core.nodes:
+            chain = node.chain
+            if not chain:
+                partial[node.clause_id] = (FALSE if spans.rank(node.partition) <= cut
+                                           else TRUE)
+                continue
+            current = partial[chain[0][1]]
+            for pivot, antecedent_id in chain[1:]:
+                other = partial[antecedent_id]
+                if pivot in node_of(antecedent_id).clause.literals:
+                    itp_pos, itp_neg = other, current
+                else:
+                    itp_pos, itp_neg = current, other
+                low = lo.get(pivot)
+                if low is None or low > cut:
+                    current = add_and(itp_pos, itp_neg)
+                elif hi[pivot] <= cut:
+                    current = add_and(itp_pos ^ 1, itp_neg ^ 1) ^ 1
+                else:
+                    # (pivot ∨ itp_pos) ∧ (¬pivot ∨ itp_neg)
+                    pivot_aig = self._aig_var(pivot)
+                    left = add_and(pivot_aig ^ 1, itp_pos ^ 1) ^ 1
+                    right = add_and(pivot_aig, itp_neg ^ 1) ^ 1
+                    current = add_and(left, right)
+            partial[node.clause_id] = current
+        return partial[core.root_id]

@@ -10,20 +10,29 @@ with a different prefix/suffix split:
 
     Iⱼ = ITP(⋀_{i≤j} Aᵢ, ⋀_{i>j} Aᵢ)
 
-which is exactly what :func:`extract_sequence` does — one
-:class:`~repro.itp.craig.InterpolantBuilder` pass per cut, all over the same
-proof.  The *serial* variant (Definition 3 / Fig. 4) needs fresh SAT calls
-and therefore lives with the engines (:mod:`repro.core.sitpseq_engine`).
+which is exactly what :func:`extract_sequence` does.  The proof is prepared
+once: one pass over the original clauses gives every variable its partition
+span (:class:`~repro.itp.labeling.PartitionSpans`), so its class at any cut
+is an O(1) lookup, and one core walk checks the chains and records which
+subderivations lie wholly right of each cut — under McMillan those are ⊤
+and never replayed.  Each cut then replays the rest of the core
+(:meth:`~repro.itp.craig.InterpolantBuilder.extract_at`), creating exactly
+the AIG nodes, in exactly the order, of a fresh
+:meth:`~repro.itp.craig.InterpolantBuilder.extract` per cut.
+
+The *serial* variant (Definition 3 / Fig. 4) needs fresh SAT calls and
+therefore lives with the engines (:mod:`repro.core.sitpseq_engine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping
 
 from ..aig.aig import FALSE, TRUE, Aig
 from ..sat.proof import ResolutionProof
-from .craig import InterpolantBuilder, InterpolationError
+from .craig import InterpolantBuilder, InterpolationError, RefutationCore
+from .labeling import PartitionSpans
 
 __all__ = ["InterpolationSequence", "extract_sequence"]
 
@@ -82,22 +91,21 @@ def extract_sequence(
     """
     if num_partitions < 1:
         raise ValueError("need at least one partition")
-    labels = proof.partitions()
-    unknown = {p for p in labels if not 1 <= p <= num_partitions}
+    spans = PartitionSpans.prefix(proof, num_partitions)
+    unknown = {p for p in spans.labels if not 1 <= p <= num_partitions}
     if unknown:
         raise InterpolationError(
             f"proof contains partition labels outside 1..{num_partitions}: {unknown}")
 
-    # One core walk serves every cut: the refutation (reduced or raw) is
-    # shared, only the (A, B) split moves.
-    core_order = proof.core_ids()
+    # One classification and one core walk serve every cut: the refutation
+    # (reduced or raw) is shared, only the (A, B) split moves.
+    core = RefutationCore(proof, spans)
     elements: List[int] = [TRUE]
     for j in range(1, num_partitions):
         var_map = cut_var_maps.get(j)
         if var_map is None:
             raise InterpolationError(f"no cut variable map supplied for cut {j}")
         builder = InterpolantBuilder(aig, var_map, system=system)
-        elements.append(builder.extract(proof, a_partitions=range(1, j + 1),
-                                        core_order=core_order))
+        elements.append(builder.extract_at(core, j))
     elements.append(FALSE)
     return InterpolationSequence(elements)

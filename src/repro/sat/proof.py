@@ -4,7 +4,8 @@ The CDCL solver records, for every learned clause, the *regular input
 resolution chain* that derives it: a starting clause followed by a sequence
 of ``(pivot variable, antecedent clause)`` resolution steps.  When the
 solver reaches a conflict at decision level 0 it performs one final analysis
-that derives the empty clause, completing a refutation.
+that derives the empty clause, completing a refutation; that chain is
+regular too (latest-assigned literal first, each pivot at most once).
 
 The proof is the object interpolation works on: :mod:`repro.itp.craig`
 replays the chains bottom-up, attaching partial interpolants to every
@@ -131,6 +132,16 @@ class ResolutionProof:
                                            group)
         self._order.append(clause_id)
 
+    def add_shared_original(self, node: ProofNode) -> None:
+        """Register another proof's original node as it is, without a copy.
+
+        Nodes are never mutated once recorded, so two proofs can share one.
+        """
+        if node.clause_id in self._nodes:
+            raise ProofError(f"duplicate clause id {node.clause_id}")
+        self._nodes[node.clause_id] = node
+        self._order.append(node.clause_id)
+
     def add_derived(self, clause_id: int, clause: Clause,
                     chain: Sequence[Tuple[Optional[int], int]]) -> None:
         """Register a derived clause with its resolution chain."""
@@ -167,7 +178,7 @@ class ResolutionProof:
         return [self._nodes[cid] for cid in self._order]
 
     def original_nodes(self) -> List[ProofNode]:
-        return [n for n in self.nodes_in_order() if n.is_original]
+        return [n for n in map(self._nodes.__getitem__, self._order) if not n.chain]
 
     def derived_nodes(self) -> List[ProofNode]:
         return [n for n in self.nodes_in_order() if not n.is_original]
@@ -194,14 +205,14 @@ class ResolutionProof:
             if self.empty_clause_id is None:
                 raise ProofError("proof does not derive the empty clause")
             root_id = self.empty_clause_id
-        needed: Set[int] = set()
+        nodes = self._nodes
+        needed: Set[int] = {root_id}
         stack = [root_id]
         while stack:
-            cid = stack.pop()
-            if cid in needed:
-                continue
-            needed.add(cid)
-            stack.extend(self._nodes[cid].antecedents)
+            for _, antecedent in nodes[stack.pop()].chain:
+                if antecedent not in needed:
+                    needed.add(antecedent)
+                    stack.append(antecedent)
         return [cid for cid in self._order if cid in needed]
 
     def core_original_clauses(self) -> List[ProofNode]:
@@ -282,6 +293,7 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
     reconstruction should start from (0 = the recorded start clause) and
     the set of step indices to drop.
     """
+    nodes = proof._nodes
     rl: Dict[int, Set[int]] = {}
     live: Set[int] = set()
     start_at: Dict[int, int] = {}
@@ -291,32 +303,33 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
     live.add(root_id)
     rl[root_id] = set()
 
+    def note_antecedent(antecedent_id: int, contribution: Set[int]) -> None:
+        if not nodes[antecedent_id].is_original:
+            live.add(antecedent_id)
+            rl[antecedent_id] = (contribution if refcount.get(antecedent_id, 0) == 1
+                                 else set())
+
     for node in reversed(derived_core):
         cid = node.clause_id
         if cid not in live:
             continue  # every reference to this chain was recycled away
-        safe = rl.get(cid, set()) if refcount.get(cid, 0) <= 1 else set()
+        # ``safe`` is this chain's own set (rl entries are never shared), so
+        # it grows in place; a derived antecedent met midway gets a snapshot,
+        # the one the walk ends on gets the set itself.
+        inherited = rl.pop(cid, None)
+        safe = (inherited if inherited is not None and refcount.get(cid, 0) <= 1
+                else set())
         start = 0
         drops: Set[int] = set()
         chain = node.chain
         for index in range(len(chain) - 1, 0, -1):
             pivot, antecedent_id = chain[index]
             assert pivot is not None
-            lit = _chain_pivot_literal(pivot, proof.node(antecedent_id).clause)
+            lit = _chain_pivot_literal(pivot, nodes[antecedent_id].clause)
             if lit is None:
                 # Defensive: a malformed step; keep it, stop propagating.
                 safe = set()
                 continue
-
-            def _note_antecedent(contribution: Set[int]) -> None:
-                ante = proof.node(antecedent_id)
-                if not ante.is_original:
-                    live.add(antecedent_id)
-                    if refcount.get(antecedent_id, 0) == 1:
-                        rl[antecedent_id] = contribution
-                    else:
-                        rl[antecedent_id] = set()
-
             if -lit in safe:
                 # The prefix side's pivot literal survives harmlessly:
                 # drop this step, keep resolving the prefix.
@@ -327,18 +340,13 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
                 # whole prefix (steps 1..index) is bypassed and the chain
                 # restarts at this antecedent.
                 start = index
-                _note_antecedent(set(safe))
+                note_antecedent(antecedent_id, safe)
                 break
-            _note_antecedent(safe | {lit})
-            safe = safe | {-lit}
+            if not nodes[antecedent_id].is_original:
+                note_antecedent(antecedent_id, safe | {lit})
+            safe.add(-lit)
         if start == 0:
-            start_node = proof.node(chain[0][1])
-            if not start_node.is_original:
-                live.add(chain[0][1])
-                if refcount.get(chain[0][1], 0) == 1:
-                    rl[chain[0][1]] = safe
-                else:
-                    rl[chain[0][1]] = set()
+            note_antecedent(chain[0][1], safe)
         start_at[cid] = start
         dropped[cid] = drops
     return start_at, dropped
@@ -366,7 +374,8 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     falls outside the core: interpolation classifies variable locality over
     the full (A, B) clause sets (see :mod:`repro.itp.labeling`), so keeping
     the leaves intact guarantees a reduced proof never changes a variable's
-    class — only the derivation DAG above the leaves shrinks.  The reduced
+    class — only the derivation DAG above the leaves shrinks.  The original
+    nodes are shared with ``proof``, which is left unchanged.  The reduced
     proof replays exactly (reconstruction *is* a replay), so it satisfies
     :func:`check_proof`, and any interpolant extracted from it is a valid
     interpolant for the original (A, B) split.
@@ -445,8 +454,8 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
                 continue
             if (c_neg and d_pos) or (c_pos and d_neg):
                 lit = pivot if (c_neg and d_pos) else -pivot
-                current = ((current - {-lit})
-                           | (set(antecedent.literals) - {lit}))
+                current.discard(-lit)
+                current.update(l for l in antecedent.literals if l != lit)
                 rebuilt.append((pivot, antecedent_id))
             else:
                 # Same polarity on both sides (possible only through a
@@ -476,8 +485,7 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
 
     reduced = ResolutionProof()
     for node in proof.original_nodes():
-        reduced.add_original(node.clause_id, node.clause, node.partition,
-                             node.group)
+        reduced.add_shared_original(node)
     for node in derived_core:
         cid = node.clause_id
         if cid in needed:
@@ -579,6 +587,8 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
                         if l not in strip_lits]
                 stats.literals_stripped += len(node.clause) - len(lits)
                 stripped.add_original(cid, Clause(lits), node.partition)
+            elif node.group is None:
+                stripped.add_shared_original(node)
             else:
                 stripped.add_original(cid, node.clause, node.partition)
             continue

@@ -103,8 +103,6 @@ class CdclSolver:
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._phase: List[bool] = [False]
-        self._order_dirty = True
-        self._order: List[int] = []
 
         self._clause_inc = 1.0
         self._clause_decay = 0.999
@@ -146,7 +144,6 @@ class CdclSolver:
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
-        self._order_dirty = True
         return self._num_vars
 
     def ensure_var(self, var: int) -> None:
@@ -665,31 +662,47 @@ class CdclSolver:
             # decision: the inconsistency lies among the assumption literals,
             # not the clauses — there is no input-clause derivation.
             return
-        assumption_set = set(assumptions)
-        position = {abs(lit): i for i, lit in enumerate(self._trail)}
-        chain: List[Tuple[Optional[int], int]] = [(None, reason.cid)]
-        current: Set[int] = set(reason.lits)
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 10_000_000:  # pragma: no cover - defensive
-                raise SolverError("runaway assumption-conflict analysis")
-            pending = [lit for lit in current if -lit not in assumption_set]
-            if not pending:
-                break
-            lit = max(pending, key=lambda l: position[abs(l)])
-            var = abs(lit)
-            lit_reason = self._reason[var]
-            if lit_reason is None:  # pragma: no cover - defensive
-                raise SolverError(f"falsified literal {lit} has no reason "
-                                  "in the final conflict")
-            chain.append((var, lit_reason.cid))
-            current.discard(lit)
-            current |= {other for other in lit_reason.lits if abs(other) != var}
+        chain, remaining = self._trail_resolution(reason, set(assumptions))
         cid = self._next_cid
         self._next_cid += 1
-        self._proof.add_derived(cid, Clause(sorted(current)), chain)
+        self._proof.add_derived(cid, Clause(sorted(remaining)), chain)
         self._refutation_root = cid
+
+    def _trail_resolution(self, start: _ClauseRec, keep: Set[int]
+                          ) -> Tuple[List[Tuple[Optional[int], int]], Set[int]]:
+        """Resolve ``start``'s falsified literals away against their reasons.
+
+        Walks the trail backwards, so the most recently assigned literal is
+        resolved first: every reason only introduces literals assigned
+        earlier, so each trail variable is a pivot at most once and the
+        chain is regular — never longer than the trail.  A falsified literal
+        ``-t`` whose true complement ``t`` is in ``keep`` (a negated
+        assumption) stays.  Returns the chain and the literals left over.
+        """
+        chain: List[Tuple[Optional[int], int]] = [(None, start.cid)]
+        current: Set[int] = set(start.lits)
+        pending = sum(1 for lit in current if -lit not in keep)
+        for true_lit in reversed(self._trail):
+            if not pending:
+                break
+            if -true_lit not in current or true_lit in keep:
+                continue
+            var = abs(true_lit)
+            reason = self._reason[var]
+            if reason is None:
+                raise SolverError(f"falsified literal {-true_lit} has no reason "
+                                  "in the final conflict")
+            chain.append((var, reason.cid))
+            current.discard(-true_lit)
+            pending -= 1
+            for other in reason.lits:
+                if abs(other) != var and other not in current:
+                    current.add(other)
+                    if -other not in keep:
+                        pending += 1
+        if pending:  # pragma: no cover - defensive
+            raise SolverError("final conflict analysis ran off the trail")
+        return chain, current
 
     def _record_learned(self, learned: List[int],
                         chain: List[Tuple[Optional[int], int]]) -> None:
@@ -716,31 +729,9 @@ class CdclSolver:
         if self._proof is None:
             return
         if first and self._proof.empty_clause_id is None:
-            # Resolve the conflicting clause against level-0 reasons until
-            # empty.
-            chain: List[Tuple[Optional[int], int]] = [(None, conflict.cid)]
-            current = {l for l in conflict.lits}
-            guard = 0
-            while current:
-                guard += 1
-                if guard > 10_000_000:  # pragma: no cover - defensive
-                    raise SolverError("runaway final conflict analysis")
-                lit = next(iter(current))
-                var = abs(lit)
-                reason = self._reason[var]
-                if reason is None:
-                    raise SolverError(
-                        f"variable {var} falsified at level 0 without a reason")
-                chain.append((var, reason.cid))
-                current.discard(lit)
-                current.discard(-lit)
-                for other in reason.lits:
-                    if abs(other) != var:
-                        current.add(other)
-                # Remove literals satisfied... none can be satisfied: all
-                # level-0 reasons imply their head literal; the remaining
-                # literals are the falsified tail literals, which must be
-                # resolved away in turn.
+            # Every literal of the conflict is falsified at level 0: resolve
+            # them all away against their level-0 reasons.
+            chain, _ = self._trail_resolution(conflict, set())
             cid = self._next_cid
             self._next_cid += 1
             self._proof.add_derived(cid, Clause([]), chain)
@@ -786,7 +777,6 @@ class CdclSolver:
             var = abs(lit)
             self._assign[var] = _UNASSIGNED
             self._reason[var] = None
-            self._order_dirty = True
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = min(self._queue_head, len(self._trail))

@@ -12,10 +12,10 @@ from repro.itp import (
     VarClass,
     check_craig_conditions,
     check_sequence_conditions,
-    classify_variables,
     extract_sequence,
     itp_support_vars,
 )
+from repro.itp.labeling import PartitionSpans
 from repro.sat import CdclSolver, SatResult
 
 
@@ -31,11 +31,12 @@ def _unsat_proof(clause_groups):
 
 def test_variable_classification_simple_split():
     proof = _unsat_proof({1: [[1], [-1, 2]], 2: [[-2, 3], [-3]]})
-    classes = classify_variables(proof, a_partitions=[1])
-    assert classes.var_class(1) is VarClass.A_LOCAL
-    assert classes.var_class(2) is VarClass.GLOBAL
-    assert classes.var_class(3) is VarClass.B_LOCAL
-    assert classes.globals() == {2}
+    spans = PartitionSpans.split(proof, a_partitions=[1])
+    assert spans.var_class(1, 1) is VarClass.A_LOCAL
+    assert spans.var_class(2, 1) is VarClass.GLOBAL
+    assert spans.var_class(3, 1) is VarClass.B_LOCAL
+    assert {v for v in spans.lo
+            if spans.var_class(v, 1) is VarClass.GLOBAL} == {2}
 
 
 def test_manual_interpolant_mcmillan_and_pudlak():
