@@ -17,11 +17,9 @@ What the numbers show (and the committed table records honestly):
   with far less duplicated search.
 * On deep PASS cells (the ring/arb family) the gains are real but small
   (single digits).  The winner there is standard interpolation at k=1,
-  and no sound import can shorten its fixpoint argument: seeding its
-  reached-set with a foreign R summary breaks the image-closure proof,
-  and certified bound jumps were measured to never certify for the
-  sequence engines (only the diagonal element of a bound's sequence
-  excludes failure-distance-0 states).  The original >= 25% target for
+  and no answer-sound import can shorten its fixpoint argument: lemmas
+  only ever reach the proof-free counterexample searcher, never the
+  refutations interpolants come from.  The original >= 25% target for
   these cells is structurally out of reach for answer-sound sharing;
   the no-harm bound is what is asserted there.
 * Everywhere else sharing is at worst scheduling noise, bounded below by
@@ -66,7 +64,7 @@ def test_race_sharing_artifact(save_artifact):
         blind = cooperative_race(instance.build(), options=options,
                                  share=False)
         coop = cooperative_race(instance.build(), options=options,
-                                share=True, aggressive=True)
+                                share=True)
 
         # Sharing must never change the answer: both races reach the
         # expected verdict for the cell.
@@ -116,12 +114,10 @@ notes:
     unrolling past an imported depth fact).
   * Deep ring/arb PASS cells stay low single-digit: their winner is
     standard interpolation at k=1 and no answer-sound import can shorten
-    its fixpoint proof (foreign R summaries cannot seed the reached set
-    without breaking the image-closure argument; certified bound jumps
-    never certify for sequence ladders).  The no-harm bound is the
+    its fixpoint proof (lemmas reach only the proof-free searcher, never
+    the refutations interpolants come from).  The no-harm bound is the
     asserted property there.
-  * PDR frame-clause import (share_pdr_import) is off in races: measured
-    net-harmful (pruned obligations re-queue at higher levels and the
-    pruning solves cost more than the skipped relative-induction
-    queries).  PDR still exports; the flag stays for soundness tests.
+  * PDR and CBA export lemmas but import none: a foreign clause in
+    PDR's frames or CBA's abstraction cores would change their
+    trajectories.
 """

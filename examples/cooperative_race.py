@@ -80,9 +80,9 @@ def main() -> None:
         print(f"  ... {len(published) - 5} more")
 
     print("\nNotes:")
-    print(" * conservative sharing (the default outside races) is "
-          "answer-preserving by construction: verdict, k_fp and j_fp are "
-          "identical share-on vs share-off for every engine")
+    print(" * sharing is answer-preserving by construction: verdict, "
+          "k_fp and j_fp are identical share-on vs share-off for every "
+          "engine")
     print(" * the multi-process form is `python -m repro design.aag "
           "--engine portfolio --race --share [--share-log FILE]`; "
           "`--share-replay FILE` re-runs one engine with the logged "

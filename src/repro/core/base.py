@@ -85,8 +85,7 @@ from ..sat.solver import CdclSolver
 from ..sat.types import Budget, SatResult, SolverStats
 from ..share.adapt import ImportValidator
 from ..share.bus import SharePort
-from ..share.lemma import (DepthLemma, FrameLemma, Lemma, ReachLemma,
-                           model_fingerprint, serialize_cone)
+from ..share.lemma import DepthLemma, FrameLemma, Lemma, model_fingerprint
 from .fixpoint import FixpointChecker
 from .options import EngineOptions
 from .result import EngineStats, Verdict, VerificationResult
@@ -211,11 +210,6 @@ class UmcEngine:
     #: :meth:`repro.core.result.EngineStats.grouped`).
     stat_groups = ("solver", "preprocess", "lifecycle", "share")
 
-    #: Whether aggressive sharing may bump this engine's outer bound past a
-    #: foreign depth frontier (:meth:`_share_next_bound`).  Engines whose
-    #: per-bound cost grows with the starting bound opt out.
-    _share_jumps = True
-
     def __init__(self, model: Model, options: Optional[EngineOptions] = None,
                  tracer: Optional[NullTracer] = None,
                  share: Optional[SharePort] = None) -> None:
@@ -263,16 +257,10 @@ class UmcEngine:
         #: Largest counterexample depth foreign DepthLemmas have ruled out.
         self._share_depth = -1
         self._share_published_depth = -1
-        #: Largest bound ``b`` such that this engine itself ran every bound
-        #: ``1..b`` (no jump skipped one).  Sequence-engine fixpoint claims
-        #: are gated on it: see :meth:`_share_fixpoint_allowed`.
-        self._share_contiguous = 0
         #: Accepted foreign frame clauses as [FrameLemma, installed_to]
         #: pairs — installed_to is the highest searcher frame the clause has
         #: been asserted at so far (-1 = not yet installed anywhere).
         self._share_frames: List[List] = []
-        #: Accepted foreign R summaries (consumed by the PDR subclass only).
-        self._share_reach: List[ReachLemma] = []
         #: Dedicated activation-literal group holding every foreign clause
         #: in the cex searcher's solver, for wholesale retraction.
         self._share_group: Optional[int] = None
@@ -520,15 +508,12 @@ class UmcEngine:
     def _group_proof_active(self) -> bool:
         """Whether this run's searcher doubles as the refutation check.
 
-        Requires the incremental search itself, and is suspended for
-        share-attached runs: foreign clauses are asserted in the
-        searcher's solver, and a refutation handed to interpolation must
-        never rest on them (the conservative-sharing contract keeps
-        proofs foreign-free).
+        Suspended for share-attached runs: foreign clauses are asserted in
+        the searcher's solver, and a refutation handed to interpolation
+        must never rest on them (the sharing contract keeps proofs
+        foreign-free).
         """
-        return (self.options.group_proof
-                and self.options.incremental_cex_search
-                and self.share is None)
+        return self.options.group_proof and self.share is None
 
     def _cex_check_kind(self) -> BmcCheckKind:
         """The check formulation the persistent searcher unrolls."""
@@ -557,7 +542,7 @@ class UmcEngine:
         fresh-solver solve is skipped (``proof_group_solves_saved``).
 
         Returns ``None`` when the group path is off, the searcher did not
-        actually refute ``bound`` (disabled search, depth mismatch), or
+        actually refute ``bound`` (depth mismatch), or
         stripping rejected the trace because a chain depends on a released
         earlier-depth group — the caller then falls back to the fresh
         monolithic proof-logged check (``proof_group_fallbacks``).
@@ -591,13 +576,7 @@ class UmcEngine:
         the refutation check is guaranteed UNSAT as well (the incremental
         formula is the monolithic one modulo activation literals), so the
         expensive proof-logged solve never has to hunt for a model.
-
-        With ``options.incremental_cex_search`` disabled this is a no-op
-        (``None``) and the proof-logged check answers SAT-or-UNSAT itself,
-        as the seed implementation did.
         """
-        if not self.options.incremental_cex_search:
-            return None
         if self.share is not None and bound <= self._share_depth:
             # A foreign DepthLemma already covers this bound, so the search
             # would come back UNSAT.  Skip the solve *and* the searcher
@@ -621,7 +600,7 @@ class UmcEngine:
     # ------------------------------------------------------------------ #
     # Cooperative lemma sharing
     # ------------------------------------------------------------------ #
-    # The conservative contract (always on when a port is attached): foreign
+    # The sharing contract (always on when a port is attached): foreign
     # facts only ever reach the *proof-free* counterexample searcher.  Sound
     # reachability facts cannot cut a genuine counterexample (they only
     # remove models the real system never visits), and the proof-logged
@@ -630,10 +609,6 @@ class UmcEngine:
     # lemma that slips past validation can only flip the searcher from SAT
     # to UNSAT; the proof-logged check then finds the genuine counterexample
     # anyway and _share_check_disagreement retracts every import.
-    #
-    # ``options.share_aggressive`` additionally lets foreign facts steer the
-    # search trajectory (bound jumps, PDR obligation pruning) — still sound,
-    # but k_fp/j_fp may then legitimately differ from a solo run.
 
     def _share_attach(self) -> None:
         """Join the bus: fingerprint handshake + validation precompute."""
@@ -704,9 +679,8 @@ class UmcEngine:
     def _share_apply(self, lemma: Lemma) -> bool:
         """Stage one validated foreign lemma; ``False`` = not usable here.
 
-        Base policy (the conservative contract): depth facts gate the
-        searcher's solves, frame clauses constrain its unrolling.  R
-        summaries are only usable by the PDR subclass, which overrides.
+        Base policy: depth facts gate the searcher's solves, frame clauses
+        constrain its unrolling.
         """
         if isinstance(lemma, DepthLemma):
             self._share_depth = max(self._share_depth, lemma.depth)
@@ -752,90 +726,6 @@ class UmcEngine:
             return []
         return [self._cex_searcher.solver.group_literal(self._share_group)]
 
-    def _share_next_bound(self, k: int) -> int:
-        """The outer bound actually attempted when the schedule says ``k``.
-
-        Conservative sharing never changes the trajectory.  Aggressive
-        sharing jumps past a foreign depth frontier: the outer bounds are
-        independent iterations, so starting the next one at ``frontier + 1``
-        is sound — the proof simply closes at a deeper bound, and the
-        engine never re-derives refutations the portfolio already owns.
-        Engines whose convergence cost *grows* with the starting bound set
-        ``_share_jumps = False`` and keep their own ladder.
-        """
-        if (self.share is None or not self.options.share_aggressive
-                or not self._share_jumps
-                or self._share_depth + 1 <= k):
-            return k
-        jumped = min(self._share_depth + 1, self.options.max_bound)
-        if jumped > k and self.tracer.enabled:
-            self.tracer.point("share_jump", from_bound=k, to_bound=jumped)
-        return jumped
-
-    def _share_advance(self, next_bound: int) -> int:
-        """Pick the bound to run next and track contiguous coverage.
-
-        Wraps :meth:`_share_next_bound`, additionally maintaining
-        ``_share_contiguous``: once a jump skips a bound, the contiguous
-        prefix is frozen forever (bounds only move forward, so a hole is
-        never revisited).
-        """
-        bound = self._share_next_bound(next_bound)
-        if bound == next_bound and self._share_contiguous == next_bound - 1:
-            self._share_contiguous = bound
-        return bound
-
-    def _share_fixpoint_allowed(self, j: int) -> bool:
-        """May a sequence-matrix fixpoint be claimed at column ``j``?
-
-        The ITPSEQ safety argument needs every column ``i < j`` to exclude
-        failure-distance-0 states, and that exclusion comes from the
-        *diagonal* element ``Iⁱᵢ`` — bound ``i``'s own refutation.  A bound
-        jumped over never contributes its diagonal, leaving a distance hole
-        through which an unreached-yet-failing state can slip into the
-        "fixpoint" (observed: a planted depth-4 counterexample PASSed at
-        bound 3 after a 1→3 jump weakened column 2).  So a fixpoint at
-        column ``j`` is claimable only when bounds ``1..j-1`` all actually
-        ran — otherwise the candidate must be re-certified from scratch
-        (:meth:`_share_certify_invariant`).  Solo and conservative runs
-        never jump, so the gate is invisible outside aggressive sharing.
-        """
-        return j - 1 <= self._share_contiguous
-
-    def _share_certify_invariant(self, candidate: int) -> bool:
-        """Directly certify a candidate invariant whose diagonal is missing.
-
-        After a bound jump the matrix columns keep their *inductive-chain*
-        property — ``Img(ℐᵢ) ⊆ ℐᵢ₊₁`` holds because every contributing
-        interpolant satisfies it and column ``i+1``'s contributors are a
-        subset of column ``i``'s — but lose the diagonal *safety*
-        exclusion.  So when containment succeeds at a gated column, the
-        candidate ``R = S₀ ∨ ℐ₁ ∨ … ∨ ℐⱼ₋₁`` is re-certified from first
-        principles with two checks that depend on nothing skipped:
-
-        * safety — ``R ∧ bad`` unsatisfiable (inputs free);
-        * consecution — ``R ∧ T ∧ ¬R′`` unsatisfiable.
-
-        Both solves are counted in the engine statistics (the cost of
-        jumping is paid on the books).  Constraints are asserted only at
-        the pre-state frame, which can only make the checks stricter —
-        a spurious rejection keeps the engine running, never unsound.
-        """
-        from ..bmc.unroll import Unroller
-
-        if not self._implies(candidate, self.model.property_literal):
-            return False
-        solver = CdclSolver()
-        unroller = Unroller(self.model, solver)
-        unroller.assert_formula(candidate, frame=0, partition=None)
-        unroller.add_transition(0, partition=None)
-        unroller.assert_formula(candidate, frame=1, partition=None,
-                                negate=True)
-        certified = self._solve(solver) is SatResult.UNSAT
-        if self.tracer.enabled:
-            self.tracer.point("share_certify", certified=certified)
-        return certified
-
     def _share_publish(self, lemma: Lemma) -> None:
         """Offer a lemma to the bus (no-op for solo runs)."""
         if self.share is None:
@@ -849,30 +739,13 @@ class UmcEngine:
         """Publish "no counterexample of length ≤ depth", once per frontier.
 
         Callers guarantee coverage of every length up to ``depth``: engines
-        deepen strictly (each bound refuted in turn), and any skipped or
-        jumped-over bound was covered by the foreign DepthLemma that caused
-        the skip.
+        deepen strictly (each bound refuted in turn), and any skipped bound
+        was covered by the foreign DepthLemma that caused the skip.
         """
         if self.share is None or depth <= self._share_published_depth:
             return
         self._share_published_depth = depth
         self._share_publish(DepthLemma(depth))
-
-    def _share_publish_reach(self, bound: int, predicate: int) -> None:
-        """Publish an accumulated-R summary (R ⊇ Reach≤bound) if it fits.
-
-        The cone is serialized structurally down to latch leaves; cones
-        exceeding the node cap — or resting on non-latch leaves, which
-        would indicate an upstream bug — are simply not shared.
-        """
-        if self.share is None or bound < 0:
-            return
-        serialized = serialize_cone(self.aig, predicate)
-        if serialized is None:
-            return
-        leaves, nodes, root = serialized
-        self._share_publish(ReachLemma(bound=bound, leaves=leaves,
-                                       nodes=nodes, root=root))
 
     def _share_check_disagreement(self, bound: int) -> None:
         """Retract every foreign import after a searcher/proof-check split.
@@ -890,13 +763,11 @@ class UmcEngine:
         influenced = bound <= self._share_depth or self._share_group is not None
         if not influenced:
             return
-        retracted = (len(self._share_frames) + len(self._share_reach)
-                     + (1 if self._share_depth >= 0 else 0))
+        retracted = len(self._share_frames) + (1 if self._share_depth >= 0 else 0)
         if self._share_group is not None and self._cex_searcher is not None:
             self._cex_searcher.solver.release_group(self._share_group)
         self._share_group = None
         self._share_frames = []
-        self._share_reach = []
         self._share_depth = -1
         self._share_distrust = True
         self.stats.lemmas_retracted += retracted
@@ -914,24 +785,9 @@ class UmcEngine:
 
         The paper's algorithms start from k = 1, so every engine performs
         this check once up front; it also seeds the persistent incremental
-        searcher (unless incremental search is disabled, in which case a
-        throwaway solver is used).
+        searcher.
         """
-        if self.options.incremental_cex_search:
-            return self._search_counterexample(0)
-
-        from ..bmc.unroll import Unroller  # local import avoids a cycle
-
-        with self.tracer.span("cex_search"):
-            solver = CdclSolver()
-            unroller = Unroller(self.model, solver)
-            unroller.assert_initial_state(partition=1)
-            unroller.assert_bad(0, partition=1)
-            if self.model.constraints:
-                unroller.assert_constraints_at(0, partition=1)
-            if self._solve(solver) is SatResult.SAT:
-                return unroller.extract_trace(0)
-        return None
+        return self._search_counterexample(0)
 
     # ------------------------------------------------------------------ #
     # Result packaging
@@ -959,10 +815,8 @@ class UmcEngine:
         # searcher's solver that was just dropped).
         self._share_group = None
         self._share_frames = []
-        self._share_reach = []
         self._share_depth = -1
         self._share_published_depth = -1
-        self._share_contiguous = 0
         self._share_distrust = False
         _log.info("%s: run starting on %s", self.name, self.model.name)
         try:

@@ -30,7 +30,7 @@ from ..aig.ops import LiteralMapper
 from ..bmc.checks import BmcCheckKind, build_check
 from ..bmc.incremental import IncrementalUnroller
 from ..sat.types import SatResult
-from ..share.lemma import DepthLemma, Lemma
+from ..share.lemma import Lemma
 from .base import OutOfBudget, initial_states_predicate
 from .itpseq_engine import ItpSeqEngine
 from .result import VerificationResult
@@ -70,8 +70,8 @@ class ItpSeqCbaEngine(ItpSeqEngine):
 
         k = 0
         while k < self.options.max_bound:
-            self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            k += 1
+            self._share_sync(k)
             self._current_bound = k
             self._check_budget()
 
@@ -104,21 +104,15 @@ class ItpSeqCbaEngine(ItpSeqEngine):
     # Import policy
     # ------------------------------------------------------------------ #
     def _share_apply(self, lemma: Lemma) -> bool:
-        """CBA imports nothing conservatively, depth facts aggressively.
+        """CBA imports nothing.
 
         This engine never runs the base counterexample searcher: failures
         are found on the abstract model and concretised through the EXTEND
         unroller, whose refutations drive refinement choices.  Installing
         foreign clauses there would perturb UNSAT cores — and with them
-        which latches get refined — so the conservative mode (which must
-        reproduce the solo trajectory exactly) accepts nothing.  In
-        aggressive mode a foreign depth frontier only steers the outer
-        bound (the paper's loop never re-proves smaller bounds, so any
-        sound starting bound is admissible).
+        which latches get refined — so sharing, which must reproduce the
+        solo trajectory exactly, accepts nothing here.
         """
-        if isinstance(lemma, DepthLemma) and self.options.share_aggressive:
-            self._share_depth = max(self._share_depth, lemma.depth)
-            return True
         return False
 
     # ------------------------------------------------------------------ #
@@ -157,39 +151,34 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         abstract instance is known UNSAT, purely to record the refutation the
         serial sequence extraction needs (see repro.core.base).
         """
-        incremental = self.options.incremental_cex_search
         while True:
             self._check_budget()
             # One refinement iteration per cooperative turn — an entire
             # abstract-check/EXTEND/REFINE cascade is several solver calls.
             self._share_yield()
-            abstract_model = abstraction.abstract_model
             abstract_trace = None
-            if incremental:
-                with self.tracer.span("cex_search"):
-                    searcher = self._abstract_search(abstraction)
-                    searcher.extend_to(k)
-                    if self._solve(searcher.solver, searcher.assumptions()) \
-                            is SatResult.SAT:
-                        abstract_trace = searcher.extract_trace()
+            with self.tracer.span("cex_search"):
+                searcher = self._abstract_search(abstraction)
+                searcher.extend_to(k)
+                if self._solve(searcher.solver, searcher.assumptions()) \
+                        is SatResult.SAT:
+                    abstract_trace = searcher.extract_trace()
             if abstract_trace is None:
                 with self.tracer.span("refutation"):
                     unroller = build_check(self.options.bmc_check,
-                                           abstract_model, k,
+                                           abstraction.abstract_model, k,
                                            proof_logging=True)
                     result = self._solve(unroller.solver)
                 if result is SatResult.UNSAT:
                     return abstraction, self._reduced_proof(unroller.solver), unroller
-                if incremental:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        "incremental and monolithic abstract checks disagree")
-                abstract_trace = unroller.extract_trace(k)
+                raise RuntimeError(  # pragma: no cover - defensive
+                    "incremental and monolithic abstract checks disagree")
             self.stats.sat_calls += 1
             with self.tracer.span("extend"):
                 extension = extend_counterexample(
                     self.model, abstraction, abstract_trace, k,
                     budget=self._sat_budget(),
-                    searcher=self._extend_search() if incremental else None)
+                    searcher=self._extend_search())
             if extension.is_real:
                 return self._fail(k, extension.concrete_trace)
             if abstraction.is_total():

@@ -34,12 +34,6 @@ class ItpEngine(UmcEngine):
 
     name = "itp"
 
-    #: Standard interpolation converges fastest from *small* bounds (the
-    #: whole point of Fig. 1: k=1 often suffices, and the interpolant
-    #: refinement loop gets costlier as the unrolling grows) — jumping the
-    #: outer bound to a foreign frontier was measured to only ever hurt.
-    _share_jumps = False
-
     def _cex_check_kind(self) -> BmcCheckKind:
         """Fig. 1 requires bound-k checks; when the searcher doubles as the
         refutation check (group proof) it must unroll that formulation —
@@ -58,11 +52,9 @@ class ItpEngine(UmcEngine):
 
         k = 0
         while k < self.options.max_bound:
-            # Bound boundary: the replayable import point, and (in
-            # aggressive mode) where a foreign depth frontier can advance
-            # the next attempted bound.
-            self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            k += 1
+            # Bound boundary: the replayable import point.
+            self._share_sync(k)
             self._current_bound = k
             self._check_budget()
             with self._bound_span(k):
@@ -99,15 +91,14 @@ class ItpEngine(UmcEngine):
             # Build the proof-logged bound-k check on a fresh solver.  After
             # an UNSAT incremental search the solve is guaranteed UNSAT and
             # runs only to record the labelled refutation interpolation
-            # needs (see repro.core.base); with incremental search disabled
-            # it also answers the SAT-or-UNSAT question.
+            # needs (see repro.core.base).
             with self.tracer.span("refutation"):
                 unroller = self._build_check(k, init_formula=None)
                 sat = self._solve(unroller.solver) is SatResult.SAT
             if sat:
                 # The proof-logged bound check saw no foreign clause, so its
-                # counterexample is genuine; any imports that skipped or
-                # steered the incremental search past it get retracted.
+                # counterexample is genuine; any imports that skipped the
+                # incremental search past it get retracted.
                 depth = self._failure_depth(unroller, k)
                 self._share_check_disagreement(depth)
                 return self._fail(depth, unroller.extract_trace(depth))
@@ -148,11 +139,7 @@ class ItpEngine(UmcEngine):
                 sat = self._solve(unroller.solver) is SatResult.SAT
             if sat:
                 # Spurious (the initial set is an over-approximation): retry
-                # with a longer unrolling.  ``reached`` = S₀ ∨ I₁ ∨ … ∨ Iⱼ
-                # over-approximates the states reachable within j steps
-                # (each interpolant is a one-step image over-approximation
-                # of its predecessor), so share it before abandoning it.
-                self._share_publish_reach(j, reached)
+                # with a longer unrolling.
                 return None
 
     # ------------------------------------------------------------------ #

@@ -35,14 +35,6 @@ class ItpSeqEngine(UmcEngine):
 
     name = "itpseq"
 
-    #: Under the exact-/assume-k formulations only the *diagonal* sequence
-    #: element of a bound excludes failure-distance-0 states, so a jumped
-    #: ladder leaves candidates no certification can rescue
-    #: (:meth:`UmcEngine._share_certify_invariant` measured 0 successes
-    #: after jumps) while every later bound costs more than the skipped
-    #: ones — sequence engines keep their own ladder.
-    _share_jumps = False
-
     def _run(self) -> VerificationResult:
         trace = self._depth_zero_trace()
         if trace is not None:
@@ -53,11 +45,9 @@ class ItpSeqEngine(UmcEngine):
 
         k = 0
         while k < self.options.max_bound:
-            # Lemma exchange happens at the bound boundary (the replay key);
-            # in aggressive mode a foreign depth frontier can then bump the
-            # bound the engine attempts next past its own schedule.
-            self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            k += 1
+            # Lemma exchange happens at the bound boundary (the replay key).
+            self._share_sync(k)
             self._current_bound = k
             self._check_budget()
 
@@ -141,22 +131,10 @@ class ItpSeqEngine(UmcEngine):
             # itp engine's per-refinement yield: keep turns solver-sized).
             self._share_yield()
             columns[j] = self.aig.add_and(columns.get(j, TRUE), elements[j])
-            # Containment first (so solo/conservative solve sequences are
-            # untouched); a gated column then re-certifies the candidate
-            # from first principles instead of trusting skipped diagonals.
-            if self._implies(columns[j], reached) and (
-                    self._share_fixpoint_allowed(j)
-                    or self._share_certify_invariant(reached)):
+            if self._implies(columns[j], reached):
                 return self._pass(k, j)
             reached = self.aig.op_or(reached, columns[j])
         columns[k] = elements[k]
-        if self._implies(columns[k], reached) and (
-                self._share_fixpoint_allowed(k)
-                or self._share_certify_invariant(reached)):
+        if self._implies(columns[k], reached):
             return self._pass(k, k)
-        # No fixpoint at this bound: ``reached`` = S₀ ∨ ℐ₁ ∨ … ∨ ℐₖ₋₁ is a
-        # sound over-approximation of the states reachable within k-1 steps
-        # — exactly the R summary a foreign PDR worker can prune proof
-        # obligations against.
-        self._share_publish_reach(k - 1, reached)
         return None

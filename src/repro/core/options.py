@@ -56,13 +56,6 @@ class EngineOptions:
         uses bound-k checks as required for its correctness.
     itp_system:
         Interpolation system: ``"mcmillan"`` or ``"pudlak"``.
-    incremental_cex_search:
-        Run each bound's counterexample search on a persistent incremental
-        solver before the proof-logged check (the default).  Failures are
-        then found without ever paying for proof logging, at the price of
-        one extra — usually cheap — UNSAT confirmation per bound on
-        property-passing instances; disable to restore the seed behaviour
-        where the proof-logged check answers SAT-or-UNSAT by itself.
     alpha_s:
         Serialisation ratio for serial interpolation sequences (Fig. 4).
     validate_traces:
@@ -126,37 +119,10 @@ class EngineOptions:
         fresh-solver path remains as automatic fallback (when a stripped
         chain depends on a released earlier-depth group) and stays the only
         path for checks the persistent searcher cannot express (serial
-        sequence suffixes, CBA abstract models).  Requires
-        ``incremental_cex_search`` and is suspended while a share port is
-        attached (foreign clauses must never enter a proof).  On by
+        sequence suffixes, CBA abstract models).  Suspended while a share
+        port is attached (foreign clauses must never enter a proof).  On by
         default; disable with ``--no-group-proof`` to restore the
         two-solves-per-bound split.
-    share_aggressive:
-        When the engine is attached to a share bus, let foreign lemmas
-        change its *search trajectory*, not just skip already-answered
-        solves: sequence engines jump their outer bound past a foreign
-        depth frontier (bounds are independent iterations, so any sound
-        starting bound is admissible), and PDR discharges proof
-        obligations whose cube a foreign R summary excludes.  Sound, but
-        the reported ``k_fp``/``j_fp`` may legitimately differ from a
-        solo run, so it is off by default; the cooperative race turns it
-        on.  Ignored when no share port is attached.
-    share_pdr_import:
-        With aggressive sharing on, additionally let PDR *install* foreign
-        lemmas: frame cubes are blocked directly and R summaries prune
-        proof obligations.  Sound, and exercised by the soundness tests —
-        but measured a net loss on the bench family (the prune solves and
-        re-queued high-level obligations cost more than the discharged
-        relative-induction queries save), so the cooperative default
-        leaves PDR export-only.  Off by default.
-    pdr_cube_compact:
-        Normalise every generalized PDR cube through the structural
-        compactor (:func:`repro.itp.compact.compact_cube_literals`)
-        before it enters the frame sequence (duplicate literals merged,
-        complementary pairs dropped as vacuous).  The engine's own cubes
-        are already canonical dictionaries, so this is a cheap no-op
-        guard there; it matters for cubes arriving from foreign sources.
-        On by default.
     """
 
     max_bound: int = 30
@@ -166,7 +132,6 @@ class EngineOptions:
     max_propagations: Optional[int] = None
     bmc_check: BmcCheckKind = BmcCheckKind.ASSUME
     itp_system: str = "mcmillan"
-    incremental_cex_search: bool = True
     alpha_s: float = 0.5
     validate_traces: bool = True
     cba_initial_visible: str = "property"
@@ -179,9 +144,6 @@ class EngineOptions:
     itp_compact: bool = True
     fixpoint_incremental: bool = True
     group_proof: bool = True
-    share_aggressive: bool = False
-    share_pdr_import: bool = False
-    pdr_cube_compact: bool = True
 
     def with_changes(self, **kwargs) -> "EngineOptions":
         """Return a copy with some fields replaced."""

@@ -37,14 +37,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..aig.aig import lit_from_var, lit_negate, lit_sign, lit_var
 from ..bmc.cex import Trace
-from ..itp.compact import compact_cube_literals
 from ..pdr.frames import FrameSequence
 from ..pdr.generalize import generalize
 from ..pdr.obligations import ObligationQueue, ProofObligation
-from ..share.lemma import (MAX_FRAME_CUBE_LITS, FrameLemma, Lemma, ReachLemma,
-                           materialize_cone)
+from ..share.lemma import MAX_FRAME_CUBE_LITS, FrameLemma, Lemma
 from .base import UmcEngine
 from .result import VerificationResult
 
@@ -137,20 +134,10 @@ class PdrEngine(UmcEngine):
             if self.tracer.enabled:
                 self.tracer.point("obligation_pop", level=obligation.level,
                                   cube_size=len(obligation.cube))
-            if self._share_prune_obligation(frames, queue, obligation, k):
-                continue
             answer = frames.check_obligation(obligation.cube, obligation.level)
             if answer[0] == "blocked":
                 cube, level = self._generalize_and_push(
                     frames, answer[1], obligation.level, k)
-                if self.options.pdr_cube_compact:
-                    # Invariant guard for the engine's own dict cubes (no
-                    # duplicates possible), real normalisation for cubes
-                    # from foreign sources routed through here in tests.
-                    compaction = compact_cube_literals(cube.items())
-                    self.stats.pdr_cubes_compacted += compaction.removed
-                    if not compaction.vacuous:
-                        cube = dict(compaction.pairs)
                 if frames.add_blocked_cube(cube, level):
                     self.stats.blocked_cubes += 1
                     self._share_publish_frame(cube, level)
@@ -192,117 +179,14 @@ class PdrEngine(UmcEngine):
     # Cooperative lemma sharing: PDR-specific import/export policy
     # ------------------------------------------------------------------ #
     def _share_apply(self, lemma: Lemma) -> bool:
-        """Import foreign lemmas into the frame sequence (aggressive only).
+        """PDR imports nothing; it only exports.
 
-        Conservative sharing must reproduce the solo trajectory exactly,
-        and *any* foreign clause in the frames changes which proof
-        obligations arise — so conservatively PDR imports nothing (depth
-        facts are useless here anyway: F_k already over-approximates).
-        Aggressively, a foreign frame cube is blocked directly (soundness
-        needs only cube ∩ Reach≤level = ∅, which the validator vetted;
-        fixpoint detection stays sound regardless because propagation
-        re-proves consecution clause by clause), and a foreign R summary
-        is materialised once for obligation pruning.  Both imports are
-        additionally gated by ``options.share_pdr_import`` — measured a
-        net loss on the bench family, so the race leaves PDR export-only
-        unless explicitly asked.
+        Sharing must reproduce the solo trajectory exactly, and *any*
+        foreign clause in the frames changes which proof obligations arise
+        — so PDR accepts no lemma (depth facts are useless here anyway:
+        F_k already over-approximates).
         """
-        if not (self.options.share_aggressive
-                and self.options.share_pdr_import):
-            return False
-        if isinstance(lemma, FrameLemma):
-            frames = self.frames
-            if frames is None or frames.k < 1:
-                return False
-            if any(var not in self.model.latch_vars
-                   for var, _ in lemma.cube):
-                # The peer latches a var this engine's reduced model does
-                # not (or the lemma slipped past validation): unusable.
-                return False
-            compaction = compact_cube_literals(lemma.cube)
-            if compaction.vacuous:
-                return False
-            self.stats.pdr_cubes_compacted += compaction.removed
-            cube = dict(compaction.pairs)
-            level = min(lemma.level, frames.k)
-            if level < 1 or frames.intersects_initial(cube):
-                return False
-            if frames.add_blocked_cube(cube, level):
-                self.stats.blocked_cubes += 1
-            return True
-        if isinstance(lemma, ReachLemma):
-            try:
-                root = materialize_cone(self.aig, lemma)
-            except (KeyError, ValueError, IndexError):
-                return False
-            # The topo-ordered cone is precomputed once so the concrete
-            # pre-filter of :meth:`_share_prune_obligation` is a plain
-            # array walk per obligation, not a graph traversal.
-            self._share_reach.append((lemma, root,
-                                      self.aig.fanin_cone([root])))
-            return True
         return False
-
-    def _share_prune_obligation(self, frames: FrameSequence, queue,
-                                obligation: ProofObligation, k: int) -> bool:
-        """Discharge an obligation whose cube a foreign R summary excludes.
-
-        If some imported R ⊇ Reach≤bound satisfies cube ⇒ ¬R with
-        bound ≥ the obligation's level, the cube is unreachable within
-        ``bound`` steps — block it up to min(bound, k) without any
-        relative-induction query, and keep chasing it upward exactly as a
-        conventionally blocked obligation would be.
-        """
-        if not self._share_reach:
-            return False
-        cube_cone = None
-        for lemma, r_lit, cone in self._share_reach:
-            if lemma.bound < obligation.level:
-                continue
-            if self._share_cone_value(r_lit, cone, obligation.cube):
-                # The all-zeros completion of the cube is a concrete state
-                # that R contains, so cube ⇒ ¬R is already refuted —
-                # don't pay a SAT solve to learn that.
-                continue
-            if cube_cone is None:
-                cube_cone = self.aig.op_and(*(
-                    lit_from_var(var, sign=not value)
-                    for var, value in sorted(obligation.cube.items())))
-            if not self._implies(cube_cone, lit_negate(r_lit)):
-                continue
-            self.stats.pdr_obligations_pruned += 1
-            if self.tracer.enabled:
-                self.tracer.point("share_prune", level=obligation.level,
-                                  bound=lemma.bound)
-            level = min(lemma.bound, k)
-            if frames.add_blocked_cube(dict(obligation.cube), level):
-                self.stats.blocked_cubes += 1
-            if level < k:
-                queue.push(obligation.at_level(level + 1))
-            return True
-        return False
-
-    def _share_cone_value(self, root: int, cone, cube) -> bool:
-        """Evaluate one R cone on a concrete completion of a partial cube.
-
-        Latch vars outside the cube (and any stray input leaves) take
-        value 0; that completion is a state *inside* the cube, so a true
-        answer here is an exact witness that ``cube ⇒ ¬R`` fails.  A false
-        answer says nothing — the caller still solves — but the failed
-        solves this walk replaces dominate the pruning cost in practice.
-        """
-        values = {0: False}
-        is_and = self.aig.is_and
-        and_gate = self.aig.and_gate
-        for var in cone:
-            if is_and(var):
-                gate = and_gate(var)
-                left, right = gate.left, gate.right
-                values[var] = ((values[lit_var(left)] != lit_sign(left))
-                               and (values[lit_var(right)] != lit_sign(right)))
-            else:
-                values[var] = bool(cube.get(var, False))
-        return values[lit_var(root)] != lit_sign(root)
 
     def _share_publish_frame(self, cube, level: int) -> None:
         """Export one freshly blocked cube (small cubes only — the cap

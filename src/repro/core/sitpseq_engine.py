@@ -155,10 +155,10 @@ class SerialItpSeqEngine(ItpSeqEngine):
 
         k = 0
         while k < self.options.max_bound:
+            k += 1
             # Same bound-boundary lemma exchange as the parallel engine
             # (see ItpSeqEngine._run).
-            self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            self._share_sync(k)
             self._current_bound = k
             self._check_budget()
 

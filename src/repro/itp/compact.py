@@ -26,14 +26,12 @@ cone, the original literal is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
 
 from ..aig.aig import Aig, lit_is_const
 from ..aig.ops import cone_size
 from ..preprocess.rewrite import rewrite_cone
 
-__all__ = ["ConeCompaction", "compact_cone",
-           "CubeCompaction", "compact_cube_literals"]
+__all__ = ["ConeCompaction", "compact_cone"]
 
 
 @dataclass(frozen=True)
@@ -71,54 +69,3 @@ def compact_cone(aig: Aig, lit: int) -> ConeCompaction:
         # cone (the same never-grows promise the model-level pass makes).
         return ConeCompaction(lit, before, before)
     return ConeCompaction(rewritten, before, after)
-
-
-@dataclass(frozen=True)
-class CubeCompaction:
-    """Outcome of normalising one state cube (a conjunction of literals).
-
-    ``pairs`` is the canonical sorted (variable, polarity) tuple, or
-    ``None`` when the cube contained a complementary pair and therefore
-    denotes the *empty* state set — a vacuous cube that must never enter a
-    frame sequence (blocking it would add the trivial clause ⊤ and count a
-    strengthening that strengthened nothing).
-    """
-
-    pairs: Optional[Tuple[Tuple[int, bool], ...]]
-    removed: int
-
-    @property
-    def vacuous(self) -> bool:
-        return self.pairs is None
-
-
-def compact_cube_literals(pairs: Iterable[Tuple[int, bool]]) -> CubeCompaction:
-    """Normalise a cube given as (variable, polarity) pairs.
-
-    The cube-level analogue of :func:`compact_cone` for the degenerate but
-    common cone shape of a PDR frame cube — a flat AND of latch literals:
-    duplicates merge (x ∧ x = x), a complementary pair makes the whole cube
-    vacuous (x ∧ ¬x = ⊥, reported as ``pairs=None``), and the survivors
-    come back sorted by variable so two orderings of the same cube
-    normalise identically.  ``removed`` counts the literals dropped.
-
-    PDR's own generalization produces dict-backed cubes that are already
-    duplicate-free, so there this is a cheap invariant guard; literal lists
-    arriving from foreign sources (shared lemmas, hand-built cubes in
-    tests) are where the normalisation does real work.
-    """
-    seen: dict = {}
-    total = 0
-    vacuous = False
-    for var, value in pairs:
-        total += 1
-        value = bool(value)
-        previous = seen.get(var)
-        if previous is None:
-            seen[var] = value
-        elif previous != value:
-            vacuous = True
-    if vacuous:
-        return CubeCompaction(pairs=None, removed=total)
-    canonical = tuple(sorted(seen.items()))
-    return CubeCompaction(pairs=canonical, removed=total - len(canonical))

@@ -7,10 +7,8 @@ instance.  This package turns the race cooperative:
 
 * :mod:`repro.share.lemma` — the typed, pickle-safe wire format: PDR frame
   clauses tagged with their frame level (inductive reachability facts any
-  engine may assume), accumulated-R summaries from the interpolation
-  engines (usable to prune PDR proof obligations), and "no counterexample
-  up to depth d" facts that let the sequence engines skip shallow
-  counterexample searches;
+  engine may assume), and "no counterexample up to depth d" facts that
+  let the other engines skip shallow counterexample searches;
 * :mod:`repro.share.bus` — publish/subscribe plumbing: an in-process bus
   for the deterministic cooperative runner, plus the replay port that
   re-applies a recorded share log;
@@ -36,26 +34,25 @@ regenerates bit-identically from its log, on one process or many.
 
 Soundness contract
 ------------------
-Default ("conservative") sharing is *answer-preserving by construction*:
-foreign lemmas only ever reach the proof-free incremental counterexample
-searcher (sound reachability facts cannot cut a genuine counterexample,
-and added constraints cannot create models), and depth facts only skip
-solves whose answer they already decide.  The proof-logged refutation
-checks never see a foreign lemma, so verdicts *and* the (k, j) fixpoint
-pair are identical with sharing on, off, or replayed.  The aggressive mode
-(``EngineOptions.share_aggressive``) additionally fast-forwards engines
-past foreign-refuted depths and prunes PDR obligations against foreign
-R summaries — still sound, but the fixpoint pair may legitimately differ.
+Sharing is *answer-preserving by construction*: foreign lemmas only ever
+reach the proof-free incremental counterexample searcher (sound
+reachability facts cannot cut a genuine counterexample, and added
+constraints cannot create models), and depth facts only skip solves whose
+answer they already decide.  The proof-logged refutation checks never see
+a foreign lemma, so verdicts *and* the (k, j) fixpoint pair are identical
+with sharing on, off, or replayed.  PDR and the CBA engine import nothing:
+a foreign clause in their frames or abstraction cores would change their
+trajectories.
 """
 
 from .bus import LocalShareBus, ReplayShareBus, ShareCancelled, SharePort
 from .coop import CoopOutcome, cooperative_race
-from .lemma import (DepthLemma, FrameLemma, Lemma, ReachLemma, SharedLemma,
+from .lemma import (DepthLemma, FrameLemma, Lemma, SharedLemma,
                     lemma_from_wire, lemma_hash, model_fingerprint)
 from .log import ShareLog, read_share_log
 
 __all__ = [
-    "DepthLemma", "FrameLemma", "ReachLemma", "Lemma", "SharedLemma",
+    "DepthLemma", "FrameLemma", "Lemma", "SharedLemma",
     "lemma_from_wire", "lemma_hash", "model_fingerprint",
     "ShareLog", "read_share_log",
     "SharePort", "LocalShareBus", "ReplayShareBus", "ShareCancelled",

@@ -1,6 +1,6 @@
 """The typed, pickle-safe lemma wire format.
 
-Three lemma kinds cross the portfolio's process and thread boundaries, each
+Two lemma kinds cross the portfolio's process and thread boundaries, each
 a *sound fact about the shared reduced model* (every engine preprocesses
 the same source model through the same deterministic pipeline, so the
 reduced models — and hence their fingerprints — agree):
@@ -12,21 +12,12 @@ reduced models — and hence their fingerprints — agree):
 * :class:`FrameLemma` — a PDR frame clause: the cube intersects no state
   reachable in ≤ ``level`` steps, so the clause ¬cube may be assumed at
   any unrolling frame t ≤ level of a counterexample search.
-* :class:`ReachLemma` — an interpolation engine's accumulated R: an AIG
-  cone over latch variables over-approximating every state reachable in
-  ≤ ``bound`` steps.  PDR (in aggressive mode) discharges proof
-  obligations (cube, level ≤ bound) whose cube lies outside R.
 
 Wire form
 ---------
 Lemmas are frozen dataclasses of scalars and tuples — pickle-safe for the
 worker pipes and JSON-safe for the share log (:meth:`to_wire` /
-:func:`lemma_from_wire` round-trip).  :class:`ReachLemma` cones are
-serialized *structurally* (a topologically ordered node list whose
-operands reference latch leaves by variable or earlier nodes by index):
-engines grow their private AIGs past the shared base model, so node
-indices above the base are meaningless across engines, but latch
-variables of the reduced model are common currency.
+:func:`lemma_from_wire` round-trip).
 """
 
 from __future__ import annotations
@@ -34,21 +25,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
-from ..aig.aig import FALSE, Aig, lit_from_var, lit_is_const, lit_negate, lit_sign, lit_var
 from ..aig.model import Model
 
-__all__ = ["Lemma", "DepthLemma", "FrameLemma", "ReachLemma", "SharedLemma",
+__all__ = ["Lemma", "DepthLemma", "FrameLemma", "SharedLemma",
            "lemma_hash", "lemma_from_wire", "model_fingerprint",
-           "serialize_cone", "materialize_cone",
-           "MAX_FRAME_CUBE_LITS", "MAX_REACH_CONE_NODES"]
+           "MAX_FRAME_CUBE_LITS"]
 
-#: Publishing caps: frame clauses wider than this are kept private (wide
-#: cubes are weak lemmas and expensive assumptions), and R summaries whose
-#: cones exceed the node cap are not serialized at all.
+#: Publishing cap: frame clauses wider than this are kept private (wide
+#: cubes are weak lemmas and expensive assumptions).
 MAX_FRAME_CUBE_LITS = 12
-MAX_REACH_CONE_NODES = 2048
 
 #: Sorted (latch var, value) pairs — the wire form of a PDR cube.
 WireCube = Tuple[Tuple[int, bool], ...]
@@ -84,32 +71,7 @@ class FrameLemma:
                 "cube": [[var, int(val)] for var, val in self.cube]}
 
 
-@dataclass(frozen=True)
-class ReachLemma:
-    """An accumulated-R summary: R ⊇ Reach≤bound, as a structural AIG cone.
-
-    ``nodes`` lists AND gates in topological order; each operand is a
-    *local literal* ``2 * index + sign`` where index 0 is the constant
-    FALSE, indices 1..len(leaves) are the latch-variable leaves, and
-    higher indices are earlier entries of ``nodes``.  ``root`` is a local
-    literal as well.
-    """
-
-    bound: int
-    leaves: Tuple[int, ...]
-    nodes: Tuple[Tuple[int, int], ...]
-    root: int
-
-    kind = "reach"
-
-    def to_wire(self) -> Dict[str, object]:
-        return {"kind": self.kind, "bound": self.bound,
-                "leaves": list(self.leaves),
-                "nodes": [list(pair) for pair in self.nodes],
-                "root": self.root}
-
-
-Lemma = Union[DepthLemma, FrameLemma, ReachLemma]
+Lemma = Union[DepthLemma, FrameLemma]
 
 
 @dataclass(frozen=True)
@@ -129,11 +91,6 @@ def lemma_from_wire(data: Dict[str, object]) -> Lemma:
     if kind == "frame":
         cube = tuple(sorted((int(var), bool(val)) for var, val in data["cube"]))
         return FrameLemma(cube=cube, level=int(data["level"]))
-    if kind == "reach":
-        return ReachLemma(bound=int(data["bound"]),
-                          leaves=tuple(int(v) for v in data["leaves"]),
-                          nodes=tuple((int(a), int(b)) for a, b in data["nodes"]),
-                          root=int(data["root"]))
     raise ValueError(f"unknown lemma kind {kind!r}")
 
 
@@ -170,64 +127,3 @@ def model_fingerprint(model: Model) -> str:
     ]
     digest = hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()
     return digest[:16]
-
-
-# --------------------------------------------------------------------- #
-# Structural cone (de)serialization for ReachLemma
-# --------------------------------------------------------------------- #
-def serialize_cone(aig: Aig, root_lit: int,
-                   max_nodes: int = MAX_REACH_CONE_NODES
-                   ) -> Optional[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int]]:
-    """Serialize ``root_lit``'s cone down to latch leaves.
-
-    Returns ``(leaves, nodes, root)`` in :class:`ReachLemma`'s local-literal
-    encoding, or ``None`` when the cone exceeds ``max_nodes`` AND gates or
-    rests on a non-latch leaf (an R summary must be a state predicate —
-    anything else indicates a bug upstream and is simply not shared).
-    """
-    if lit_is_const(root_lit):
-        return ((), (), 0 if root_lit == FALSE else 1)
-    cone = aig.fanin_cone([root_lit])
-    leaves = sorted(var for var in cone if not aig.is_and(var))
-    if any(not aig.is_latch(var) for var in leaves):
-        return None
-    and_vars = [var for var in cone if aig.is_and(var)]
-    if len(and_vars) > max_nodes:
-        return None
-    local: Dict[int, int] = {leaf: index + 1 for index, leaf in enumerate(leaves)}
-    next_index = len(leaves) + 1
-
-    def local_lit(lit: int) -> int:
-        if lit_is_const(lit):
-            return 0 if lit == FALSE else 1
-        index = local[lit_var(lit)]
-        return 2 * index + (1 if lit_sign(lit) else 0)
-
-    nodes: List[Tuple[int, int]] = []
-    for var in and_vars:  # fanin_cone returns topological order
-        gate = aig.and_gate(var)
-        nodes.append((local_lit(gate.left), local_lit(gate.right)))
-        local[var] = next_index
-        next_index += 1
-    return (tuple(leaves), tuple(nodes),
-            2 * local[lit_var(root_lit)] + (1 if lit_sign(root_lit) else 0))
-
-
-def materialize_cone(aig: Aig, lemma: ReachLemma) -> int:
-    """Rebuild a serialized cone inside ``aig``; returns the root literal.
-
-    Leaf variables must exist in ``aig`` (the caller checks the model
-    fingerprint first, so they do).  Structural hashing in
-    :meth:`Aig.add_and` dedups nodes the target AIG already contains.
-    """
-    values: List[int] = [FALSE]  # local index 0 = constant FALSE
-    for leaf in lemma.leaves:
-        values.append(lit_from_var(leaf))
-
-    def resolve(local: int) -> int:
-        lit = values[local // 2]
-        return lit_negate(lit) if local % 2 else lit
-
-    for a_local, b_local in lemma.nodes:
-        values.append(aig.add_and(resolve(a_local), resolve(b_local)))
-    return resolve(lemma.root)

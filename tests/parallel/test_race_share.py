@@ -65,8 +65,8 @@ def test_shared_race_run_all_matches_blind(tmp_path):
                           share=True,
                           share_log=str(tmp_path / "share.jsonl"))
     _assert_no_stray_workers(before)
-    # Conservative sharing (the race default): every engine's verdict and
-    # fixpoint bounds are identical to the blind race.
+    # Sharing is answer-preserving: every engine's verdict and fixpoint
+    # bounds are identical to the blind race.
     for name in ALL_ENGINES:
         b, s = blind.results[name], shared.results[name]
         assert (b.verdict, b.k_fp, b.j_fp) == (s.verdict, s.k_fp, s.j_fp), name

@@ -1,11 +1,11 @@
-"""Conservative sharing is answer-preserving — the headline guarantee.
+"""Sharing is answer-preserving — the headline guarantee.
 
 Three legs per instance, for every engine in the portfolio plus bmc:
 
 * **solo** — the engine runs exactly as before sharing existed;
-* **cooperative** — a conservative (``aggressive=False``) run-all race,
-  where foreign lemmas may skip proof-free counterexample searches but
-  never touch a proof-logged solve;
+* **cooperative** — a run-all race, where foreign lemmas may skip
+  proof-free counterexample searches but never touch a proof-logged
+  solve;
 * **replay** — each engine re-run alone against the race's share log
   (``ReplayShareBus``), the artefact-regeneration path.
 
@@ -31,7 +31,8 @@ from repro.circuits.suite import quick_suite, redundant_suite
 from repro.core import EngineOptions
 from repro.core.portfolio import ENGINES, run_engine
 from repro.share import cooperative_race
-from repro.share.bus import ReplayShareBus
+from repro.share.bus import LocalShareBus, ReplayShareBus
+from repro.share.lemma import FrameLemma
 from repro.share.log import read_share_log
 
 MAX_BOUND = 20
@@ -77,11 +78,11 @@ def _from_race(name, result):
 
 
 @pytest.mark.parametrize("name", sorted(_INSTANCES))
-def test_conservative_share_identity(name, tmp_path):
+def test_share_identity(name, tmp_path):
     instance = _INSTANCES[name]
     log_path = tmp_path / "share.jsonl"
     outcome = cooperative_race(instance.build(), options=_options(),
-                               aggressive=False, first_result_wins=False,
+                               first_result_wins=False,
                                log_path=str(log_path))
     bus = ReplayShareBus(read_share_log(str(log_path)))
     for engine in ALL_ENGINES:
@@ -93,3 +94,24 @@ def test_conservative_share_identity(name, tmp_path):
         # The suite's planted ground truth holds wherever the engine solved.
         if engine != "bmc" and solo[0] in ("pass", "fail"):
             assert solo[0] == instance.expected, (name, engine)
+
+
+def test_honest_frame_lemma_installs_in_searcher_without_changing_answer():
+    # The base import path: an accepted FrameLemma is asserted as a clause
+    # in the counterexample searcher's dedicated foreign group, and the
+    # proof-logged checks never see it.
+    instance = _INSTANCES["ring04"]
+    model = instance.build()
+    bus = LocalShareBus()
+    engine = ENGINES["itpseq"](model, options=_options(),
+                               share=bus.port("itpseq"))
+    latches = model.latch_vars
+    # "Two tokens at once" never happens, so the validator lets it in.
+    bus.port("peer").publish(FrameLemma(
+        cube=((latches[1], True), (latches[2], True)), level=2))
+    result = engine.run()
+    assert result.stats.lemmas_rx == 1
+    assert result.stats.lemmas_retracted == 0
+    assert engine._share_group is not None
+    assert (result.verdict.value, result.k_fp, result.j_fp) \
+        == _solo("itpseq", instance.build())

@@ -1,19 +1,14 @@
-"""Lemma wire format: round-trips, hashes, cones, fingerprints."""
+"""Lemma wire format: round-trips, hashes, fingerprints."""
 
 import pytest
 
-from repro.aig.aig import lit_from_var, lit_negate
 from repro.circuits import get_instance, token_ring
 from repro.share.lemma import (
-    MAX_REACH_CONE_NODES,
     DepthLemma,
     FrameLemma,
-    ReachLemma,
     lemma_from_wire,
     lemma_hash,
-    materialize_cone,
     model_fingerprint,
-    serialize_cone,
 )
 
 
@@ -52,43 +47,6 @@ def test_lemma_hashes_are_distinct_per_content():
     assert lemma_hash(DepthLemma(1)) != lemma_hash(DepthLemma(2))
     assert (lemma_hash(FrameLemma(cube=((2, True),), level=1))
             != lemma_hash(FrameLemma(cube=((2, True),), level=2)))
-
-
-def test_cone_serialize_materialize_round_trip():
-    model = _ring()
-    aig = model.aig
-    latches = model.latch_vars
-    predicate = aig.op_and(lit_from_var(latches[0]),
-                           lit_negate(lit_from_var(latches[1])))
-    serialized = serialize_cone(aig, predicate)
-    assert serialized is not None
-    leaves, nodes, root = serialized
-    lemma = ReachLemma(bound=2, leaves=leaves, nodes=nodes, root=root)
-    again = lemma_from_wire(lemma.to_wire())
-    assert again == lemma
-    # Rebuilding in the same AIG structurally hashes back to the original.
-    assert materialize_cone(aig, again) == predicate
-    # Rebuilding in a *fresh* AIG of the same model works off latch vars.
-    other = _ring()
-    rebuilt = materialize_cone(other.aig, again)
-    assert serialize_cone(other.aig, rebuilt)[0] == leaves
-
-
-def test_cone_serialization_caps_and_leaf_discipline():
-    model = _ring()
-    aig = model.aig
-    latches = model.latch_vars
-    predicate = aig.op_and(lit_from_var(latches[0]),
-                           lit_from_var(latches[1]))
-    # Node cap: a cone bigger than max_nodes is not serialized.
-    assert serialize_cone(aig, predicate, max_nodes=0) is None
-    # Input (non-latch) leaves disqualify a cone: R must be a state predicate.
-    inputs = sorted(aig.input_vars())
-    if inputs:
-        tainted = aig.op_and(lit_from_var(latches[0]),
-                             lit_from_var(inputs[0]))
-        assert serialize_cone(aig, tainted) is None
-    assert MAX_REACH_CONE_NODES >= 64  # sanity: the default cap is usable
 
 
 def test_model_fingerprint_distinguishes_models_and_is_stable():

@@ -1,6 +1,11 @@
 """The replayable share log: round-trips and torn-line tolerance."""
 
-from repro.share.lemma import DepthLemma, FrameLemma
+import hashlib
+import json
+
+from repro.aig import write_aag
+from repro.circuits import get_instance
+from repro.share.lemma import DepthLemma, FrameLemma, lemma_hash
 from repro.share.log import ShareLog, read_share_log
 
 
@@ -61,3 +66,37 @@ def test_share_log_missing_file_is_empty():
     data = read_share_log("/nonexistent/share.jsonl")
     assert data.fingerprint is None
     assert data.published == {}
+
+
+def test_share_log_skips_retired_reach_records(tmp_path, capsys):
+    # Logs written before the "reach" lemma kind was retired still load:
+    # its pub record is skipped as junk, and --share-replay delivers the
+    # log's other accepted lemmas.
+    from repro.__main__ import main
+
+    reach = {"kind": "reach", "bound": 2, "leaves": [2, 4],
+             "nodes": [[2, 5]], "root": 6}
+    reach_hash = hashlib.sha256(json.dumps(
+        reach, sort_keys=True, separators=(",", ":")).encode("ascii")
+    ).hexdigest()[:16]
+    depth = DepthLemma(depth=1)
+    records = [
+        {"t": "pub", "seq": 0, "src": "itp", "lemma": reach,
+         "hash": reach_hash},
+        {"t": "pub", "seq": 1, "src": "bmc", "lemma": depth.to_wire(),
+         "hash": lemma_hash(depth)},
+        {"t": "acc", "eng": "itpseq", "bnd": 2, "seqs": [0, 1]},
+    ]
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                            for r in records), encoding="utf-8")
+
+    data = read_share_log(str(path))
+    assert sorted(data.published) == [1]
+    assert [s.lemma for s in data.deliveries("itpseq", 2)] == [depth]
+
+    aag = str(tmp_path / "ring04.aag")
+    write_aag(get_instance("ring04").build().aig, aag)
+    assert main([aag, "--engine", "itpseq", "--share-replay", str(path),
+                 "--stats"]) == 0
+    assert "lemmas_rx: 1\n" in capsys.readouterr().out

@@ -2,10 +2,10 @@
 
 The import validator normally refutes dishonest lemmas by simulation
 (:mod:`tests.share.test_adapt`); here we disable it outright, simulating
-a validation miss, and check the *second* line of defence: conservative
-imports only ever touch the proof-free searcher, so the proof-logged
-check finds the genuine counterexample anyway and
-``_share_check_disagreement`` retracts every import wholesale.
+a validation miss, and check the *second* line of defence: imports only
+ever touch the proof-free searcher, so the proof-logged check finds the
+genuine counterexample anyway and ``_share_check_disagreement`` retracts
+every import wholesale.
 """
 
 from repro.circuits import get_instance
@@ -37,7 +37,7 @@ def _poisoned_engine(name, model, options):
     return engine
 
 
-def test_malicious_depth_lemma_conservative_verdict_survives():
+def test_malicious_depth_lemma_verdict_survives():
     instance = get_instance("red_dead08bug")
     solo = run_engine("itpseq", instance.build(), options=_options())
     assert (solo.verdict.value, solo.k_fp) == ("fail", 5)
@@ -52,20 +52,17 @@ def test_malicious_depth_lemma_conservative_verdict_survives():
     assert engine._share_distrust
 
 
-def test_malicious_depth_lemma_aggressive_never_passes():
-    # Aggressive mode may jump past the counterexample depth on a lie, so
-    # the failure can surface later (or not at all within the budget) —
-    # but a wrong PASS is impossible: the contiguity gate blocks fixpoint
-    # claims at jumped-over columns.
+def test_malicious_lemmas_never_change_any_engines_answer():
+    # Every engine, validator off, lies delivered: each must still report
+    # the genuine depth-5 failure.  The searcher-based engines retract the
+    # lies once their proof-logged check disagrees; PDR and CBA import
+    # nothing, so the lies never reach them.
     instance = get_instance("red_dead08bug")
     for name in sorted(ENGINES):
-        # share_pdr_import opens PDR's frame-blocking/obligation-pruning
-        # import path, so the lies reach every engine's most trusting mode.
-        engine = _poisoned_engine(
-            name, instance.build(),
-            _options(share_aggressive=True, share_pdr_import=True))
+        engine = _poisoned_engine(name, instance.build(), _options())
         result = engine.run()
-        assert result.verdict.value != "pass", (name, result.message)
+        assert (result.verdict.value, result.k_fp) == ("fail", 5), \
+            (name, result.message)
 
 
 def test_malicious_lemmas_rejected_with_validator_on():
