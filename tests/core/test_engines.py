@@ -138,6 +138,18 @@ def test_depth_zero_failure_reported():
         assert result.k_fp == 0
 
 
+@pytest.mark.parametrize("engine_name", ALL_ENGINES)
+def test_depth_zero_trace_replays(engine_name):
+    # The depth-0 check runs on the persistent incremental searcher; the
+    # trace it yields must be a genuine zero-step violation of the source.
+    model = counter(width=3, target=0)
+    result = run_engine(engine_name, model, _options())
+    assert result.verdict is Verdict.FAIL
+    assert result.trace is not None
+    assert result.trace.depth == 0
+    assert result.trace.check(counter(width=3, target=0))
+
+
 def test_engines_do_not_mutate_source_model():
     model = token_ring(4)
     ands_before = model.aig.num_ands

@@ -8,6 +8,8 @@ genuine counterexample anyway and ``_share_check_disagreement`` retracts
 every import wholesale.
 """
 
+import pytest
+
 from repro.circuits import get_instance
 from repro.core import EngineOptions
 from repro.core.portfolio import ENGINES, run_engine
@@ -52,17 +54,16 @@ def test_malicious_depth_lemma_verdict_survives():
     assert engine._share_distrust
 
 
-def test_malicious_lemmas_never_change_any_engines_answer():
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_malicious_lemmas_never_change_any_engines_answer(name):
     # Every engine, validator off, lies delivered: each must still report
     # the genuine depth-5 failure.  The searcher-based engines retract the
     # lies once their proof-logged check disagrees; PDR and CBA import
     # nothing, so the lies never reach them.
     instance = get_instance("red_dead08bug")
-    for name in sorted(ENGINES):
-        engine = _poisoned_engine(name, instance.build(), _options())
-        result = engine.run()
-        assert (result.verdict.value, result.k_fp) == ("fail", 5), \
-            (name, result.message)
+    engine = _poisoned_engine(name, instance.build(), _options())
+    result = engine.run()
+    assert (result.verdict.value, result.k_fp) == ("fail", 5), result.message
 
 
 def test_malicious_lemmas_rejected_with_validator_on():
