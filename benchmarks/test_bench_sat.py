@@ -8,6 +8,7 @@ unsatisfiable instances, the solver runtime, conflict counts and proof
 sizes of the three formulations.
 """
 
+import statistics
 import time
 
 import pytest
@@ -69,3 +70,37 @@ def test_solver_throughput_on_unrolling(benchmark):
         return unroller.solver.stats.conflicts
 
     benchmark(solve_once)
+
+
+def _ingest_cost(proof_logging, rounds=21):
+    """Clauses in the modcnt12 k=8 assume-k check and the median µs per
+    clause of encoding it into a fresh solver (no solve)."""
+    instance = get_instance("modcnt12")
+    samples = []
+    for _ in range(rounds):
+        model = instance.build()
+        started = time.perf_counter()
+        unroller = build_check(BmcCheckKind.ASSUME, model, 8,
+                               proof_logging=proof_logging)
+        elapsed = time.perf_counter() - started
+        clauses = unroller.solver.stats.clauses_added
+        samples.append(elapsed * 1e6 / clauses)
+    return clauses, statistics.median(samples)
+
+
+def test_clause_ingest_cost_per_clause(benchmark, save_timing):
+    """Proof-logging overhead per clause: encoding cost with logging on/off.
+
+    Wall clock only, so it goes to the untracked timing directory.
+    """
+    def measure():
+        off = _ingest_cost(False)
+        on = _ingest_cost(True)
+        return [["off", off[0], round(off[1], 2), 1.0],
+                ["on", on[0], round(on[1], 2), round(on[1] / off[1], 2)]]
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    assert rows[0][1] == rows[1][1]
+    save_timing("sat_ingest_modcnt12.txt", format_table(
+        ["proof_logging", "clauses", "us_per_clause", "vs_off"], rows,
+        title="Clause ingest on modcnt12, assume-k check at k=8 (no solve)"))

@@ -21,7 +21,7 @@ fails), matching the convention of hardware model-checking competitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "FALSE",
@@ -122,6 +122,8 @@ class Aig:
         self.name = name
         self._num_vars = 1  # variable 0 is the constant
         self._inputs: List[int] = []
+        #: Membership view of ``_inputs`` for the O(1) kind queries.
+        self._input_set: Set[int] = set()
         self._input_names: Dict[int, str] = {}
         self._latches: Dict[int, Latch] = {}
         self._latch_order: List[int] = []
@@ -147,6 +149,7 @@ class Aig:
         """Create a primary input; return its (positive) literal."""
         var = self.new_var()
         self._inputs.append(var)
+        self._input_set.add(var)
         if name is not None:
             self._input_names[var] = name
         return lit_from_var(var)
@@ -199,8 +202,12 @@ class Aig:
         Applies the standard trivial simplifications: constants, equal and
         opposite fanins.
         """
-        self._check_lit(a)
-        self._check_lit(b)
+        # The range check of _check_lit, inlined: this is the hottest AIG call.
+        limit = self._num_vars
+        if a < 0 or a >> 1 >= limit:
+            raise ValueError(f"literal {a} references an unknown variable")
+        if b < 0 or b >> 1 >= limit:
+            raise ValueError(f"literal {b} references an unknown variable")
         # Constant / trivial cases.
         if a == FALSE or b == FALSE:
             return FALSE
@@ -350,7 +357,7 @@ class Aig:
         return self._bad_names[index]
 
     def is_input(self, var: int) -> bool:
-        return var in self._input_names or var in set(self._inputs)
+        return var in self._input_set
 
     def is_latch(self, var: int) -> bool:
         return var in self._latches
@@ -374,7 +381,7 @@ class Aig:
             return "latch"
         if var in self._ands:
             return "and"
-        if var in set(self._inputs):
+        if var in self._input_set:
             return "input"
         raise KeyError(f"unknown variable {var}")
 
@@ -456,6 +463,7 @@ class Aig:
         other = Aig(self.name)
         other._num_vars = self._num_vars
         other._inputs = list(self._inputs)
+        other._input_set = set(self._input_set)
         other._input_names = dict(self._input_names)
         other._latches = dict(self._latches)
         other._latch_order = list(self._latch_order)

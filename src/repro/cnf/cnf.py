@@ -35,13 +35,31 @@ class Clause:
     __slots__ = ("literals", "is_tautology")
 
     def __init__(self, literals: Iterable[int]) -> None:
-        unique = sorted(set(literals), key=lambda l: (abs(l), l < 0))
-        for lit in unique:
-            if lit == 0:
-                raise ValueError("0 is not a valid DIMACS literal")
-        variables = [abs(l) for l in unique]
-        self.literals: Tuple[int, ...] = tuple(unique)
-        self.is_tautology: bool = len(set(variables)) != len(variables)
+        unique = set(literals)
+        if 0 in unique:
+            raise ValueError("0 is not a valid DIMACS literal")
+        # Without a complementary pair every variable occurs once, so the
+        # order by abs is already the (abs(l), l < 0) order.
+        ordered = sorted(unique, key=abs)
+        tautology = len(set(map(abs, ordered))) != len(ordered)
+        if tautology:
+            ordered.sort(key=lambda l: (abs(l), l < 0))
+        self.literals: Tuple[int, ...] = tuple(ordered)
+        self.is_tautology: bool = tautology
+
+    @classmethod
+    def from_normalised(cls, literals: Tuple[int, ...]) -> "Clause":
+        """Wrap literals already in normal form, skipping normalisation.
+
+        The caller guarantees that ``literals`` are nonzero, distinct, free
+        of complementary pairs and sorted by ``abs`` — exactly the tuple the
+        constructor would build.  The solver uses this when it ingests
+        clauses it has already deduplicated and checked for tautology.
+        """
+        clause = cls.__new__(cls)
+        clause.literals = literals
+        clause.is_tautology = False
+        return clause
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals)

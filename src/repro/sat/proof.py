@@ -42,7 +42,7 @@ the formula — so a core that touches one is rejected with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cnf.cnf import Clause
@@ -69,7 +69,10 @@ class ActivationDependencyError(ProofError):
     """
 
 
-@dataclass
+#: The chain of every original node: one shared immutable empty tuple.
+_NO_CHAIN: Tuple[Tuple[Optional[int], int], ...] = ()
+
+
 class ProofNode:
     """One clause in the proof DAG.
 
@@ -77,18 +80,32 @@ class ProofNode:
     lists the resolution steps: the derivation starts from clause
     ``chain[0][1]`` (whose pivot entry is ``None``) and successively resolves
     with ``chain[i][1]`` on pivot variable ``chain[i][0]``.
+
+    A proof holds one node per clause, so the class keeps ``__slots__``
+    (written out, as ``dataclass(slots=True)`` needs Python 3.10).
     """
 
-    clause_id: int
-    clause: Clause
-    chain: List[Tuple[Optional[int], int]] = field(default_factory=list)
-    #: Partition label for original clauses (``None`` for derived clauses).
-    partition: Optional[int] = None
-    #: Activation group of an original clause (``None`` for ungrouped
-    #: clauses and for derived clauses).  Derived clauses need no explicit
-    #: tag: their group provenance is the presence of ``-g`` among their
-    #: literals (see the module docstring).
-    group: Optional[int] = None
+    __slots__ = ("clause_id", "clause", "chain", "partition", "group")
+
+    def __init__(self, clause_id: int, clause: Clause,
+                 chain: Sequence[Tuple[Optional[int], int]] = _NO_CHAIN,
+                 partition: Optional[int] = None,
+                 group: Optional[int] = None) -> None:
+        self.clause_id = clause_id
+        self.clause = clause
+        self.chain = chain
+        #: Partition label for original clauses (``None`` for derived clauses).
+        self.partition = partition
+        #: Activation group of an original clause (``None`` for ungrouped
+        #: clauses and for derived clauses).  Derived clauses need no explicit
+        #: tag: their group provenance is the presence of ``-g`` among their
+        #: literals (see the module docstring).
+        self.group = group
+
+    def __repr__(self) -> str:
+        return (f"ProofNode(clause_id={self.clause_id!r}, clause={self.clause!r}, "
+                f"chain={self.chain!r}, partition={self.partition!r}, "
+                f"group={self.group!r})")
 
     @property
     def is_original(self) -> bool:
@@ -128,8 +145,8 @@ class ResolutionProof:
         """
         if clause_id in self._nodes:
             raise ProofError(f"duplicate clause id {clause_id}")
-        self._nodes[clause_id] = ProofNode(clause_id, clause, [], partition,
-                                           group)
+        self._nodes[clause_id] = ProofNode(clause_id, clause, _NO_CHAIN,
+                                           partition, group)
         self._order.append(clause_id)
 
     def add_shared_original(self, node: ProofNode) -> None:

@@ -6,7 +6,8 @@ scratch.  It implements the standard modern CDCL loop:
 
 * two-watched-literal unit propagation;
 * first-UIP conflict analysis with clause learning;
-* VSIDS-style variable activities with exponential decay and phase saving;
+* VSIDS-style variable activities with exponential decay, an order heap
+  and phase saving;
 * Luby restarts;
 * learned-clause database reduction driven by clause activities;
 * solving under assumptions (MiniSAT-style) for incremental queries;
@@ -29,6 +30,19 @@ scratch.  It implements the standard modern CDCL loop:
   Chains that depend on a *released* group cannot be repaired and raise
   :class:`~repro.sat.proof.ActivationDependencyError` — callers fall back
   to a fresh monolithic solve (see :mod:`repro.core.base`).
+
+Decisions come from an *order heap* (MiniSat's, Eén & Sörensson, SAT'03):
+an indexed binary max-heap of variables ordered by activity, then by the
+lower index.  Its top is the variable a linear scan over all variables would
+pick — the unassigned one of highest activity, the lowest index among
+equals — so the heap only makes a decision cheaper, never different.
+Assigned variables leave the heap lazily when they reach the top and
+re-enter on backtracking; a bump sifts its variable up, and the 1e-100
+activity rescale rebuilds the heap (rounding can create ties the index
+tie-break must then re-order).  This *same-trajectory contract* holds for
+every speed change to the kernel: decisions, propagations, conflicts and
+learned clauses stay exactly what they were, and the committed benchmark
+counters are the oracle for it.
 
 Performance note: a pure-Python CDCL is roughly two to three orders of
 magnitude slower than MiniSAT.  The engines therefore run on down-scaled
@@ -100,6 +114,10 @@ class CdclSolver:
         self._queue_head = 0
 
         self._activity: List[float] = [0.0]
+        #: The order heap: a binary max-heap of variables on (activity, then
+        #: lower index), and each variable's slot in it (-1 when absent).
+        self._heap: List[int] = []
+        self._heap_pos: List[int] = [-1]
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._phase: List[bool] = [False]
@@ -144,6 +162,8 @@ class CdclSolver:
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
+        self._heap_pos.append(-1)
+        self._heap_insert(self._num_vars)
         return self._num_vars
 
     def ensure_var(self, var: int) -> None:
@@ -179,24 +199,29 @@ class CdclSolver:
         """
         if self._trail_lim:
             raise SolverError("clauses may only be added at decision level 0")
-        lits = list(dict.fromkeys(literals))
-        for lit in lits:
-            if lit == 0:
-                raise SolverError("0 is not a valid literal")
-            self.ensure_var(abs(lit))
+        unique = dict.fromkeys(literals)
         if group is not None:
             if group not in self._groups:
                 raise SolverError(f"unknown or released clause group {group}")
-            if -group not in lits:
-                lits.append(-group)
+            unique[-group] = None
+        lits = list(unique)
+        if lits:
+            if 0 in unique:
+                raise SolverError("0 is not a valid literal")
+            self.ensure_var(max(map(abs, lits)))
+        # The literals are distinct, so a repeated variable means a
+        # complementary pair.
+        tautology = len(set(map(abs, lits))) != len(lits)
         self.stats.clauses_added += 1
         cid = self._next_cid
         self._next_cid += 1
         if self._proof is not None:
-            self._proof.add_original(cid, Clause(lits), partition, group)
+            clause = Clause(lits) if tautology else \
+                Clause.from_normalised(tuple(sorted(lits, key=abs)))
+            self._proof.add_original(cid, clause, partition, group)
 
         # Tautologies are recorded (for proof completeness) but never watched.
-        if any(-lit in lits for lit in lits):
+        if tautology:
             return cid
 
         rec = _ClauseRec(cid, lits, learned=False)
@@ -224,15 +249,24 @@ class CdclSolver:
         # the current level-0 assignment; handle clauses that arrive already
         # unit or conflicting (possible because earlier units assigned
         # variables at level 0).
-        non_false = [i for i, lit in enumerate(lits) if self._value(lit) != 0]
-        if len(non_false) == 0:
+        # A literal is not false when its variable is unassigned or carries
+        # the literal's own polarity (1 for positive, 0 for negative).
+        assign = self._assign
+        non_false: List[int] = []
+        for i, lit in enumerate(lits):
+            value = assign[abs(lit)]
+            if value == _UNASSIGNED or value == (lit > 0):
+                non_false.append(i)
+                if len(non_false) == 2:
+                    break
+        if not non_false:
             self._clauses.append(rec)
             self._handle_root_conflict(rec)
             return cid
         if len(non_false) == 1:
             self._clauses.append(rec)
             only = lits[non_false[0]]
-            if self._value(only) == _UNASSIGNED:
+            if assign[abs(only)] == _UNASSIGNED:
                 self._enqueue(only, rec)
             return cid
         i0, i1 = non_false[0], non_false[1]
@@ -486,21 +520,27 @@ class CdclSolver:
 
     def _propagate(self) -> Optional[_ClauseRec]:
         """Unit propagation; return the conflicting clause or ``None``."""
-        # _lit_index is inlined throughout this method: the watch-list lookups
-        # sit on the hottest path of the whole system and the function-call
-        # overhead is measurable (see benchmarks/test_bench_incremental.py).
+        # This is the hottest loop of the whole system, so _lit_index,
+        # _value and _enqueue are inlined (see benchmarks/test_bench_sat.py).
+        # A literal is true when its variable's value equals ``lit > 0`` and
+        # false when the variable is assigned to the other value.  Each watch
+        # list is compacted in place: surviving watchers keep their order.
         watches = self._watches
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.stats.propagations += 1
-            false_lit = -lit
-            false_idx = (abs(false_lit) << 1) | (false_lit < 0)
-            watch_list = watches[false_idx]
-            new_watch_list: List[_ClauseRec] = []
-            conflict: Optional[_ClauseRec] = None
-            i = 0
-            while i < len(watch_list):
+        assign = self._assign
+        levels = self._level
+        reasons = self._reason
+        phases = self._phase
+        trail = self._trail
+        level = len(self._trail_lim)
+        head = self._queue_head
+        conflict: Optional[_ClauseRec] = None
+        while head < len(trail) and conflict is None:
+            false_lit = -trail[head]
+            head += 1
+            watch_list = watches[(abs(false_lit) << 1) | (false_lit < 0)]
+            end = len(watch_list)
+            i = j = 0
+            while i < end:
                 rec = watch_list[i]
                 i += 1
                 if rec.deleted:
@@ -508,36 +548,45 @@ class CdclSolver:
                 lits = rec.lits
                 # Normalise: watched literals sit at positions 0 and 1.
                 if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
+                    lits[0], lits[1] = lits[1], false_lit
                 other = lits[0]
-                if self._value(other) == 1:
-                    new_watch_list.append(rec)
+                other_var = abs(other)
+                other_value = assign[other_var]
+                if other_value == (other > 0):
+                    watch_list[j] = rec
+                    j += 1
                     continue
                 # Look for a replacement watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        new_watch = lits[1]
-                        watches[(abs(new_watch) << 1) | (new_watch < 0)].append(rec)
-                        found = True
+                    candidate = lits[k]
+                    value = assign[abs(candidate)]
+                    if value == _UNASSIGNED or value == (candidate > 0):
+                        lits[1], lits[k] = candidate, false_lit
+                        watches[(abs(candidate) << 1) | (candidate < 0)].append(rec)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_watch_list.append(rec)
-                if self._value(other) == 0:
-                    conflict = rec
-                    # Keep the remaining watchers.
-                    new_watch_list.extend(
-                        r for r in watch_list[i:] if not r.deleted)
-                    self._queue_head = len(self._trail)
-                    break
-                self._enqueue(other, rec)
-            watches[false_idx] = new_watch_list
-            if conflict is not None:
-                return conflict
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    watch_list[j] = rec
+                    j += 1
+                    if other_value != _UNASSIGNED:
+                        conflict = rec
+                        # Keep the remaining watchers.
+                        for k in range(i, end):
+                            rec = watch_list[k]
+                            if not rec.deleted:
+                                watch_list[j] = rec
+                                j += 1
+                        head = len(trail)
+                        break
+                    assign[other_var] = 1 if other > 0 else 0
+                    levels[other_var] = level
+                    reasons[other_var] = rec
+                    phases[other_var] = other > 0
+                    trail.append(other)
+            del watch_list[j:]
+            self.stats.propagations += 1
+        self._queue_head = head
+        return conflict
 
     def _analyze(self, conflict: _ClauseRec) -> Tuple[List[int], int,
                                                       List[Tuple[Optional[int], int]]]:
@@ -748,12 +797,11 @@ class CdclSolver:
         return value if lit > 0 else 1 - value
 
     def _enqueue(self, lit: int, reason: Optional[_ClauseRec]) -> bool:
-        value = self._value(lit)
-        if value == 1:
-            return True
-        if value == 0:
-            return False
+        """Assign ``lit``; ``False`` when it is already false."""
         var = abs(lit)
+        value = self._assign[var]
+        if value != _UNASSIGNED:
+            return value == (lit > 0)
         self._assign[var] = 1 if lit > 0 else 0
         self._level[var] = self._decision_level()
         self._reason[var] = reason
@@ -773,10 +821,13 @@ class CdclSolver:
         if self._decision_level() <= level:
             return
         limit = self._trail_lim[level]
+        heap_pos = self._heap_pos
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
             self._assign[var] = _UNASSIGNED
             self._reason[var] = None
+            if heap_pos[var] < 0:
+                self._heap_insert(var)
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = min(self._queue_head, len(self._trail))
@@ -785,22 +836,102 @@ class CdclSolver:
     # Heuristics
     # ------------------------------------------------------------------ #
     def _pick_branch(self) -> Optional[int]:
-        best_var = None
-        best_act = -1.0
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED and self._activity[var] > best_act:
-                best_act = self._activity[var]
-                best_var = var
-        if best_var is None:
-            return None
-        return best_var if self._phase[best_var] else -best_var
+        """The unassigned variable of highest activity, lowest index on ties,
+        with its saved phase; ``None`` when every variable is assigned."""
+        heap = self._heap
+        assign = self._assign
+        while heap:
+            var = heap[0]
+            if assign[var] == _UNASSIGNED:
+                return var if self._phase[var] else -var
+            # Assigned variables leave the heap lazily, when they surface.
+            self._heap_pop()
+        return None
 
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self._var_inc *= 1e-100
+            # The bumped variable is not sifted up yet, and scaling may round
+            # distinct activities to one value, where the index tie-break
+            # can disagree with the heap's shape: rebuild it.
+            self._heap_rebuild()
+        elif self._heap_pos[var] >= 0:
+            self._heap_sift_up(self._heap_pos[var])
+
+    # ------------------------------------------------------------------ #
+    # Order heap
+    # ------------------------------------------------------------------ #
+    def _heap_insert(self, var: int) -> None:
+        self._heap_pos[var] = len(self._heap)
+        self._heap.append(var)
+        self._heap_sift_up(len(self._heap) - 1)
+
+    def _heap_pop(self) -> None:
+        """Remove the top variable."""
+        heap = self._heap
+        pos = self._heap_pos
+        pos[heap[0]] = -1
+        last = heap.pop()
+        if heap:
+            heap[0] = last
+            pos[last] = 0
+            self._heap_sift_down(0)
+
+    def _heap_sift_up(self, index: int) -> None:
+        # A variable goes before another on higher activity, then on the
+        # lower index.
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self._activity
+        var = heap[index]
+        act = activity[var]
+        while index > 0:
+            parent = (index - 1) >> 1
+            above = heap[parent]
+            act_above = activity[above]
+            if act < act_above or (act == act_above and var > above):
+                break
+            heap[index] = above
+            pos[above] = index
+            index = parent
+        heap[index] = var
+        pos[var] = index
+
+    def _heap_sift_down(self, index: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self._activity
+        size = len(heap)
+        var = heap[index]
+        act = activity[var]
+        while True:
+            child = 2 * index + 1
+            if child >= size:
+                break
+            below = heap[child]
+            act_below = activity[below]
+            if child + 1 < size:
+                right = heap[child + 1]
+                act_right = activity[right]
+                if act_right > act_below or (act_right == act_below and right < below):
+                    child += 1
+                    below = right
+                    act_below = act_right
+            if act_below < act or (act_below == act and below > var):
+                break
+            heap[index] = below
+            pos[below] = index
+            index = child
+        heap[index] = var
+        pos[var] = index
+
+    def _heap_rebuild(self) -> None:
+        for index in range(len(self._heap) // 2 - 1, -1, -1):
+            self._heap_sift_down(index)
 
     def _bump_clause(self, rec: _ClauseRec) -> None:
         if not rec.learned:

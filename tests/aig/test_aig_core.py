@@ -44,6 +44,23 @@ def test_inputs_and_latches_creation():
     assert aig.node_kind(lit_var(latch)) == "latch"
 
 
+def test_node_kind_and_is_input_agree_on_a_copy():
+    aig = Aig()
+    a = aig.add_input("a")
+    aig.add_input()
+    latch = aig.add_latch()
+    gate = aig.add_and(a, latch)
+    copy = aig.copy()
+    late = copy.add_input()
+    for graph in (aig, copy):
+        for var in range(1, aig.num_vars):
+            assert graph.is_input(var) == (graph.node_kind(var) == "input")
+            assert graph.is_input(var) == (var in graph.input_vars())
+    assert copy.node_kind(lit_var(late)) == "input"
+    assert not aig.is_input(lit_var(late))
+    assert aig.node_kind(lit_var(gate)) == copy.node_kind(lit_var(gate)) == "and"
+
+
 def test_and_gate_simplifications():
     aig = Aig()
     a = aig.add_input()

@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cnf import (
     Clause,
@@ -35,6 +36,14 @@ def test_clause_normalisation_and_membership():
 def test_clause_tautology_detection():
     assert Clause([1, -1, 2]).is_tautology
     assert not Clause([1, 2]).is_tautology
+
+
+@given(st.lists(st.integers(-12, 12).filter(bool), max_size=12))
+def test_clause_keeps_the_reference_normal_form(lits):
+    reference = tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
+    clause = Clause(lits)
+    assert clause.literals == reference
+    assert clause.is_tautology == (len({abs(l) for l in lits}) != len(reference))
 
 
 def test_clause_equality_and_hash():

@@ -122,3 +122,32 @@ def test_solver_proof_on_pigeonhole_4_into_3():
     check_proof(proof)
     assert len(proof.derived_nodes()) >= 1
     assert proof.stats()["core"] <= len(proof)
+
+
+def test_add_clause_records_the_normalised_proof_clause():
+    solver = CdclSolver(proof_logging=True)
+    group = solver.new_group()
+    cases = [
+        ([3, -1, 3, 2, -1], None),   # duplicate literals
+        ([4, -2, 2, 4], None),       # tautology
+        ([-5], None),                # unit
+        ([6, -7, 6], group),         # grouped: -group is appended
+        ([], None),                  # the empty clause
+    ]
+    ids = [solver.add_clause(lits, group=grp) for lits, grp in cases]
+    assert solver.solve() is SatResult.UNSAT
+    proof = solver.proof()
+    for cid, (lits, grp) in zip(ids, cases):
+        expected = Clause(lits + ([-grp] if grp is not None else []))
+        node = proof.node(cid)
+        assert node.clause == expected
+        assert node.clause.literals == expected.literals
+        assert node.clause.is_tautology == expected.is_tautology
+        assert node.group == grp
+        assert node.is_original
+        assert node.antecedents == []
+    assert proof.node(ids[1]).clause.literals == (2, -2, 4)
+    assert proof.node(ids[1]).clause.is_tautology
+    derived = proof.node(proof.empty_clause_id)
+    assert not derived.is_original
+    assert derived.antecedents == [ids[-1]]
