@@ -21,7 +21,7 @@ fails), matching the convention of hardware model-checking competitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "FALSE",
@@ -372,6 +372,11 @@ class Aig:
     def and_gate(self, var: int) -> AndGate:
         """Return the AND-gate record for a variable."""
         return self._ands[var]
+
+    def gate_table(self) -> Mapping[int, AndGate]:
+        """The live AND-gate table, variable -> gate, for hot loops that look
+        up many gates; it grows with the AIG and must not be modified."""
+        return self._ands
 
     def node_kind(self, var: int) -> str:
         """Classify a variable as ``const``, ``input``, ``latch`` or ``and``."""

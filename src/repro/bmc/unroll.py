@@ -56,8 +56,8 @@ class _PartitionSink:
         self.solver = solver
         self.partition: Optional[int] = None
 
-    def __call__(self, clause: List[int]) -> None:
-        self.solver.add_clause(clause, partition=self.partition)
+    def __call__(self, batch: List[List[int]]) -> None:
+        self.solver.add_cnf(batch, self.partition)
 
 
 class Unroller:
@@ -122,7 +122,7 @@ class Unroller:
             self._sink.partition = None
 
     def _add_clause(self, clause: Sequence[int], partition: Optional[int]) -> None:
-        self.solver.add_clause(list(clause), partition=partition)
+        self.solver.add_clause(clause, partition)
 
     # ------------------------------------------------------------------ #
     # Constraint emission
@@ -162,8 +162,8 @@ class Unroller:
         for latch in self.model.latches:
             next_lit = self._encode(from_frame, latch.next, partition)
             latch_var_next = next_frame.latch_vars[latch.var]
-            self._add_clause([-latch_var_next, next_lit], partition)
-            self._add_clause([latch_var_next, -next_lit], partition)
+            self.solver.add_cnf([[-latch_var_next, next_lit],
+                                 [latch_var_next, -next_lit]], partition)
         if include_constraints:
             for constraint in self.model.constraints:
                 lit = self._encode(from_frame, constraint, partition)

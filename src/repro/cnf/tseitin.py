@@ -15,22 +15,30 @@ frame-specific variables, while the combinational checker lets the encoder
 allocate freely.
 
 Clauses are emitted through a *sink* callback, so they can be routed either
-into a :class:`~repro.cnf.cnf.Cnf` container or straight into the
-incremental SAT solver, optionally tagged with a partition label (the
-mechanism the interpolation machinery relies on).
+into a :class:`~repro.cnf.cnf.Cnf` container (``cnf.extend``) or straight
+into the incremental SAT solver (``solver.add_cnf``), optionally tagged with
+a partition label (the mechanism the interpolation machinery relies on).
+The sink takes *batches*: each :meth:`TseitinEncoder.literal` call hands it
+the list of clauses the cone needed, in emission order, in one call (none
+when the cone was already encoded).  The batch is flushed even when an
+undeclared leaf raises ``KeyError`` half-way, so the clauses of every gate
+that got a CNF variable always arrive.  CNF variables are allocated while
+the cone is walked, before the batch reaches the sink; a solver sink sees
+the same clauses, variables and order as it would clause by clause.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..aig.aig import FALSE, TRUE, Aig, lit_negate, lit_sign, lit_var
+from ..aig.aig import Aig
 from .cnf import Cnf
 
 __all__ = ["ClauseSink", "TseitinEncoder", "encode_combinational"]
 
-#: A clause sink receives one clause (list of DIMACS literals) per call.
-ClauseSink = Callable[[List[int]], None]
+#: A clause sink receives, per call, the clauses (lists of DIMACS literals)
+#: one :meth:`TseitinEncoder.literal` call emitted, in emission order.
+ClauseSink = Callable[[List[List[int]]], None]
 
 
 class TseitinEncoder:
@@ -44,7 +52,7 @@ class TseitinEncoder:
         Callable allocating fresh CNF variables (e.g. ``cnf.new_var`` or
         ``solver.new_var``).
     sink:
-        Callable receiving each emitted clause.
+        Callable receiving each :meth:`literal` call's clauses as one list.
     allocate_leaves:
         When ``True`` missing leaf variables are allocated on demand; when
         ``False`` encoding a cone whose leaves were not declared raises
@@ -111,82 +119,96 @@ class TseitinEncoder:
                     "shared by every encoded cone")
             self._var_map.pop(var, None)
 
-    def _const_false_var(self) -> int:
+    def _const_false_var(self, batch: List[List[int]]) -> int:
         if self._const_var is None:
             self._const_var = self._new_var()
             # Variable is forced false: the positive AIG literal 0 is FALSE.
-            self._sink([-self._const_var])
+            batch.append([-self._const_var])
         return self._const_var
+
+    def _leaf_var(self, aig_var: int) -> int:
+        """Allocate the CNF variable of an undeclared input or latch."""
+        kind = self.aig.node_kind(aig_var)
+        if not self._allocate_leaves:
+            raise KeyError(
+                f"leaf variable {aig_var} ({kind}) has no CNF variable assigned")
+        cnf_var = self._var_map[aig_var] = self._new_var()
+        return cnf_var
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
     def literal(self, aig_lit: int) -> int:
-        """Encode (if needed) and return the DIMACS literal for an AIG literal."""
-        var = lit_var(aig_lit)
-        if var == 0:
-            cnf_var = self._const_false_var()
-        else:
-            cnf_var = self._encode_var(var)
-        return -cnf_var if lit_sign(aig_lit) else cnf_var
+        """Encode (if needed) and return the DIMACS literal for an AIG literal.
+
+        The clauses the cone needs go to the sink as one batch, also when an
+        undeclared leaf stops the encoding half-way: every gate that got a
+        CNF variable has its clauses emitted.
+        """
+        batch: List[List[int]] = []
+        try:
+            var = aig_lit >> 1
+            cnf_var = self._const_false_var(batch) if var == 0 \
+                else self._encode_var(var, batch)
+        finally:
+            if batch:
+                self._sink(batch)
+        return -cnf_var if aig_lit & 1 else cnf_var
 
     def encode_roots(self, roots: Iterable[int]) -> List[int]:
         """Encode the cones of several AIG literals; return DIMACS literals."""
         return [self.literal(root) for root in roots]
 
-    def _encode_var(self, aig_var: int) -> int:
-        cached = self._var_map.get(aig_var)
+    def _encode_var(self, aig_var: int, batch: List[List[int]]) -> int:
+        var_map = self._var_map
+        cached = var_map.get(aig_var)
         if cached is not None:
             return cached
-        kind = self.aig.node_kind(aig_var)
-        if kind != "and":
-            if not self._allocate_leaves:
-                raise KeyError(
-                    f"leaf variable {aig_var} ({kind}) has no CNF variable assigned")
-            cnf_var = self._new_var()
-            self._var_map[aig_var] = cnf_var
-            return cnf_var
+        gates = self.aig.gate_table()
+        if aig_var not in gates:
+            return self._leaf_var(aig_var)
 
-        # Iterative topological encoding of the AND cone rooted at aig_var.
+        # Iterative topological encoding of the AND cone rooted at aig_var:
+        # a gate is encoded once both fanins have CNF variables.  Leaves get
+        # theirs on the first visit of a gate reading them, left fanin first.
+        new_var = self._new_var
+        on_gate = self.on_gate
         stack = [aig_var]
         while stack:
             var = stack[-1]
-            if var in self._var_map:
+            if var in var_map:
                 stack.pop()
                 continue
-            gate = self.aig.and_gate(var)
-            fanins = [lit_var(gate.left), lit_var(gate.right)]
-            pending = []
-            for u in fanins:
-                if u == 0 or u in self._var_map:
+            gate = gates[var]
+            left_lit = gate.left
+            right_lit = gate.right
+            pending = False
+            for u in (left_lit >> 1, right_lit >> 1):
+                if u == 0 or u in var_map:
                     continue
-                if self.aig.node_kind(u) != "and":
-                    if not self._allocate_leaves:
-                        raise KeyError(
-                            f"leaf variable {u} ({self.aig.node_kind(u)}) has no CNF "
-                            "variable assigned")
-                    self._var_map[u] = self._new_var()
+                if u in gates:
+                    stack.append(u)
+                    pending = True
                 else:
-                    pending.append(u)
+                    self._leaf_var(u)
             if pending:
-                stack.extend(pending)
                 continue
-            out = self._new_var()
-            self._var_map[var] = out
-            if self.on_gate is not None:
-                self.on_gate(var)
-            left = self._lit_shallow(gate.left)
-            right = self._lit_shallow(gate.right)
-            self._sink([-out, left])
-            self._sink([-out, right])
-            self._sink([out, -left, -right])
+            out = new_var()
+            var_map[var] = out
+            if on_gate is not None:
+                on_gate(var)
+            left = self._lit_shallow(left_lit, batch)
+            right = self._lit_shallow(right_lit, batch)
+            batch.append([-out, left])
+            batch.append([-out, right])
+            batch.append([out, -left, -right])
             stack.pop()
-        return self._var_map[aig_var]
+        return var_map[aig_var]
 
-    def _lit_shallow(self, aig_lit: int) -> int:
-        var = lit_var(aig_lit)
-        cnf_var = self._const_false_var() if var == 0 else self._var_map[var]
-        return -cnf_var if lit_sign(aig_lit) else cnf_var
+    def _lit_shallow(self, aig_lit: int, batch: List[List[int]]) -> int:
+        var = aig_lit >> 1
+        cnf_var = self._var_map[var] if var else self._const_false_var(batch)
+        return -cnf_var if aig_lit & 1 else cnf_var
 
 
 def encode_combinational(
@@ -200,7 +222,6 @@ def encode_combinational(
     (equivalence, containment) and for the test-suite.
     """
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl),
-                             allocate_leaves=True)
+    encoder = TseitinEncoder(aig, cnf.new_var, cnf.extend, allocate_leaves=True)
     root_lits = encoder.encode_roots(roots)
     return cnf, root_lits, encoder.var_map()

@@ -159,7 +159,7 @@ def implies(aig: Aig, antecedent: int, consequent: int,
             cnf_simplify = None
     if cnf_simplify is not None:
         cnf = Cnf()
-        encoder = TseitinEncoder(aig, cnf.new_var, cnf.add_clause,
+        encoder = TseitinEncoder(aig, cnf.new_var, cnf.extend,
                                  allocate_leaves=True)
         a_lit = encoder.literal(antecedent)
         c_lit = encoder.literal(consequent)
@@ -181,12 +181,10 @@ def implies(aig: Aig, antecedent: int, consequent: int,
             return True
         solver = CdclSolver()
         solver.ensure_var(reduction.cnf.num_vars)
-        for clause in reduction.cnf.clauses:
-            solver.add_clause(list(clause.literals))
+        solver.add_cnf([clause.literals for clause in reduction.cnf.clauses])
     else:
         solver = CdclSolver()
-        encoder = TseitinEncoder(aig, solver.new_var,
-                                 lambda clause: solver.add_clause(clause),
+        encoder = TseitinEncoder(aig, solver.new_var, solver.add_cnf,
                                  allocate_leaves=True)
         a_lit = encoder.literal(antecedent)
         c_lit = encoder.literal(consequent)

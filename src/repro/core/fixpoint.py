@@ -101,9 +101,9 @@ class FixpointChecker:
         # later solve.
         self._encoder.literal(0)
 
-    def _sink(self, clause) -> None:
+    def _sink(self, batch) -> None:
         self._group_used = True
-        self.solver.add_clause(clause, group=self._group)
+        self.solver.add_cnf(batch, group=self._group)
 
     def _on_gate(self, aig_var: int) -> None:
         if self._group is not None:

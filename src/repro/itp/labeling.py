@@ -24,7 +24,8 @@ B-local when ``lo > j``, global otherwise.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Set
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..sat.proof import ResolutionProof
 
@@ -55,17 +56,18 @@ class PartitionSpans:
                  beyond: int) -> None:
         self.ranks = dict(ranks)
         self.beyond = beyond
-        self.labels: Set[int] = set()
-        by_rank: Dict[int, Set[int]] = {}
+        by_label: Dict[Optional[int], List[Tuple[int, ...]]] = {}
         for node in proof.original_nodes():
-            partition = node.partition
-            if partition is not None:
-                self.labels.add(partition)
-            rank = ranks.get(partition, beyond)
-            variables = by_rank.get(rank)
-            if variables is None:
-                variables = by_rank[rank] = set()
-            variables.update(map(abs, node.clause.literals))
+            clauses = by_label.get(node.partition)
+            if clauses is None:
+                clauses = by_label[node.partition] = []
+            clauses.append(node.clause.literals)
+        self.labels: Set[int] = {p for p in by_label if p is not None}
+        rank_clauses: Dict[int, List[Tuple[int, ...]]] = {}
+        for partition, clauses in by_label.items():
+            rank_clauses.setdefault(ranks.get(partition, beyond), []).extend(clauses)
+        by_rank = {rank: set(map(abs, chain.from_iterable(clauses)))
+                   for rank, clauses in rank_clauses.items()}
         # Later writes win: descending ranks leave the least, ascending the
         # greatest.
         self.lo: Dict[int, int] = {}

@@ -24,8 +24,7 @@ __all__ = ["check_craig_conditions", "check_sequence_conditions", "itp_support_v
 def _encode_predicate(solver: CdclSolver, aig: Aig, root: int,
                       leaf_to_cnf: Mapping[int, int]) -> int:
     """Encode an AIG predicate into ``solver`` with the given leaf mapping."""
-    encoder = TseitinEncoder(aig, solver.new_var,
-                             lambda clause: solver.add_clause(clause),
+    encoder = TseitinEncoder(aig, solver.new_var, solver.add_cnf,
                              allocate_leaves=False)
     for aig_var, cnf_var in leaf_to_cnf.items():
         encoder.declare_leaf(aig_var, cnf_var)

@@ -146,8 +146,7 @@ def find_equivalences(model: Model,
             append_round(values, config.width)
 
     solver = CdclSolver()
-    encoder = TseitinEncoder(aig, solver.new_var,
-                             lambda clause: solver.add_clause(clause),
+    encoder = TseitinEncoder(aig, solver.new_var, solver.add_cnf,
                              allocate_leaves=True)
     abandoned: Set[Tuple[int, int]] = set()
 

@@ -31,13 +31,22 @@ scratch.  It implements the standard modern CDCL loop:
   :class:`~repro.sat.proof.ActivationDependencyError` — callers fall back
   to a fresh monolithic solve (see :mod:`repro.core.base`).
 
+Every input clause goes through one ingest loop, :meth:`~CdclSolver.add_cnf`
+(:meth:`~CdclSolver.add_clause` is a batch of one): the per-batch checks and
+lookups are paid once, and each clause is deduplicated, checked for
+tautology, proof-recorded and watched against the level-0 assignment in
+order, so a batch leaves exactly the state its clauses would leave one by
+one.  The Tseitin encoder hands the solver one cone per batch.
+
 Decisions come from an *order heap* (MiniSat's, Eén & Sörensson, SAT'03):
 an indexed binary max-heap of variables ordered by activity, then by the
 lower index.  Its top is the variable a linear scan over all variables would
 pick — the unassigned one of highest activity, the lowest index among
 equals — so the heap only makes a decision cheaper, never different.
 Assigned variables leave the heap lazily when they reach the top and
-re-enter on backtracking; a bump sifts its variable up, and the 1e-100
+re-enter on backtracking; a fresh variable is appended to the heap as is
+(its activity 0 and its index, the highest, put it below every other
+variable), a bump sifts its variable up, and the 1e-100
 activity rescale rebuilds the heap (rounding can create ties the index
 tie-break must then re-order).  This *same-trajectory contract* holds for
 every speed change to the kernel: decisions, propagations, conflicts and
@@ -162,8 +171,10 @@ class CdclSolver:
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
-        self._heap_pos.append(-1)
-        self._heap_insert(self._num_vars)
+        # A fresh variable has activity 0 and the highest index, and no
+        # activity is negative, so it belongs at the end of the heap as is.
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(self._num_vars)
         return self._num_vars
 
     def ensure_var(self, var: int) -> None:
@@ -196,61 +207,107 @@ class CdclSolver:
         so the clause only constrains solves that assume the activation
         literal, and the whole group can later be retracted with
         :meth:`release_group`.
+
+        This is :meth:`add_cnf` with a batch of one.
+        """
+        return self.add_cnf((literals,), partition, group)[0]
+
+    def add_cnf(self, clauses: Iterable[Iterable[int]],
+                partition: Optional[int] = None,
+                group: Optional[int] = None) -> List[int]:
+        """Add input clauses sharing one partition label and group; return
+        their proof clause ids.
+
+        The one ingest loop of the solver: each clause is handled exactly as
+        :meth:`add_clause` describes, in order, so a batch leaves the same
+        clause ids, watches, trail and proof as adding its clauses one at a
+        time.  When a clause is rejected, the clauses before it stay added.
         """
         if self._trail_lim:
             raise SolverError("clauses may only be added at decision level 0")
-        unique = dict.fromkeys(literals)
+        group_recs: Optional[List[_ClauseRec]] = None
         if group is not None:
-            if group not in self._groups:
+            group_recs = self._groups.get(group)
+            if group_recs is None:
                 raise SolverError(f"unknown or released clause group {group}")
-            unique[-group] = None
-        lits = list(unique)
-        if lits:
-            if 0 in unique:
-                raise SolverError("0 is not a valid literal")
-            self.ensure_var(max(map(abs, lits)))
-        # The literals are distinct, so a repeated variable means a
-        # complementary pair.
-        tautology = len(set(map(abs, lits))) != len(lits)
-        self.stats.clauses_added += 1
-        cid = self._next_cid
-        self._next_cid += 1
-        if self._proof is not None:
-            clause = Clause(lits) if tautology else \
-                Clause.from_normalised(tuple(sorted(lits, key=abs)))
-            self._proof.add_original(cid, clause, partition, group)
+        assign = self._assign
+        watches = self._watches
+        clause_list = self._clauses
+        proof = self._proof
+        add_original = proof.add_original if proof is not None else None
+        stats = self.stats
+        cids: List[int] = []
+        for literals in clauses:
+            lits = list(literals)
+            if group is not None:
+                lits.append(-group)
+            variables = set(map(abs, lits))
+            tautology = False
+            if len(variables) < len(lits):
+                # A repeated variable is a duplicate literal or a
+                # complementary pair; only the latter remains after
+                # deduplication.
+                lits = list(dict.fromkeys(lits))
+                tautology = len(variables) < len(lits)
+            if variables:
+                if 0 in variables:
+                    raise SolverError("0 is not a valid literal")
+                top = max(variables)
+                if top > self._num_vars:
+                    self.ensure_var(top)
+            stats.clauses_added += 1
+            cid = self._next_cid
+            self._next_cid = cid + 1
+            cids.append(cid)
+            if add_original is not None:
+                add_original(cid, Clause(lits) if tautology else
+                             Clause.from_normalised(tuple(sorted(lits, key=abs))),
+                             partition, group)
+            # Tautologies are recorded (for proof completeness) but never
+            # watched.
+            if tautology:
+                continue
+            rec = _ClauseRec(cid, lits, False)
+            if group_recs is not None:
+                group_recs.append(rec)
+            if len(lits) > 1:
+                # Watch the first two literals that are not false under the
+                # level-0 assignment: a literal is not false when its
+                # variable is unassigned or carries the literal's own
+                # polarity.
+                first, second = lits[0], lits[1]
+                value = assign[abs(first)]
+                if value == _UNASSIGNED or value == (first > 0):
+                    value = assign[abs(second)]
+                    if value == _UNASSIGNED or value == (second > 0):
+                        clause_list.append(rec)
+                        watches[(abs(first) << 1) | (first < 0)].append(rec)
+                        watches[(abs(second) << 1) | (second < 0)].append(rec)
+                        continue
+                self._add_assigned(rec)
+            elif lits:
+                clause_list.append(rec)
+                if not self._enqueue(lits[0], rec):
+                    self._handle_root_conflict(rec)
+            else:
+                clause_list.append(rec)
+                self._ok = False
+                self._root_conflict = True
+                if proof is not None and proof.empty_clause_id is None:
+                    # The input itself contains the empty clause; re-register
+                    # it as the refutation root by a trivial
+                    # (single-antecedent) chain.
+                    empty_cid = self._next_cid
+                    self._next_cid += 1
+                    proof.add_derived(empty_cid, Clause([]), [(None, cid)])
+        return cids
 
-        # Tautologies are recorded (for proof completeness) but never watched.
-        if tautology:
-            return cid
-
-        rec = _ClauseRec(cid, lits, learned=False)
-        if group is not None:
-            self._groups[group].append(rec)
-        if not lits:
-            self._clauses.append(rec)
-            self._ok = False
-            self._root_conflict = True
-            if self._proof is not None and self._proof.empty_clause_id is None:
-                # The input itself contains the empty clause; re-register it as
-                # the refutation root by a trivial (single-antecedent) chain.
-                empty_cid = self._next_cid
-                self._next_cid += 1
-                self._proof.add_derived(empty_cid, Clause([]), [(None, cid)])
-            return cid
-
-        if len(lits) == 1:
-            self._clauses.append(rec)
-            if not self._enqueue(lits[0], rec):
-                self._handle_root_conflict(rec)
-            return cid
-
-        # Pick watch positions on literals that are not already false under
-        # the current level-0 assignment; handle clauses that arrive already
-        # unit or conflicting (possible because earlier units assigned
-        # variables at level 0).
-        # A literal is not false when its variable is unassigned or carries
-        # the literal's own polarity (1 for positive, 0 for negative).
+    def _add_assigned(self, rec: _ClauseRec) -> None:
+        """Add a clause of two or more literals, one of whose first two is
+        false under the level-0 assignment: move the first two non-false
+        literals to the front and watch them, or handle a clause that
+        arrives unit or conflicting."""
+        lits = rec.lits
         assign = self._assign
         non_false: List[int] = []
         for i, lit in enumerate(lits):
@@ -262,25 +319,17 @@ class CdclSolver:
         if not non_false:
             self._clauses.append(rec)
             self._handle_root_conflict(rec)
-            return cid
+            return
         if len(non_false) == 1:
             self._clauses.append(rec)
             only = lits[non_false[0]]
             if assign[abs(only)] == _UNASSIGNED:
                 self._enqueue(only, rec)
-            return cid
-        i0, i1 = non_false[0], non_false[1]
+            return
+        i0, i1 = non_false
         lits[0], lits[i0] = lits[i0], lits[0]
-        if i1 == 0:
-            i1 = i0
         lits[1], lits[i1] = lits[i1], lits[1]
         self._attach(rec)
-        return cid
-
-    def add_cnf(self, clauses: Iterable[Sequence[int]],
-                partition: Optional[int] = None) -> List[Optional[int]]:
-        """Add many clauses with a shared partition label."""
-        return [self.add_clause(c, partition) for c in clauses]
 
     # ------------------------------------------------------------------ #
     # Activation-literal clause groups (incremental retraction)

@@ -61,7 +61,7 @@ def test_encoder_caches_gates_across_roots():
     g = aig.add_and(a, b)
     h = aig.op_or(g, a)
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl))
+    encoder = TseitinEncoder(aig, cnf.new_var, cnf.extend)
     first = encoder.literal(g)
     clauses_after_first = len(cnf)
     second = encoder.literal(g)
@@ -74,7 +74,7 @@ def test_encoder_caches_gates_across_roots():
 def test_encoder_constant_literals():
     aig = Aig()
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl))
+    encoder = TseitinEncoder(aig, cnf.new_var, cnf.extend)
     false_lit = encoder.literal(0)
     true_lit = encoder.literal(1)
     assert false_lit == -true_lit
@@ -93,7 +93,7 @@ def test_encoder_without_leaf_allocation_requires_declaration():
     b = aig.add_input()
     g = aig.add_and(a, b)
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl),
+    encoder = TseitinEncoder(aig, cnf.new_var, cnf.extend,
                              allocate_leaves=False)
     with pytest.raises(KeyError):
         encoder.literal(g)

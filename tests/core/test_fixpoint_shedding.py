@@ -80,7 +80,7 @@ def test_encoder_refuses_to_forget_leaves():
     latch = aig.add_latch(init=0)
     aig.set_latch_next(latch, a)
     counter = itertools.count(1)
-    encoder = TseitinEncoder(aig, lambda: next(counter), lambda clause: None,
+    encoder = TseitinEncoder(aig, lambda: next(counter), lambda batch: None,
                              allocate_leaves=True)
     encoder.literal(a)
     for leaf in (lit_var(a), lit_var(latch), 0):

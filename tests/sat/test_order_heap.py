@@ -115,3 +115,37 @@ def test_rescale_triggered_by_a_lower_variable_reorders_the_heap():
     solver._bump_var(1)
     assert solver.rebuilds == 1
     assert solver._pick_branch() == -1
+
+
+def _new_vars_at_heap_end(solver, count):
+    """Allocate variables; each must already sit where a sift-up leaves it."""
+    for _ in range(count):
+        var = solver.new_var()
+        heap = list(solver._heap)
+        assert heap[-1] == var and solver._heap_pos[var] == len(heap) - 1
+        solver._heap_sift_up(solver._heap_pos[var])
+        assert solver._heap == heap
+
+
+def test_fresh_variables_between_solves_match_scan():
+    rng = random.Random(3)
+    solver = ScanCheckedSolver(proof_logging=True)
+    solver.add_cnf(_random_3sat(rng, 60, 250))
+    solver.solve()
+    bumped = sum(1 for act in solver._activity[1:] if act > 0)
+    assert bumped > 30
+    for round_ in range(6):
+        if round_ == 3:
+            # Push the next bump over 1e100: every activity is scaled down.
+            solver._var_inc = 1e99
+        old = solver.num_vars
+        _new_vars_at_heap_end(solver, 15)
+        fresh = list(range(old + 1, solver.num_vars + 1))
+        clauses = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(fresh, 1) + rng.sample(range(1, old + 1), 2)]
+                   for _ in range(40)]
+        solver.add_cnf(clauses)
+        solver.solve(assumptions=[v if rng.random() < 0.5 else -v
+                                  for v in rng.sample(range(1, old + 1), 2)])
+    assert solver.rebuilds > 0
+    assert solver.checked_picks > 150
