@@ -3,13 +3,12 @@
 
 Run with:  python examples/cooperative_race.py
 
-A blind race recomputes everything N times: every refuted depth, every
-frame clause, every interpolant over-approximation is private to its
-worker.  The cooperative race publishes three kinds of typed facts over
-the share bus (``repro.share.lemma``) — "no counterexample up to depth
-d", level-tagged PDR frame clauses, accumulated-R interpolant summaries
-— and every engine imports what it can soundly use at its next
-bound/obligation boundary.
+A blind race recomputes everything N times: every depth one worker
+refutes, every other worker refutes again.  The cooperative race
+publishes each refuted depth as a typed fact over the share bus
+(``repro.share.lemma.DepthLemma``: "no counterexample up to depth d"),
+and every engine that runs a counterexample search imports it at its
+next bound boundary and skips the searches it already decides.
 
 This walkthrough uses the deterministic in-process runner
 (``repro.share.cooperative_race``): same engines and the same turnstile
@@ -75,7 +74,7 @@ def main() -> None:
           f"{len(data.accepted)} accept records at {log_path}")
     for shared in published[:5]:
         print(f"  seq={shared.seq:3d} source={shared.source:10s} "
-              f"kind={shared.lemma.kind}")
+              f"depth={shared.lemma.depth}")
     if len(published) > 5:
         print(f"  ... {len(published) - 5} more")
 

@@ -77,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--share", dest="share", action="store_true",
                         default=False,
                         help="with --race: cooperative portfolio — workers "
-                             "exchange lemmas (PDR frame clauses, "
-                             "refuted-depth facts) over their result "
-                             "pipes")
+                             "exchange refuted-depth facts (\"no "
+                             "counterexample up to depth d\") over their "
+                             "result pipes")
     parser.add_argument("--no-share", dest="share", action="store_false",
                         help="with --race: blind race (the default)")
     parser.add_argument("--share-log", default=None, metavar="FILE",

@@ -155,8 +155,6 @@ class BmcEngine:
     def _share_sync(self, depth: int) -> None:
         if self.share is None:
             return
-        from ..share.lemma import DepthLemma
-
         accepted: List[int] = []
         for shared in self.share.sync(depth):
             if self._share_validator is not None:
@@ -167,8 +165,6 @@ class BmcEngine:
                         self.tracer.point("share_reject", seq=shared.seq,
                                           reason=reason)
                     continue
-            if not isinstance(shared.lemma, DepthLemma):
-                continue  # not applicable here: not accepted, not an error
             self._share_depth = max(self._share_depth, shared.lemma.depth)
             self._counters["lemmas_rx"] += 1
             accepted.append(shared.seq)

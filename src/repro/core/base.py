@@ -58,8 +58,8 @@ design could not label.  The fresh-solver path survives in three roles:
   checks (different initial predicate per step) and CBA's abstract
   models always build fresh proof-logged solvers.
 
-Group proof is suspended while a share port is attached: foreign clauses
-live in the searcher's solver, and a proof must never rest on them.
+Group proof is suspended while a share port is attached
+(:meth:`UmcEngine._group_proof_active` says why).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from ..sat.solver import CdclSolver
 from ..sat.types import Budget, SatResult, SolverStats
 from ..share.adapt import ImportValidator
 from ..share.bus import SharePort
-from ..share.lemma import DepthLemma, FrameLemma, Lemma, model_fingerprint
+from ..share.lemma import DepthLemma, Lemma, model_fingerprint
 from .fixpoint import FixpointChecker
 from .options import EngineOptions
 from .result import EngineStats, Verdict, VerificationResult
@@ -255,13 +255,6 @@ class UmcEngine:
         #: Largest counterexample depth foreign DepthLemmas have ruled out.
         self._share_depth = -1
         self._share_published_depth = -1
-        #: Accepted foreign frame clauses as [FrameLemma, installed_to]
-        #: pairs — installed_to is the highest searcher frame the clause has
-        #: been asserted at so far (-1 = not yet installed anywhere).
-        self._share_frames: List[List] = []
-        #: Dedicated activation-literal group holding every foreign clause
-        #: in the cex searcher's solver, for wholesale retraction.
-        self._share_group: Optional[int] = None
         self._share_distrust = False
         if self.share is not None:
             self._share_attach()
@@ -343,17 +336,16 @@ class UmcEngine:
             raise OutOfBudget(self._current_bound)
         return result
 
-    def _implies(self, antecedent: int, consequent: int, aig: Optional[Aig] = None) -> bool:
-        """Containment check counted in the engine statistics.
+    def _implies(self, antecedent: int, consequent: int) -> bool:
+        """Containment check over the engine's AIG, counted in its statistics.
 
-        With ``options.fixpoint_incremental`` (the default) checks over the
-        engine's own AIG run on the persistent :class:`FixpointChecker`:
-        only the gates no earlier check encoded are Tseitin-encoded, so the
-        R-accumulation sequence pays for each interpolant cone once instead
-        of once per remaining iteration.  Checks over a different AIG — or
-        with the persistent path disabled — fall back to the one-shot
-        throwaway-solver :func:`implies`, including its size-gated CNF
-        simplification.
+        With ``options.fixpoint_incremental`` (the default) checks run on
+        the persistent :class:`FixpointChecker`: only the gates no earlier
+        check encoded are Tseitin-encoded, so the R-accumulation sequence
+        pays for each interpolant cone once instead of once per remaining
+        iteration.  With the persistent path disabled, checks fall back to
+        the one-shot throwaway-solver :func:`implies`, including its
+        size-gated CNF simplification.
 
         Either way the solver's clause and propagation counters fold into
         the run's cumulative statistics: the Tseitin encoding of large
@@ -364,7 +356,7 @@ class UmcEngine:
         self._check_budget()
         self.stats.containment_checks += 1
         with self.tracer.span("containment"):
-            if self.options.fixpoint_incremental and (aig is None or aig is self.aig):
+            if self.options.fixpoint_incremental:
                 return self._implies_incremental(antecedent, consequent)
             started = time.monotonic()
 
@@ -382,7 +374,7 @@ class UmcEngine:
 
             cnf_config = self.preprocess.cnf_simplify if self.preprocess else None
             try:
-                result = implies(aig or self.aig, antecedent, consequent,
+                result = implies(self.aig, antecedent, consequent,
                                  budget=self._sat_budget(), on_stats=account,
                                  cnf_simplify=cnf_config,
                                  on_reduction=account_reduction)
@@ -506,10 +498,14 @@ class UmcEngine:
     def _group_proof_active(self) -> bool:
         """Whether this run's searcher doubles as the refutation check.
 
-        Suspended for share-attached runs: foreign clauses are asserted in
-        the searcher's solver, and a refutation handed to interpolation
-        must never rest on them (the sharing contract keeps proofs
-        foreign-free).
+        Suspended for share-attached runs, which use the fresh-solver
+        refutation pipeline instead.  Soundness does not need this (foreign
+        depth facts only skip solves and never enter a solver); the cost
+        does.  With group proof the search *is* the bound's refutation, so
+        a search a depth fact skips comes back as a fresh proof-logged
+        solve.  Measured with the suspension lifted, the cooperative race
+        on indA1_ring12 adds 54,044 clauses, past the ``race_sharing``
+        no-harm bound of 51,153 × 1.05 + 150.
         """
         return self.options.group_proof and self.share is None
 
@@ -587,26 +583,22 @@ class UmcEngine:
         searcher = self._cex_search_unroller()
         with self.tracer.span("cex_search"):
             searcher.extend_to(bound)
-            assumptions = searcher.assumptions()
-            if self.share is not None:
-                self._share_install_frames(searcher, bound)
-                assumptions = assumptions + self._share_assumptions()
-            if self._solve(searcher.solver, assumptions) is SatResult.SAT:
+            if self._solve(searcher.solver,
+                           searcher.assumptions()) is SatResult.SAT:
                 return searcher.extract_trace()
         return None
 
     # ------------------------------------------------------------------ #
     # Cooperative lemma sharing
     # ------------------------------------------------------------------ #
-    # The sharing contract (always on when a port is attached): foreign
-    # facts only ever reach the *proof-free* counterexample searcher.  Sound
-    # reachability facts cannot cut a genuine counterexample (they only
-    # remove models the real system never visits), and the proof-logged
-    # refutation checks never see a foreign clause — so interpolants, and
-    # with them k_fp/j_fp, are identical to a solo run.  Even an unsound
-    # lemma that slips past validation can only flip the searcher from SAT
-    # to UNSAT; the proof-logged check then finds the genuine counterexample
-    # anyway and _share_check_disagreement retracts every import.
+    # The sharing contract (always on when a port is attached): a foreign
+    # depth fact only ever skips a solve of the *proof-free* counterexample
+    # searcher whose answer it already decides, and the proof-logged
+    # refutation checks never see one — so interpolants, and with them
+    # k_fp/j_fp, are identical to a solo run.  Even a lie that slips past
+    # validation can only skip a search that would have come back SAT; the
+    # proof-logged check then finds the genuine counterexample anyway and
+    # _share_check_disagreement retracts every import.
 
     def _share_attach(self) -> None:
         """Join the bus: fingerprint handshake + validation precompute."""
@@ -675,54 +667,13 @@ class UmcEngine:
             self.share.yield_turn()
 
     def _share_apply(self, lemma: Lemma) -> bool:
-        """Stage one validated foreign lemma; ``False`` = not usable here.
+        """Stage one validated foreign depth fact; ``False`` = not usable here.
 
-        Base policy: depth facts gate the searcher's solves, frame clauses
-        constrain its unrolling.
+        Base policy: the fact gates the searcher's solves
+        (:meth:`_search_counterexample` skips every bound it covers).
         """
-        if isinstance(lemma, DepthLemma):
-            self._share_depth = max(self._share_depth, lemma.depth)
-            return True
-        if isinstance(lemma, FrameLemma):
-            self._share_frames.append([lemma, -1])
-            return True
-        return False
-
-    def _share_install_frames(self, searcher: IncrementalUnroller,
-                              bound: int) -> None:
-        """Assert accepted frame clauses at every searcher frame ≤ level.
-
-        All foreign clauses live in one dedicated activation-literal group
-        of the searcher's solver, so a disagreement retracts the clauses
-        *and* everything learned from them in one release.
-        """
-        latches = searcher.unroller.model.latch_vars
-        for entry in self._share_frames:
-            lemma, installed_to = entry
-            if any(var not in latches for var, _ in lemma.cube):
-                # A var this engine's reduced model does not latch (e.g. the
-                # peer kept a cone preprocessing removed here, or the lemma
-                # slipped past validation): quarantine, never install.
-                entry[1] = self.options.max_bound
-                continue
-            top = min(bound, lemma.level)
-            if installed_to >= top:
-                continue
-            if self._share_group is None:
-                self._share_group = searcher.solver.new_group()
-            for frame in range(installed_to + 1, top + 1):
-                clause = []
-                for var, value in lemma.cube:
-                    cnf_var = searcher.unroller.latch_cnf_var(frame, var)
-                    clause.append(-cnf_var if value else cnf_var)
-                searcher.solver.add_clause(clause, group=self._share_group)
-            entry[1] = top
-
-    def _share_assumptions(self) -> List[int]:
-        """Assumption literals activating the foreign clause group."""
-        if self._share_group is None or self._cex_searcher is None:
-            return []
-        return [self._cex_searcher.solver.group_literal(self._share_group)]
+        self._share_depth = max(self._share_depth, lemma.depth)
+        return True
 
     def _share_publish(self, lemma: Lemma) -> None:
         """Offer a lemma to the bus (no-op for solo runs)."""
@@ -750,22 +701,14 @@ class UmcEngine:
 
         Called when the proof-logged check found a model at a bound the
         share-aware searcher skipped or refuted.  The proof-logged solver
-        saw no foreign clause, so its model is a genuine counterexample and
+        saw no foreign fact, so its model is a genuine counterexample and
         the FAIL verdict stands regardless; the imports — which claimed the
-        bound unreachable — are distrusted wholesale: the dedicated clause
-        group is released (neutralising the clauses and everything learned
-        from them) and all staged foreign facts are dropped.
+        bound unreachable — are distrusted wholesale: the staged depth is
+        dropped and no later delivery is accepted.
         """
-        if self.share is None:
+        if self.share is None or bound > self._share_depth:
             return
-        influenced = bound <= self._share_depth or self._share_group is not None
-        if not influenced:
-            return
-        retracted = len(self._share_frames) + (1 if self._share_depth >= 0 else 0)
-        if self._share_group is not None and self._cex_searcher is not None:
-            self._cex_searcher.solver.release_group(self._share_group)
-        self._share_group = None
-        self._share_frames = []
+        retracted = self.stats.lemmas_rx
         self._share_depth = -1
         self._share_distrust = True
         self.stats.lemmas_retracted += retracted
@@ -809,10 +752,7 @@ class UmcEngine:
             self.stats.fraig_sat_confirms = self.preprocess.fraig_sat_confirms
         self._cex_searcher = None
         self._fixpoint_checker = None
-        # Foreign-lemma state is per-run (the clause group lived in the
-        # searcher's solver that was just dropped).
-        self._share_group = None
-        self._share_frames = []
+        # Foreign-lemma state is per-run.
         self._share_depth = -1
         self._share_published_depth = -1
         self._share_distrust = False

@@ -108,10 +108,11 @@ class ItpSeqCbaEngine(ItpSeqEngine):
 
         This engine never runs the base counterexample searcher: failures
         are found on the abstract model and concretised through the EXTEND
-        unroller, whose refutations drive refinement choices.  Installing
-        foreign clauses there would perturb UNSAT cores — and with them
-        which latches get refined — so sharing, which must reproduce the
-        solo trajectory exactly, accepts nothing here.
+        unroller, whose refutations drive refinement choices.  A depth fact
+        about the concrete model does not decide an abstract search (the
+        abstraction may have spurious counterexamples), and the concrete
+        EXTEND checks must still run for the refutations refinement reads
+        — so there is no solve here a depth fact could skip.
         """
         return False
 

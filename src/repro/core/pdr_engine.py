@@ -41,7 +41,7 @@ from ..bmc.cex import Trace
 from ..pdr.frames import FrameSequence
 from ..pdr.generalize import generalize
 from ..pdr.obligations import ObligationQueue, ProofObligation
-from ..share.lemma import MAX_FRAME_CUBE_LITS, FrameLemma, Lemma
+from ..share.lemma import Lemma
 from .base import UmcEngine
 from .result import VerificationResult
 
@@ -140,7 +140,6 @@ class PdrEngine(UmcEngine):
                     frames, answer[1], obligation.level, k)
                 if frames.add_blocked_cube(cube, level):
                     self.stats.blocked_cubes += 1
-                    self._share_publish_frame(cube, level)
                 if level < k:
                     # Chase the same cube at the next frame: either it gets
                     # blocked there too, or it uncovers a deeper obligation
@@ -176,25 +175,16 @@ class PdrEngine(UmcEngine):
         return cube, level
 
     # ------------------------------------------------------------------ #
-    # Cooperative lemma sharing: PDR-specific import/export policy
+    # Cooperative lemma sharing: PDR-specific import policy
     # ------------------------------------------------------------------ #
     def _share_apply(self, lemma: Lemma) -> bool:
-        """PDR imports nothing; it only exports.
+        """PDR imports nothing; it only exports depth facts.
 
-        Sharing must reproduce the solo trajectory exactly, and *any*
-        foreign clause in the frames changes which proof obligations arise
-        — so PDR accepts no lemma (depth facts are useless here anyway:
-        F_k already over-approximates).
+        A depth fact is useless here: PDR runs no counterexample searcher
+        whose solves it could skip, and a foreign fact in its frames would
+        change the solo trajectory sharing must reproduce.
         """
         return False
-
-    def _share_publish_frame(self, cube, level: int) -> None:
-        """Export one freshly blocked cube (small cubes only — the cap
-        keeps the bus free of weak, expensive-to-assume clauses)."""
-        if self.share is None or len(cube) > MAX_FRAME_CUBE_LITS:
-            return
-        wire = tuple(sorted((var, bool(value)) for var, value in cube.items()))
-        self._share_publish(FrameLemma(cube=wire, level=level))
 
     # ------------------------------------------------------------------ #
     # Counterexample reconstruction

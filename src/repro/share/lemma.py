@@ -1,21 +1,18 @@
 """The typed, pickle-safe lemma wire format.
 
-Two lemma kinds cross the portfolio's process and thread boundaries, each
-a *sound fact about the shared reduced model* (every engine preprocesses
+One lemma kind crosses the portfolio's process and thread boundaries: a
+*sound fact about the shared reduced model* (every engine preprocesses
 the same source model through the same deterministic pipeline, so the
-reduced models — and hence their fingerprints — agree):
-
-* :class:`DepthLemma` — "no counterexample of length ≤ depth exists".
-  Published by any engine after refuting a bound in strict deepening
-  order; lets every other engine skip counterexample searches whose
-  answer is already known.
-* :class:`FrameLemma` — a PDR frame clause: the cube intersects no state
-  reachable in ≤ ``level`` steps, so the clause ¬cube may be assumed at
-  any unrolling frame t ≤ level of a counterexample search.
+reduced models — and hence their fingerprints — agree).
+:class:`DepthLemma` says "no counterexample of length ≤ depth exists".
+Any engine publishes it after refuting a bound in strict deepening
+order; it lets every other engine skip counterexample searches whose
+answer is already known.  The ``kind`` tag stays on the wire so records
+of retired kinds (or anything else) arriving from outside are rejected.
 
 Wire form
 ---------
-Lemmas are frozen dataclasses of scalars and tuples — pickle-safe for the
+Lemmas are frozen dataclasses of scalars — pickle-safe for the
 worker pipes and JSON-safe for the share log (:meth:`to_wire` /
 :func:`lemma_from_wire` round-trip).
 """
@@ -25,20 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List
 
 from ..aig.model import Model
 
-__all__ = ["Lemma", "DepthLemma", "FrameLemma", "SharedLemma",
-           "lemma_hash", "lemma_from_wire", "model_fingerprint",
-           "MAX_FRAME_CUBE_LITS"]
-
-#: Publishing cap: frame clauses wider than this are kept private (wide
-#: cubes are weak lemmas and expensive assumptions).
-MAX_FRAME_CUBE_LITS = 12
-
-#: Sorted (latch var, value) pairs — the wire form of a PDR cube.
-WireCube = Tuple[Tuple[int, bool], ...]
+__all__ = ["Lemma", "DepthLemma", "SharedLemma",
+           "lemma_hash", "lemma_from_wire", "model_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -53,25 +42,8 @@ class DepthLemma:
         return {"kind": self.kind, "depth": self.depth}
 
 
-@dataclass(frozen=True)
-class FrameLemma:
-    """A PDR frame clause: ``cube`` ∩ Reach≤level = ∅.
-
-    ``cube`` is a sorted tuple of (latch var, value) pairs over the reduced
-    model; the clause ¬cube holds at every unrolling frame t ≤ ``level``.
-    """
-
-    cube: WireCube
-    level: int
-
-    kind = "frame"
-
-    def to_wire(self) -> Dict[str, object]:
-        return {"kind": self.kind, "level": self.level,
-                "cube": [[var, int(val)] for var, val in self.cube]}
-
-
-Lemma = Union[DepthLemma, FrameLemma]
+#: The type every bus, port and log carries.
+Lemma = DepthLemma
 
 
 @dataclass(frozen=True)
@@ -88,9 +60,6 @@ def lemma_from_wire(data: Dict[str, object]) -> Lemma:
     kind = data.get("kind")
     if kind == "depth":
         return DepthLemma(depth=int(data["depth"]))
-    if kind == "frame":
-        cube = tuple(sorted((int(var), bool(val)) for var, val in data["cube"]))
-        return FrameLemma(cube=cube, level=int(data["level"]))
     raise ValueError(f"unknown lemma kind {kind!r}")
 
 

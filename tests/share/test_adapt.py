@@ -1,8 +1,8 @@
 """Import-side lemma validation: honest lemmas pass, malicious ones fail."""
 
-from repro.circuits import get_instance, token_ring
+from repro.circuits import get_instance
 from repro.share.adapt import ImportValidator
-from repro.share.lemma import DepthLemma, FrameLemma
+from repro.share.lemma import DepthLemma
 
 
 def _validator(model):
@@ -23,37 +23,19 @@ def test_depth_lemma_honest_accepted_malicious_rejected():
     assert validator.reject_reason(DepthLemma(depth=-1)) is not None
 
 
-def test_frame_lemma_checks():
-    model = token_ring(4)
+def test_depth_claims_are_refuted_exactly_from_the_failure_depth_up_to_the_horizon():
+    # red_dead08bug fails at depth 5 under any stimulus: every claim below
+    # 5 is honest, every claim from 5 on is refuted — as long as the
+    # simulation reaches depth 5.  A shorter horizon cannot see the bad
+    # state, so it lets every claim through.
+    model = get_instance("red_dead08bug").build()
     validator = _validator(model)
-    latches = model.latch_vars
-    init = model.initial_cube().as_dict()
-
-    # Initiation: a cube consistent with S0 is rejected outright.
-    var = latches[0]
-    init_value = init.get(var, False)
-    assert "initial" in validator.reject_reason(
-        FrameLemma(cube=((var, init_value),), level=3))
-
-    # A reachable cube is refuted by simulation: the token reaches every
-    # ring position, so "position 1 never holds the token" is false.
-    reachable = FrameLemma(cube=((latches[1], True),), level=8)
-    reason = validator.reject_reason(reachable)
-    assert reason is not None and "reachable" in reason
-
-    # Syntax: non-latch variables, duplicates, empty cubes.
-    assert validator.reject_reason(FrameLemma(cube=(), level=1)) is not None
-    assert validator.reject_reason(
-        FrameLemma(cube=((99999, True),), level=1)) is not None
-    assert validator.reject_reason(
-        FrameLemma(cube=((var, True), (var, False)), level=1)) is not None
-    assert validator.reject_reason(
-        FrameLemma(cube=((var, not init_value),), level=-1)) is not None
-
-    # An honest unreachable cube passes: two tokens at once never happens.
-    two_tokens = FrameLemma(
-        cube=((latches[1], True), (latches[2], True)), level=6)
-    assert validator.reject_reason(two_tokens) is None
+    for depth in range(12):
+        refuted = validator.reject_reason(DepthLemma(depth=depth)) is not None
+        assert refuted == (depth >= 5), depth
+    short = ImportValidator(model, steps=4)
+    assert all(short.reject_reason(DepthLemma(depth=depth)) is None
+               for depth in range(12))
 
 
 def test_validation_is_deterministic():

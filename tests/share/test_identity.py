@@ -14,10 +14,9 @@ quick and redundant suites.  This is the test that pins "sharing defaults
 to free speedup, never a different answer".
 
 All three legs run with ``group_proof=False``: attaching a share port
-*suspends* group-aware proof logging (foreign clauses live in the
-searcher's solver, and a refutation handed to interpolation must never
-rest on them — see :meth:`repro.core.base.UmcEngine._group_proof_active`),
-so the share-compatible configuration is the fresh-solver pipeline, and
+*suspends* group-aware proof logging (see
+:meth:`repro.core.base.UmcEngine._group_proof_active`), so the
+share-compatible configuration is the fresh-solver pipeline, and
 identity is guaranteed relative to it.  Solo *defaults* (group proof on)
 may legitimately converge at a neighbouring bound on a few instances —
 that on-vs-off relationship is pinned separately in
@@ -32,7 +31,7 @@ from repro.core import EngineOptions
 from repro.core.portfolio import ENGINES, run_engine
 from repro.share import cooperative_race
 from repro.share.bus import LocalShareBus, ReplayShareBus
-from repro.share.lemma import FrameLemma
+from repro.share.lemma import DepthLemma
 from repro.share.log import read_share_log
 
 MAX_BOUND = 20
@@ -96,22 +95,23 @@ def test_share_identity(name, tmp_path):
             assert solo[0] == instance.expected, (name, engine)
 
 
-def test_honest_frame_lemma_installs_in_searcher_without_changing_answer():
-    # The base import path: an accepted FrameLemma is asserted as a clause
-    # in the counterexample searcher's dedicated foreign group, and the
-    # proof-logged checks never see it.
+def test_honest_depth_lemma_skips_searcher_solves_without_changing_answer():
+    # The base import path: an accepted DepthLemma answers every search at
+    # a bound it covers, so those solves are skipped.  The searcher runs
+    # without proof logging while a port is attached, even with group
+    # proof requested, and the answer is the solo run's.
     instance = _INSTANCES["ring04"]
-    model = instance.build()
     bus = LocalShareBus()
-    engine = ENGINES["itpseq"](model, options=_options(),
+    engine = ENGINES["itpseq"](instance.build(),
+                               options=_options().with_changes(group_proof=True),
                                share=bus.port("itpseq"))
-    latches = model.latch_vars
-    # "Two tokens at once" never happens, so the validator lets it in.
-    bus.port("peer").publish(FrameLemma(
-        cube=((latches[1], True), (latches[2], True)), level=2))
+    # ring04 is safe, so "no counterexample up to depth 3" is honest.
+    bus.port("peer").publish(DepthLemma(depth=3))
     result = engine.run()
     assert result.stats.lemmas_rx == 1
     assert result.stats.lemmas_retracted == 0
-    assert engine._share_group is not None
+    assert result.stats.share_solves_skipped > 0
+    assert result.stats.proof_group_solves_saved == 0
+    assert not engine._cex_searcher.proof_logging
     assert (result.verdict.value, result.k_fp, result.j_fp) \
         == _solo("itpseq", instance.build())

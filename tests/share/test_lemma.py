@@ -5,7 +5,6 @@ import pytest
 from repro.circuits import get_instance, token_ring
 from repro.share.lemma import (
     DepthLemma,
-    FrameLemma,
     lemma_from_wire,
     lemma_hash,
     model_fingerprint,
@@ -23,30 +22,23 @@ def test_depth_lemma_wire_round_trip():
     assert lemma_hash(again) == lemma_hash(lemma)
 
 
-def test_frame_lemma_wire_round_trip_canonicalizes():
-    lemma = FrameLemma(cube=((2, True), (6, False)), level=3)
-    wire = lemma.to_wire()
-    # The wire cube is JSON-safe scalars only.
-    assert wire["cube"] == [[2, 1], [6, 0]]
-    again = lemma_from_wire(wire)
-    assert again == lemma
-    # Unsorted input cubes canonicalize to the same lemma (and hash).
-    shuffled = dict(wire, cube=[[6, 0], [2, 1]])
-    assert lemma_from_wire(shuffled) == lemma
-    assert lemma_hash(lemma_from_wire(shuffled)) == lemma_hash(lemma)
+def test_lemma_from_wire_rejects_retired_frame_kind():
+    # The PDR frame-clause kind is retired: its records are junk now, even
+    # when well formed.
+    with pytest.raises(ValueError, match="frame"):
+        lemma_from_wire({"kind": "frame", "level": 3,
+                         "cube": [[2, 1], [6, 0]]})
 
 
 def test_lemma_from_wire_rejects_junk():
     with pytest.raises(ValueError):
         lemma_from_wire({"kind": "banana"})
     with pytest.raises((ValueError, KeyError, TypeError)):
-        lemma_from_wire({"kind": "frame", "cube": "nope"})
+        lemma_from_wire({"kind": "depth", "depth": "nope"})
 
 
 def test_lemma_hashes_are_distinct_per_content():
     assert lemma_hash(DepthLemma(1)) != lemma_hash(DepthLemma(2))
-    assert (lemma_hash(FrameLemma(cube=((2, True),), level=1))
-            != lemma_hash(FrameLemma(cube=((2, True),), level=2)))
 
 
 def test_model_fingerprint_distinguishes_models_and_is_stable():

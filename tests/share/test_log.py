@@ -3,16 +3,18 @@
 import hashlib
 import json
 
+import pytest
+
 from repro.aig import write_aag
 from repro.circuits import get_instance
-from repro.share.lemma import DepthLemma, FrameLemma, lemma_hash
+from repro.share.lemma import DepthLemma, lemma_hash
 from repro.share.log import ShareLog, read_share_log
 
 
 def _write_sample(path):
     log = ShareLog(str(path))
     log.header("cafe0123cafe0123", ["itp", "pdr"])
-    log.published(0, "pdr", FrameLemma(cube=((2, True),), level=1))
+    log.published(0, "pdr", DepthLemma(depth=2))
     log.published(1, "itp", DepthLemma(depth=3))
     log.accepted("itp", 2, [0])
     log.accepted("pdr", 3, [1])
@@ -27,6 +29,7 @@ def test_share_log_round_trip(tmp_path):
     assert data.fingerprint == "cafe0123cafe0123"
     assert data.engines == ["itp", "pdr"]
     assert sorted(data.published) == [0, 1]
+    assert data.published[0].lemma == DepthLemma(depth=2)
     assert data.published[1].lemma == DepthLemma(depth=3)
     assert data.published[0].source == "pdr"
     assert [s.seq for s in data.deliveries("itp", 2)] == [0]
@@ -68,21 +71,29 @@ def test_share_log_missing_file_is_empty():
     assert data.published == {}
 
 
-def test_share_log_skips_retired_reach_records(tmp_path, capsys):
-    # Logs written before the "reach" lemma kind was retired still load:
-    # its pub record is skipped as junk, and --share-replay delivers the
-    # log's other accepted lemmas.
+#: Wire records of retired lemma kinds, as logs of their time wrote them.
+_RETIRED = {
+    "reach": {"kind": "reach", "bound": 2, "leaves": [2, 4],
+              "nodes": [[2, 5]], "root": 6},
+    "frame": {"kind": "frame", "level": 2, "cube": [[2, 1], [6, 0]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RETIRED))
+def test_share_log_skips_retired_records(tmp_path, capsys, kind):
+    # Logs written before a lemma kind was retired still load: its pub
+    # record is skipped as junk, and --share-replay delivers the log's
+    # other accepted lemmas.
     from repro.__main__ import main
 
-    reach = {"kind": "reach", "bound": 2, "leaves": [2, 4],
-             "nodes": [[2, 5]], "root": 6}
-    reach_hash = hashlib.sha256(json.dumps(
-        reach, sort_keys=True, separators=(",", ":")).encode("ascii")
+    retired = _RETIRED[kind]
+    retired_hash = hashlib.sha256(json.dumps(
+        retired, sort_keys=True, separators=(",", ":")).encode("ascii")
     ).hexdigest()[:16]
     depth = DepthLemma(depth=1)
     records = [
-        {"t": "pub", "seq": 0, "src": "itp", "lemma": reach,
-         "hash": reach_hash},
+        {"t": "pub", "seq": 0, "src": "itp", "lemma": retired,
+         "hash": retired_hash},
         {"t": "pub", "seq": 1, "src": "bmc", "lemma": depth.to_wire(),
          "hash": lemma_hash(depth)},
         {"t": "acc", "eng": "itpseq", "bnd": 2, "seqs": [0, 1]},

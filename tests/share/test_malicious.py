@@ -14,7 +14,7 @@ from repro.circuits import get_instance
 from repro.core import EngineOptions
 from repro.core.portfolio import ENGINES, run_engine
 from repro.share.bus import LocalShareBus
-from repro.share.lemma import DepthLemma, FrameLemma
+from repro.share.lemma import DepthLemma
 
 
 def _options(**overrides):
@@ -31,11 +31,10 @@ def _poisoned_engine(name, model, options):
     # Simulate a validation miss: every delivery is taken at face value.
     engine._share_validator = None
     attacker = bus.port("evil")
-    # The model fails at depth 5; "no counterexample up to 10" is a lie.
+    # The model fails at depth 5; "no counterexample up to 10" is a lie,
+    # and so is the second, different claim about depth 7.
     attacker.publish(DepthLemma(depth=10))
-    # A bogus frame clause for good measure (arbitrary unreachability claim).
-    latch = model.latch_vars[0]
-    attacker.publish(FrameLemma(cube=((latch, True),), level=8))
+    attacker.publish(DepthLemma(depth=7))
     return engine
 
 
@@ -51,6 +50,7 @@ def test_malicious_depth_lemma_verdict_survives():
     assert (result.verdict.value, result.k_fp) == ("fail", 5)
     assert result.stats.lemmas_rx >= 2  # both lies were accepted...
     assert result.stats.lemmas_retracted >= 2  # ...and retracted wholesale
+    assert result.stats.lemmas_retracted == result.stats.lemmas_rx
     assert engine._share_distrust
 
 
@@ -76,7 +76,7 @@ def test_malicious_lemmas_rejected_with_validator_on():
                                share=bus.port("itpseq"))
     attacker = bus.port("evil")
     attacker.publish(DepthLemma(depth=10))
-    attacker.publish(FrameLemma(cube=((model.latch_vars[0], True),), level=8))
+    attacker.publish(DepthLemma(depth=7))
     result = engine.run()
     assert (result.verdict.value, result.k_fp) == ("fail", 5)
     assert result.stats.lemmas_rx == 0
