@@ -8,13 +8,17 @@ unsatisfiable instances, the solver runtime, conflict counts and proof
 sizes of the three formulations.
 """
 
+import cProfile
+import pstats
 import statistics
 import time
 
 import pytest
 
+from budgets import CLAUSE_BUDGET, PROP_BUDGET
 from repro.bmc import BmcCheckKind, build_check
 from repro.circuits import get_instance
+from repro.core import EngineOptions, run_engine
 from repro.harness import drop_time_columns, format_table
 from repro.sat import CdclSolver, SatResult, SolverStats
 
@@ -133,3 +137,73 @@ def test_clause_ingest_cost_per_clause(benchmark, save_timing):
     save_timing("sat_ingest_modcnt12.txt", format_table(
         ["ingest", "clauses", "us_per_clause", "added"], rows,
         title="Clause ingest on modcnt12, assume-k check at k=8 (no solve)"))
+
+
+#: The order queue's own functions: the solver's methods, and the C-level
+#: heapq calls as the profiler names them.
+_QUEUE_FUNCTIONS = ("_pick_branch", "_heap_rebuild",
+                    "<built-in method _heapq.heappush>",
+                    "<built-in method _heapq.heappop>",
+                    "<built-in method _heapq.heapify>")
+
+
+def _run_pdr(instance_name):
+    options = EngineOptions(max_clauses=CLAUSE_BUDGET,
+                            max_propagations=PROP_BUDGET)
+    result = run_engine("pdr", get_instance(instance_name).build(), options)
+    assert result.verdict.value == "pass"
+
+
+def _queue_share(instance_name):
+    """The order queue's share of ``CdclSolver.solve`` time, under cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(_run_pdr, instance_name)
+    queue = solve = 0.0
+    for (filename, _, name), (_, _, own, total, _) in \
+            pstats.Stats(profile).stats.items():
+        if name in _QUEUE_FUNCTIONS:
+            queue += own
+        elif name == "solve" and filename.endswith("solver.py"):
+            solve += total
+    return queue / solve
+
+
+def test_pdr_query_stream(benchmark, save_timing, monkeypatch):
+    """PDR's query stream on one persistent solver: thousands of short,
+    almost conflict-free assumption solves, where picking decisions is a
+    large part of the work.  Reports solves/s and decisions/s from a plain
+    run and the order queue's share of solve time from a profiled one.
+
+    Wall clock only, so it goes to the untracked timing directory.
+    """
+    instance_name = "indB1_arb08"
+    totals = {"solves": 0, "decisions": 0, "seconds": 0.0}
+    solve = CdclSolver.solve
+
+    def timed(self, *args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            totals["seconds"] += time.perf_counter() - started
+            totals["solves"] += 1
+            totals["decisions"] += self.last_call_stats.decisions
+
+    def measure():
+        with monkeypatch.context() as patch:
+            patch.setattr(CdclSolver, "solve", timed)
+            _run_pdr(instance_name)
+        return _queue_share(instance_name)
+
+    share = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # PDR's 732 queries plus the preprocessing pass's one fraig miter solve.
+    assert totals["solves"] == 733
+    seconds = totals["seconds"]
+    rows = [[instance_name, totals["solves"], totals["decisions"],
+             round(seconds, 3), round(totals["solves"] / seconds),
+             round(totals["decisions"] / seconds), round(share, 3)]]
+    save_timing(f"sat_pdr_queries_{instance_name}.txt", format_table(
+        ["instance", "solves", "decisions", "solve_s", "solves_per_s",
+         "decisions_per_s", "queue_share"], rows,
+        title="PDR query stream: solve rate and order-queue share "
+              "(profiled) of solve time"))

@@ -214,11 +214,7 @@ class Unroller:
     # ------------------------------------------------------------------ #
     def extract_trace(self, depth: int) -> Trace:
         """Build a :class:`Trace` from the solver's current model."""
-        model_values = self.solver.model()
-
-        def value(cnf_var: int) -> bool:
-            return model_values.get(cnf_var, False)
-
+        value = self.solver.model_value
         initial = {latch.var: value(self.latch_cnf_var(0, latch.var))
                    for latch in self.model.latches}
         inputs: List[Dict[int, bool]] = []

@@ -155,12 +155,10 @@ class ItpEngine(UmcEngine):
 
     def _failure_depth(self, unroller: Unroller, k: int) -> int:
         """Find the first frame whose bad literal is asserted in the SAT model."""
-        model_values = unroller.solver.model()
         for frame in range(1, k + 1):
             # Re-deriving the literal is cheap: the cone is already encoded, so
             # the encoder returns the cached CNF literal without new clauses.
             lit = unroller.bad_literal(frame, partition=k + 1)
-            value = model_values.get(abs(lit), False)
-            if (lit > 0) == value:
+            if unroller.solver.model_value(lit):
                 return frame
         return k

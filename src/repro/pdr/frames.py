@@ -189,14 +189,16 @@ class FrameSequence:
     def _model_witness(self) -> Tuple[Cube, Dict[int, bool]]:
         """Project the SAT model onto (latch state, primary inputs) at step 0.
 
-        One ``solver.model()`` call serves both projections — the model is
-        a fresh copy over every CNF variable, and witnesses are extracted
-        on each of PDR's thousands of SAT answers.
+        Each latch and input literal is read through ``model_value``, in
+        constant time: witnesses are extracted on each of PDR's thousands
+        of SAT answers.
         """
-        values = self.solver.model()
-        state = {var: values.get(self.unroller.latch_cnf_var(0, var), False)
+        value = self.solver.model_value
+        latch_cnf_var = self.unroller.latch_cnf_var
+        input_cnf_var = self.unroller.input_cnf_var
+        state = {var: value(latch_cnf_var(0, var))
                  for var in self.model.latch_vars}
-        inputs = {var: values.get(self.unroller.input_cnf_var(0, var), False)
+        inputs = {var: value(input_cnf_var(0, var))
                   for var in self.model.input_vars}
         return state, inputs
 

@@ -38,20 +38,25 @@ tautology, proof-recorded and watched against the level-0 assignment in
 order, so a batch leaves exactly the state its clauses would leave one by
 one.  The Tseitin encoder hands the solver one cone per batch.
 
-Decisions come from an *order heap* (MiniSat's, Eén & Sörensson, SAT'03):
-an indexed binary max-heap of variables ordered by activity, then by the
-lower index.  Its top is the variable a linear scan over all variables would
-pick — the unassigned one of highest activity, the lowest index among
-equals — so the heap only makes a decision cheaper, never different.
-Assigned variables leave the heap lazily when they reach the top and
-re-enter on backtracking; a fresh variable is appended to the heap as is
-(its activity 0 and its index, the highest, put it below every other
-variable), a bump sifts its variable up, and the 1e-100
-activity rescale rebuilds the heap (rounding can create ties the index
-tie-break must then re-order).  This *same-trajectory contract* holds for
-every speed change to the kernel: decisions, propagations, conflicts and
-learned clauses stay exactly what they were, and the committed benchmark
-counters are the oracle for it.
+Decisions come from an *order queue*: a :mod:`heapq` list of
+``(-activity, var)`` entries and a per-variable *queued* flag.  Tuples order
+on higher activity, then on the lower index, so the top entry of a queued
+variable names the variable a linear scan over all variables would pick —
+the unassigned one of highest activity, the lowest index among equals — and
+the queue only makes a decision cheaper, never different.  Entries are lazy.
+A bump of a queued variable pushes a fresh entry; the old one is stale, but
+activities only grow between rebuilds, so it surfaces after the fresh one.
+An assigned variable stays queued until its entry surfaces, when it is
+popped and unqueued, and from then on every entry of the variable that
+surfaces is dropped; backtracking re-queues, with a fresh entry, every
+unqueued variable it unassigns.  A fresh variable is appended as
+``(-0.0, var)`` (its activity 0 and its index, the highest, put it below
+every other entry).  The 1e-100 activity rescale rebuilds the queue with one
+``heapify`` over the queued variables, and so does a bump that leaves more
+than :data:`_QUEUE_SLACK` entries per variable, which bounds the stale ones.
+This *same-trajectory contract* holds for every speed change to the kernel:
+decisions, propagations, conflicts and learned clauses stay exactly what
+they were, and the committed benchmark counters are the oracle for it.
 
 Performance note: a pure-Python CDCL is roughly two to three orders of
 magnitude slower than MiniSAT.  The engines therefore run on down-scaled
@@ -62,6 +67,7 @@ algorithms, which is what the paper studies, is preserved.
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cnf.cnf import Clause
@@ -71,6 +77,9 @@ from .types import Budget, BudgetExceeded, SatResult, SolverStats
 __all__ = ["CdclSolver", "SolverError"]
 
 _UNASSIGNED = -1
+#: The order queue is rebuilt when it holds more than this many entries per
+#: variable, so stale entries cannot grow it without bound.
+_QUEUE_SLACK = 2
 
 
 class SolverError(RuntimeError):
@@ -123,10 +132,10 @@ class CdclSolver:
         self._queue_head = 0
 
         self._activity: List[float] = [0.0]
-        #: The order heap: a binary max-heap of variables on (activity, then
-        #: lower index), and each variable's slot in it (-1 when absent).
-        self._heap: List[int] = []
-        self._heap_pos: List[int] = [-1]
+        #: The order queue: a heapq list of (-activity, var) entries, some
+        #: stale, and whether each variable has a live entry in it.
+        self._heap: List[Tuple[float, int]] = []
+        self._queued: List[bool] = [False]
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._phase: List[bool] = [False]
@@ -141,7 +150,8 @@ class CdclSolver:
         self._root_conflict = False      # empty clause / level-0 conflict seen
         self._ok = True
 
-        self._model: Optional[Dict[int, bool]] = None
+        #: Snapshot of the assignment list at the last SAT answer.
+        self._model: Optional[List[int]] = None
         self._conflict_assumptions: Optional[List[int]] = None
         self._last_result: Optional[SatResult] = None
         #: Proof id of the last UNSAT answer's root clause (see
@@ -172,9 +182,9 @@ class CdclSolver:
         self._watches.append([])
         self._watches.append([])
         # A fresh variable has activity 0 and the highest index, and no
-        # activity is negative, so it belongs at the end of the heap as is.
-        self._heap_pos.append(len(self._heap))
-        self._heap.append(self._num_vars)
+        # activity is negative, so it belongs at the end of the queue as is.
+        self._queued.append(True)
+        self._heap.append((-0.0, self._num_vars))
         return self._num_vars
 
     def ensure_var(self, var: int) -> None:
@@ -451,15 +461,23 @@ class CdclSolver:
         return result
 
     def model(self) -> Dict[int, bool]:
-        """Return the satisfying assignment found by the last SAT answer."""
-        if self._model is None:
+        """Return the satisfying assignment found by the last SAT answer as
+        a fresh ``{var: value}`` dict over the variables that existed then."""
+        model = self._model
+        if model is None:
             raise SolverError("no model available (last call was not SAT)")
-        return dict(self._model)
+        return {var: model[var] == 1 for var in range(1, len(model))}
 
     def model_value(self, lit: int) -> bool:
-        """Evaluate a literal in the last model."""
-        model = self.model()
-        value = model.get(abs(lit), False)
+        """Evaluate a literal in the last model, in constant time.
+
+        A variable created after the SAT answer reads as false.
+        """
+        model = self._model
+        if model is None:
+            raise SolverError("no model available (last call was not SAT)")
+        var = abs(lit)
+        value = var < len(model) and model[var] == 1
         return value if lit > 0 else not value
 
     def conflict_assumptions(self) -> List[int]:
@@ -560,8 +578,7 @@ class CdclSolver:
 
             lit = self._pick_branch()
             if lit is None:
-                self._model = {v: self._assign[v] == 1
-                               for v in range(1, self._num_vars + 1)}
+                self._model = self._assign[:]
                 return SatResult.SAT
             self.stats.decisions += 1
             self._new_decision_level()
@@ -870,31 +887,40 @@ class CdclSolver:
         if self._decision_level() <= level:
             return
         limit = self._trail_lim[level]
-        heap_pos = self._heap_pos
+        assign = self._assign
+        reason = self._reason
+        activity = self._activity
+        heap = self._heap
+        queued = self._queued
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            if heap_pos[var] < 0:
-                self._heap_insert(var)
+            assign[var] = _UNASSIGNED
+            reason[var] = None
+            if not queued[var]:
+                queued[var] = True
+                heappush(heap, (-activity[var], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = min(self._queue_head, len(self._trail))
 
     # ------------------------------------------------------------------ #
-    # Heuristics
+    # Heuristics and the order queue
     # ------------------------------------------------------------------ #
     def _pick_branch(self) -> Optional[int]:
         """The unassigned variable of highest activity, lowest index on ties,
         with its saved phase; ``None`` when every variable is assigned."""
         heap = self._heap
         assign = self._assign
+        queued = self._queued
         while heap:
-            var = heap[0]
-            if assign[var] == _UNASSIGNED:
-                return var if self._phase[var] else -var
-            # Assigned variables leave the heap lazily, when they surface.
-            self._heap_pop()
+            var = heap[0][1]
+            # Assigned variables leave the queue lazily, when they surface;
+            # an entry of an unqueued variable is stale.
+            if queued[var]:
+                if assign[var] == _UNASSIGNED:
+                    return var if self._phase[var] else -var
+                queued[var] = False
+            heappop(heap)
         return None
 
     def _bump_var(self, var: int) -> None:
@@ -904,83 +930,22 @@ class CdclSolver:
             for v in range(1, self._num_vars + 1):
                 activity[v] *= 1e-100
             self._var_inc *= 1e-100
-            # The bumped variable is not sifted up yet, and scaling may round
-            # distinct activities to one value, where the index tie-break
-            # can disagree with the heap's shape: rebuild it.
+            # Every key changed, and scaling may round distinct activities
+            # to one value, where the index tie-break decides: rebuild.
             self._heap_rebuild()
-        elif self._heap_pos[var] >= 0:
-            self._heap_sift_up(self._heap_pos[var])
-
-    # ------------------------------------------------------------------ #
-    # Order heap
-    # ------------------------------------------------------------------ #
-    def _heap_insert(self, var: int) -> None:
-        self._heap_pos[var] = len(self._heap)
-        self._heap.append(var)
-        self._heap_sift_up(len(self._heap) - 1)
-
-    def _heap_pop(self) -> None:
-        """Remove the top variable."""
-        heap = self._heap
-        pos = self._heap_pos
-        pos[heap[0]] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._heap_sift_down(0)
-
-    def _heap_sift_up(self, index: int) -> None:
-        # A variable goes before another on higher activity, then on the
-        # lower index.
-        heap = self._heap
-        pos = self._heap_pos
-        activity = self._activity
-        var = heap[index]
-        act = activity[var]
-        while index > 0:
-            parent = (index - 1) >> 1
-            above = heap[parent]
-            act_above = activity[above]
-            if act < act_above or (act == act_above and var > above):
-                break
-            heap[index] = above
-            pos[above] = index
-            index = parent
-        heap[index] = var
-        pos[var] = index
-
-    def _heap_sift_down(self, index: int) -> None:
-        heap = self._heap
-        pos = self._heap_pos
-        activity = self._activity
-        size = len(heap)
-        var = heap[index]
-        act = activity[var]
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            below = heap[child]
-            act_below = activity[below]
-            if child + 1 < size:
-                right = heap[child + 1]
-                act_right = activity[right]
-                if act_right > act_below or (act_right == act_below and right < below):
-                    child += 1
-                    below = right
-                    act_below = act_right
-            if act_below < act or (act_below == act and below > var):
-                break
-            heap[index] = below
-            pos[below] = index
-            index = child
-        heap[index] = var
-        pos[var] = index
+        elif self._queued[var]:
+            heap = self._heap
+            heappush(heap, (-activity[var], var))
+            if len(heap) > _QUEUE_SLACK * self._num_vars:
+                self._heap_rebuild()
 
     def _heap_rebuild(self) -> None:
-        for index in range(len(self._heap) // 2 - 1, -1, -1):
-            self._heap_sift_down(index)
+        """Rebuild the order queue from the queued variables' activities."""
+        activity = self._activity
+        heap = self._heap
+        heap[:] = [(-activity[var], var)
+                   for var, queued in enumerate(self._queued) if queued]
+        heapify(heap)
 
     def _bump_clause(self, rec: _ClauseRec) -> None:
         if not rec.learned:

@@ -28,7 +28,7 @@ def _snapshot(solver):
         "watches": [[rec.cid for rec in watch] for watch in solver._watches],
         "trail": list(solver._trail),
         "ok": solver._ok,
-        "heap": list(solver._heap),
+        "heap": (list(solver._heap), list(solver._queued)),
         "groups": {g: [rec.cid for rec in recs]
                    for g, recs in solver._groups.items()},
         "clauses_added": solver.stats.clauses_added,
