@@ -14,8 +14,8 @@ Two committed, CI-diff-gated artefacts:
   elimination cut-off it streams raw).  On itpseq the persistent
   fixpoint checker plus trimming and compaction must cut cumulative
   clause additions **at least 2x** (measured: 9666 on vs 19474 off).
-  On sitpseq the gate is no-harm only, on <= off (measured: 147310 on
-  vs 152405 off): its off baseline used to be inflated by irregular
+  On sitpseq the gate is no-harm only, on <= off (measured: 48174 on
+  vs 53044 off): its off baseline used to be inflated by irregular
   level-0 refutation chains that trimming undid, and with the solver's
   chains now regular there is little left for trimming to remove.
 

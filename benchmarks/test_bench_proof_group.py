@@ -14,7 +14,7 @@ regenerate identically on any machine):
   30% (measured: 100%; every refuted bound's fresh solve disappears and
   the fallback path never fires on these suites);
 * cumulative clause additions with group proof on are never more than 5%
-  above the fresh-solver path anywhere (measured: 24–76% *below* on the
+  above the fresh-solver path anywhere (measured: 38–76% *below* on the
   PASS cells — the monolithic re-encode per bound is gone);
 * total SAT calls never increase.
 

@@ -46,11 +46,16 @@ permanent clauses; only a chain that depends on a *released* target group
 is unusable, in which case :meth:`refutation` raises
 :class:`~repro.sat.proof.ActivationDependencyError` and the caller falls
 back to a fresh monolithic solve (see :mod:`repro.core.base`).
+
+:class:`SuffixUnroller` applies the same groups-plus-stripping idea to the
+nested suffix checks of one bound that serial interpolation sequences
+solve (Fig. 4, Eq. (3)): the frames are encoded once, and each step
+releases the prefix the next one must not see.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..aig.model import Model
 from ..sat.proof import (ActivationStripStats, ResolutionProof,
@@ -61,7 +66,7 @@ from .cex import Trace
 from .checks import BmcCheckKind
 from .unroll import Unroller
 
-__all__ = ["IncrementalUnroller"]
+__all__ = ["IncrementalUnroller", "SuffixUnroller"]
 
 
 class IncrementalUnroller:
@@ -207,3 +212,132 @@ class IncrementalUnroller:
     def last_call_stats(self) -> SolverStats:
         """Per-call counters of the most recent :meth:`solve`."""
         return self.solver.last_call_stats
+
+
+class SuffixUnroller:
+    """The nested suffix checks of one bound on one proof-logged solver.
+
+    Serial step ``j`` of Fig. 4 refutes Eq. (3)'s
+
+        Iⱼ₋₁(Vʲ⁻¹) ∧ Aⱼ  ∧  ⋀_{i>j} Aᵢ
+
+    and the parallel remainder refutes ``I_{n_s} ∧ A_{n_s+1} ∧ … ∧ A_{k+1}``
+    — suffixes of the same depth-``k`` unrolling that shrink from the left.
+    The unroller encodes the absolute frames 1..k once (frame 0 never: the
+    first serial element comes from the base refutation) and labels every
+    clause with its absolute Γ-partition, exactly as the monolithic
+    builders would: frame ``f``'s transition, constraints and assume-mode
+    p(Vᶠ) → ``f+1``, the target at frame ``k`` → ``k+1``.
+
+    Tseitin definitions are permanent.  Each frame ``f < k`` gets one
+    activation group holding the clauses that *constrain* it — the latch
+    links of T(Vᶠ, Vᶠ⁺¹), the invariant constraints, assume-mode p(Vᶠ) and,
+    once the step from ``f`` is armed, the seed predicate at ``f``.  The
+    target (¬p(Vᵏ) and the constraints at frame ``k``) is permanent; under
+    bound-k checks the per-step disjunction ⋁_{f>first} ¬p(Vᶠ) gets a group
+    of its own.
+
+    :meth:`advance` arms the suffix from frame ``f`` and permanently
+    releases every group below it, so a later refutation can never use the
+    Init-free prefix: a clause learned from a released frame carries that
+    frame's activation literal and is satisfied for good, and
+    :meth:`refutation` rejects a core that touches one
+    (:class:`~repro.sat.proof.ActivationDependencyError`).  The stripped
+    proof therefore refutes Eq. (3)'s A ∧ B plus, at most, the definitions
+    of released frames — gate names over variables nothing else mentions,
+    labelled ≤ ``f``, so they only ever join the A side.  Partition labels
+    stay absolute: the step from ``f`` cuts at ``f+1`` ("partitions
+    ≤ f+1"), and the remainder's cuts are the absolute frames after it.
+    """
+
+    def __init__(self, model: Model, depth: int,
+                 check_kind: BmcCheckKind = BmcCheckKind.ASSUME) -> None:
+        if depth < 2:
+            # Depth 1 leaves no frame to seed: frame 0 is never encoded.
+            raise ValueError(f"suffix depth must be >= 2, got {depth}")
+        self.depth = depth
+        self.check_kind = check_kind
+        self.solver = CdclSolver(proof_logging=True)
+        self.unroller = Unroller(model, self.solver)
+        #: The frame the armed suffix starts at (the seed's frame).
+        self.first = 1
+        #: Activation group of each frame still constrained, by frame.
+        self._groups: Dict[int, int] = {}
+        #: Bound-k checks only: the armed step's bad-disjunction group.
+        self._target: Optional[int] = None
+        for frame in range(1, depth):
+            group = self.solver.new_group()
+            self._groups[frame] = group
+            self.unroller.add_transition(frame, partition=frame + 1,
+                                         group=group)
+            if check_kind is BmcCheckKind.ASSUME:
+                self.unroller.assert_property(frame, partition=frame + 1,
+                                              group=group)
+        if check_kind is not BmcCheckKind.BOUND:
+            self.unroller.assert_bad(depth, partition=depth + 1)
+        if model.constraints:
+            self.unroller.assert_constraints_at(depth, partition=depth + 1)
+
+    def advance(self, frame: int, seed: int) -> None:
+        """Arm the suffix check from ``frame``, constrained to ``seed`` there.
+
+        Releases the groups of every frame below ``frame`` for good, then
+        asserts the AIG predicate ``seed`` (a cone over latch variables) at
+        ``frame`` in that frame's group, partition ``frame + 1``.  Frames
+        only move forward.
+        """
+        if not self.first <= frame < self.depth:
+            raise ValueError(f"cannot arm frame {frame}: the armed suffix "
+                             f"starts at {self.first}, depth {self.depth}")
+        solver = self.solver
+        for old in range(self.first, frame):
+            solver.release_group(self._groups.pop(old))
+        if self._target is not None:
+            solver.release_group(self._target)
+            self._target = None
+        self.first = frame
+        self.unroller.assert_formula(seed, frame=frame, partition=frame + 1,
+                                     group=self._groups[frame])
+        if self.check_kind is BmcCheckKind.BOUND:
+            # Bad cones carry their own frame's label, as in the
+            # IncrementalUnroller: a serial step cuts the bound-k suffix
+            # once, after the seed's partition, where every later label is
+            # on the B side alike.
+            self._target = solver.new_group()
+            solver.add_clause(
+                [self.unroller.bad_literal(f, partition=f + 1)
+                 for f in range(frame + 1, self.depth + 1)],
+                partition=self.depth + 1, group=self._target)
+
+    def assumptions(self) -> List[int]:
+        """The activation literals of the armed suffix's groups.
+
+        Listed from the target back to the seed, so the solver commits to
+        the B side first and to the seed's frame — the A side of the serial
+        cut — last.  The refutations found that way keep their A part near
+        the cut and interpolate weaker (more abstract): assuming the seed
+        first, sitpseq converges bounds later on the traffic circuits.
+        """
+        lits = [] if self._target is None else [self._target]
+        lits.extend(self._groups[f] for f in range(self.depth - 1,
+                                                   self.first - 1, -1))
+        return lits
+
+    def cut_var_map(self, frame: int) -> Dict[int, int]:
+        """CNF latch variables at absolute ``frame`` → model AIG literals."""
+        return self.unroller.cut_var_map(frame)
+
+    def refutation(self) -> Tuple[ResolutionProof, ActivationStripStats]:
+        """The activation-free refutation of the armed suffix check.
+
+        Valid only after an UNSAT solve under :meth:`assumptions`.  Raises
+        :class:`~repro.sat.proof.ActivationDependencyError` when the core
+        touches a released group.
+        """
+        root = self.solver.last_refutation_root()
+        if root is None:
+            raise SolverError(
+                "no refutation recorded (last answer was not UNSAT)")
+        active = set(self.assumptions())
+        others = self.solver.group_vars() - active
+        return strip_activations(self.solver.proof(), active, others, root)

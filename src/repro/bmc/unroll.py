@@ -121,8 +121,9 @@ class Unroller:
         finally:
             self._sink.partition = None
 
-    def _add_clause(self, clause: Sequence[int], partition: Optional[int]) -> None:
-        self.solver.add_clause(clause, partition)
+    def _add_clause(self, clause: Sequence[int], partition: Optional[int],
+                    group: Optional[int] = None) -> None:
+        self.solver.add_clause(clause, partition, group)
 
     # ------------------------------------------------------------------ #
     # Constraint emission
@@ -150,25 +151,28 @@ class Unroller:
             self._add_clause([cnf_var if value else -cnf_var], partition)
 
     def add_transition(self, from_frame: int, partition: Optional[int],
-                       include_constraints: bool = True) -> None:
+                       include_constraints: bool = True,
+                       group: Optional[int] = None) -> None:
         """Encode T(V^f, V^{f+1}) and (optionally) the frame-f invariant constraints.
 
         ``include_constraints=False`` is used by the incremental unroller,
         which asserts each frame's constraints exactly once on arrival rather
         than together with the outgoing transition.
+
+        With a ``group``, the clauses that constrain the frames — the latch
+        links and the constraint units — join that activation group, while
+        the Tseitin definitions of the next-state cones stay permanent: they
+        only name gates and bind nothing once the links are released.  The
+        same holds for every other emitter's ``group``.
         """
-        frame = self.frame(from_frame)
         next_frame = self.frame(from_frame + 1)
         for latch in self.model.latches:
             next_lit = self._encode(from_frame, latch.next, partition)
             latch_var_next = next_frame.latch_vars[latch.var]
             self.solver.add_cnf([[-latch_var_next, next_lit],
-                                 [latch_var_next, -next_lit]], partition)
+                                 [latch_var_next, -next_lit]], partition, group)
         if include_constraints:
-            for constraint in self.model.constraints:
-                lit = self._encode(from_frame, constraint, partition)
-                self._add_clause([lit], partition)
-        _ = frame
+            self.assert_constraints_at(from_frame, partition, group)
 
     def bad_literal(self, frame: int, partition: int) -> int:
         """Encode (without asserting) the bad literal at a frame."""
@@ -178,15 +182,17 @@ class Unroller:
         """Assert the bad literal (property violation) at a frame."""
         self._add_clause([self.bad_literal(frame, partition)], partition)
 
-    def assert_property(self, frame: int, partition: int) -> None:
+    def assert_property(self, frame: int, partition: int,
+                        group: Optional[int] = None) -> None:
         """Assert that the property holds (no violation) at a frame."""
-        self._add_clause([-self.bad_literal(frame, partition)], partition)
+        self._add_clause([-self.bad_literal(frame, partition)], partition, group)
 
-    def assert_constraints_at(self, frame: int, partition: int) -> None:
+    def assert_constraints_at(self, frame: int, partition: Optional[int],
+                              group: Optional[int] = None) -> None:
         """Assert the invariant constraints at a frame (used for the last frame)."""
         for constraint in self.model.constraints:
             lit = self._encode(frame, constraint, partition)
-            self._add_clause([lit], partition)
+            self._add_clause([lit], partition, group)
 
     def constraint_literals(self, frame: int, partition: Optional[int]) -> List[int]:
         """Encode (without asserting) each invariant constraint at a frame.
@@ -200,14 +206,14 @@ class Unroller:
                 for constraint in self.model.constraints]
 
     def assert_formula(self, aig_lit: int, frame: int, partition: Optional[int],
-                       negate: bool = False) -> None:
+                       negate: bool = False, group: Optional[int] = None) -> None:
         """Assert an arbitrary AIG predicate (e.g. an interpolant) at a frame.
 
         The predicate must be a cone over latch variables of the model's AIG;
         its leaves are bound to the frame's latch instances.
         """
         lit = self._encode(frame, aig_lit, partition)
-        self._add_clause([-lit if negate else lit], partition)
+        self._add_clause([-lit if negate else lit], partition, group)
 
     # ------------------------------------------------------------------ #
     # Witness extraction

@@ -54,9 +54,12 @@ design could not label.  The fresh-solver path survives in three roles:
 * **reference** — ``--no-group-proof`` restores the two-solve split,
   and the identity tests pin verdicts and k_fp/j_fp bit-identical
   on-vs-off;
-* **the checks the searcher cannot express** — serial sequence suffix
-  checks (different initial predicate per step) and CBA's abstract
-  models always build fresh proof-logged solvers.
+* **the checks the searcher cannot express** — CBA's abstract
+  refutations always build fresh proof-logged solvers.  Serial sequence
+  suffix checks (a different initial predicate per step) run on their own
+  grouped solver, one per bound
+  (:class:`~repro.bmc.incremental.SuffixUnroller`), and fall back to a
+  fresh suffix solver per step (see :mod:`repro.core.sitpseq_engine`).
 
 Group proof is suspended while a share port is attached
 (:meth:`UmcEngine._group_proof_active` says why).

@@ -118,11 +118,13 @@ class EngineOptions:
         S₀ ∧ Tᵏ ∧ B — deleting the fresh-solver re-solve per bound.  The
         fresh-solver path remains as automatic fallback (when a stripped
         chain depends on a released earlier-depth group) and stays the only
-        path for checks the persistent searcher cannot express (serial
-        sequence suffixes, CBA abstract models).  Suspended while a share
-        port is attached (foreign clauses must never enter a proof).  On by
-        default; disable with ``--no-group-proof`` to restore the
-        two-solves-per-bound split.
+        path for CBA's abstract refutations.  Serial sequence suffixes do
+        not depend on this toggle: they always run on one proof-logged
+        :class:`~repro.bmc.incremental.SuffixUnroller` per bound, with a
+        fresh suffix solver only as the per-step fallback.  Suspended while
+        a share port is attached (foreign clauses must never enter a
+        proof).  On by default; disable with ``--no-group-proof`` to
+        restore the two-solves-per-bound split.
     """
 
     max_bound: int = 30

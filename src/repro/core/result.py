@@ -101,11 +101,12 @@ class EngineStats:
     whose refutation came from the incremental searcher's stripped trace
     instead of a fresh monolithic re-solve (each one is a whole SAT solve
     that never happened); ``proof_chains_stripped`` — derived chains an
-    activation literal was deleted from across those refutations
+    activation literal was deleted from across those refutations and the
+    serial sequences' suffix refutations
     (:func:`repro.sat.proof.strip_activations`); and
-    ``proof_group_fallbacks`` — bounds where stripping was rejected (a
-    chain depended on a released earlier-depth group) and the engine fell
-    back to the fresh-solver reference path.
+    ``proof_group_fallbacks`` — bounds, or serial suffix steps, where
+    stripping was rejected (a chain depended on a released group) and the
+    engine fell back to a fresh solver.
     """
 
     sat_calls: int = 0

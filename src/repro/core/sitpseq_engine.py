@@ -11,21 +11,40 @@ of ``I_{n_s} ∧ Γ_{n_s+1..n}``.  The extra SAT effort buys the *cumulative*
 abstraction effect of standard interpolation — the saturation the paper
 credits for convergence at shorter depths (Section IV-B/C).
 
+The first element comes from the bound's base refutation.  Every later
+step of one bound, and the parallel remainder, runs on one proof-logged
+:class:`~repro.bmc.incremental.SuffixUnroller`: the suffixes nest, so the
+frames 1..k are encoded once, and step j solves under the activation
+literals of frames j−1..k with Iⱼ₋₁ asserted at frame j−1.  Before the
+step from frame j−1 is armed, the groups of every frame below it — and
+with them the earlier seeds — are released for good.  That release is
+what keeps the chain sound: a refutation that could use the Init-free
+prefix Tʲ⁻¹ would yield an Iⱼ implied only by Iⱼ₋₁-states that *have*
+(j−1)-step predecessors, not by Img(Iⱼ₋₁), and the fixpoint argument of
+Fig. 2 would break.  A released frame's clauses, and every clause learned
+from them, carry its activation literal, so
+:func:`~repro.sat.proof.strip_activations` either turns the UNSAT answer
+into a refutation of exactly Eq. (3)'s A ∧ B (plus definitions of
+released gates, which only join the A side) or rejects it.  A rejected
+step falls back to a fresh solver for that step alone
+(``proof_group_fallbacks``).
+
 The verification loop around the sequence is identical to Fig. 2 and is
 inherited from :class:`ItpSeqEngine`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple, Union
 
-from ..aig.aig import FALSE, TRUE, Aig
+from ..aig.aig import FALSE, TRUE
 from ..aig.model import Model
-from ..bmc.checks import build_check
+from ..bmc.checks import BmcCheckKind, build_check
+from ..bmc.incremental import SuffixUnroller
 from ..bmc.unroll import Unroller
 from ..itp.craig import InterpolantBuilder
 from ..itp.sequence import extract_sequence
-from ..sat.proof import ResolutionProof
+from ..sat.proof import ActivationDependencyError, ResolutionProof
 from ..sat.types import SatResult
 from .base import UmcEngine
 from .itpseq_engine import ItpSeqEngine
@@ -46,8 +65,10 @@ def compute_serial_sequence(
     ``base_proof`` / ``base_unroller`` come from the already-solved
     (unsatisfiable) depth-``k`` BMC check on ``model``; its cut-1 interpolant
     seeds the serial chain, so the first serial element costs no extra SAT
-    call.  Elements are materialised in ``model.aig`` and returned as the
-    full list I₀..I_{k+1} (with I₀ = ⊤ and I_{k+1} = ⊥).
+    call.  The later steps and the parallel remainder share one
+    :class:`~repro.bmc.incremental.SuffixUnroller` (see the module
+    docstring).  Elements are materialised in ``model.aig`` and returned as
+    the full list I₀..I_{k+1} (with I₀ = ⊤ and I_{k+1} = ⊥).
 
     The function is deliberately engine-agnostic: the serial+CBA engine
     calls it with an *abstract* model, the plain serial engine with the
@@ -74,53 +95,92 @@ def compute_serial_sequence(
                                  system=options.itp_system)
     elements[1] = engine._register_interpolant(
         aig, builder.extract(base_proof, a_partitions=[1]))
+    if k == 1:
+        return elements  # I₁ was the only element left to compute
 
-    # Serial elements 2..n_serial: one SAT call each on a shortened unrolling
-    # whose frame 0 is constrained to the previous element (Eq. (3)).
+    suffix = SuffixUnroller(model, k, options.bmc_check)
+    # Serial elements 2..n_serial: one SAT call each on the suffix from frame
+    # j-1, constrained there to the previous element (Eq. (3)).
     for j in range(2, n_serial + 1):
         # One serial step per cooperative turn: a bound's whole chain of
         # k+1 proof-logged solves in a single turn would overshoot the
         # turnstile's progress clock by an entire bound.
         engine._share_yield()
-        suffix_depth = k - j + 1
-        unroller = _build_suffix_check(engine, model, elements[j - 1], suffix_depth)
-        result = engine._solve(unroller.solver)
-        if result is not SatResult.UNSAT:
-            # Guaranteed unreachable by the Craig property of I_{j-1}; guard
-            # against it anyway so a bug surfaces loudly instead of silently.
-            raise RuntimeError("serial interpolation step unexpectedly satisfiable")
-        step_builder = InterpolantBuilder(aig, unroller.cut_var_map(1),
+        proof, cuts, shift = _suffix_refutation(engine, model, suffix, j,
+                                                elements[j - 1])
+        cut = j - shift
+        step_builder = InterpolantBuilder(aig, cuts.cut_var_map(cut),
                                           system=options.itp_system)
         elements[j] = engine._register_interpolant(
-            aig, step_builder.extract(engine._reduced_proof(unroller.solver),
-                                      a_partitions=[1]))
+            aig, step_builder.extract(proof, a_partitions=range(1, cut + 1)))
 
     # Remaining elements n_serial+1 .. k: parallel extraction from one more
-    # refutation of I_{n_serial} ∧ Γ_{n_serial+1..n}.
+    # refutation, of I_{n_serial} ∧ Γ_{n_serial+1..n}.
     if n_serial < k:
         engine._share_yield()
-        suffix_depth = k - n_serial
-        unroller = _build_suffix_check(engine, model, elements[n_serial], suffix_depth)
-        result = engine._solve(unroller.solver)
-        if result is not SatResult.UNSAT:
-            raise RuntimeError("parallel remainder of the serial sequence "
-                               "unexpectedly satisfiable")
-        cut_maps = {j: unroller.cut_var_map(j) for j in range(1, suffix_depth + 1)}
-        remainder = extract_sequence(engine._reduced_proof(unroller.solver),
-                                     suffix_depth + 1,
-                                     cut_maps, aig, system=options.itp_system)
-        for offset in range(1, suffix_depth + 1):
+        proof, cuts, shift = _suffix_refutation(
+            engine, model, suffix, n_serial + 1, elements[n_serial])
+        first = n_serial + 1 - shift
+        cut_maps = {cut: cuts.cut_var_map(cut)
+                    for cut in range(first, k + 1 - shift)}
+        remainder = extract_sequence(proof, k + 1 - shift, cut_maps, aig,
+                                     system=options.itp_system,
+                                     first_cut=first)
+        for offset in range(1, k - n_serial + 1):
             elements[n_serial + offset] = engine._register_interpolant(
                 aig, remainder.element(offset))
     return elements
+
+
+def _suffix_refutation(
+    engine: UmcEngine, model: Model, suffix: SuffixUnroller, j: int, seed: int,
+) -> Tuple[ResolutionProof, Union[SuffixUnroller, Unroller], int]:
+    """Refute the suffix from frame ``j-1`` of ``suffix``'s bound, seeded
+    with ``seed`` there: serial step ``j``, or the parallel remainder when
+    ``j = n_s + 1``.
+
+    Returns ``(proof, cuts, shift)``: the trimmed refutation, the object
+    whose ``cut_var_map`` serves its cuts, and how far its partition labels
+    sit below the absolute ones — 0 on the suffix solver, ``j-1`` on the
+    fresh fallback check, which starts at frame 0.
+    """
+    k = suffix.depth
+    with engine.tracer.span("serial_step", bound=k, j=j, depth=k - j + 1):
+        suffix.advance(j - 1, seed)
+        if engine._solve(suffix.solver, suffix.assumptions()) \
+                is not SatResult.UNSAT:
+            # Guaranteed unreachable by the Craig property of the seed; guard
+            # against it anyway so a bug surfaces loudly instead of silently.
+            raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
+                               "satisfiable")
+        try:
+            with engine.tracer.span("proof_strip", bound=k):
+                proof, strip = suffix.refutation()
+        except ActivationDependencyError:
+            engine.stats.proof_group_fallbacks += 1
+            if engine.tracer.enabled:
+                engine.tracer.point("group_proof_fallback", bound=k,
+                                    serial_step=j)
+            unroller = _build_suffix_check(engine, model, seed, k - j + 1)
+            if engine._solve(unroller.solver) is not SatResult.UNSAT:
+                raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
+                                   "satisfiable")
+            return engine._reduced_proof(unroller.solver), unroller, j - 1
+        engine.stats.proof_chains_stripped += strip.chains_stripped
+        if engine.tracer.enabled:
+            engine.tracer.point("group_proof", bound=k, serial_step=j,
+                                chains_stripped=strip.chains_stripped,
+                                literals_stripped=strip.literals_stripped)
+        return engine._trim_proof(proof), suffix, 0
 
 
 def _build_suffix_check(engine: UmcEngine, model: Model, init_formula: int,
                         depth: int) -> Unroller:
     """Build the BMC check for a suffix Γ, with frame 0 constrained to a predicate.
 
-    Under the assume-k formulation the original partition A_j also carries
-    the p(V^{j-1}) constraint (Section III); the re-indexed frame 0 of the
+    The fallback of :func:`_suffix_refutation`, on a fresh solver.  Under
+    the assume-k formulation the original partition A_j also carries the
+    p(V^{j-1}) constraint (Section III); the re-indexed frame 0 of the
     suffix plays the role of frame j-1, so that constraint is re-asserted
     here in partition 1.  Without it the suffix would be weaker than the B
     term the previous interpolant was extracted against, and the
@@ -128,8 +188,6 @@ def _build_suffix_check(engine: UmcEngine, model: Model, init_formula: int,
     """
     def initial(unroller: Unroller, formula=init_formula) -> None:
         unroller.assert_formula(formula, frame=0, partition=1)
-
-    from ..bmc.checks import BmcCheckKind
 
     unroller = build_check(engine.options.bmc_check, model, depth,
                            proof_logging=True, initial=initial)
@@ -164,9 +222,9 @@ class SerialItpSeqEngine(ItpSeqEngine):
 
             with self._bound_span(k):
                 # Incremental counterexample search first; on a group-proof
-                # run its stripped UNSAT trace seeds the serial chain, so
-                # only the suffix checks of Fig. 4 build fresh solvers
-                # (base.py).
+                # run its stripped UNSAT trace seeds the serial chain, and
+                # the suffix checks of Fig. 4 share one solver per bound
+                # (compute_serial_sequence).
                 trace = self._search_counterexample(k)
                 if trace is not None:
                     return self._fail(k, trace)

@@ -66,6 +66,7 @@ def extract_sequence(
     cut_var_maps: Mapping[int, Mapping[int, int]],
     aig: Aig,
     system: str = "mcmillan",
+    first_cut: int = 1,
 ) -> InterpolationSequence:
     """Extract a parallel interpolation sequence from one refutation.
 
@@ -83,14 +84,24 @@ def extract_sequence(
         Destination AIG for the interpolant cones.
     system:
         Interpolation system, per :class:`InterpolantBuilder`.
+    first_cut:
+        The first cut to extract; ``cut_var_maps`` then needs the cuts
+        ``first_cut..n-1`` only.  Partitions ``1..first_cut`` together form
+        the first member, so a refutation of a suffix whose labels keep
+        the absolute frame indices of a longer unrolling yields that
+        suffix's sequence.
 
     Returns
     -------
     InterpolationSequence
-        With I₀ = ⊤ and Iₙ = ⊥.
+        With ``n - first_cut + 1`` members: I₀ = ⊤, then for ``i ≥ 1``
+        ``element(i)`` is the interpolant at cut ``first_cut + i - 1``, and
+        the last element is ⊥.
     """
     if num_partitions < 1:
         raise ValueError("need at least one partition")
+    if not 1 <= first_cut <= num_partitions:
+        raise ValueError(f"first cut {first_cut} outside 1..{num_partitions}")
     spans = PartitionSpans.prefix(proof, num_partitions)
     unknown = {p for p in spans.labels if not 1 <= p <= num_partitions}
     if unknown:
@@ -101,7 +112,7 @@ def extract_sequence(
     # (reduced or raw) is shared, only the (A, B) split moves.
     core = RefutationCore(proof, spans)
     elements: List[int] = [TRUE]
-    for j in range(1, num_partitions):
+    for j in range(first_cut, num_partitions):
         var_map = cut_var_maps.get(j)
         if var_map is None:
             raise InterpolationError(f"no cut variable map supplied for cut {j}")

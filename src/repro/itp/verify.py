@@ -95,29 +95,37 @@ def check_sequence_conditions(
     elements: Sequence[int],
     cut_var_maps: Mapping[int, Mapping[int, int]],
     aig: Aig,
+    first_cut: int = 1,
 ) -> bool:
     """Check the Definition 2 chain condition Iᵢ ∧ Aᵢ₊₁ ⇒ Iᵢ₊₁ for all i.
 
     ``elements`` is the full sequence (I₀ … Iₙ); partition ``i+1`` clauses
-    are taken from the proof's original clauses.
+    are taken from the proof's original clauses.  With ``first_cut`` the
+    sequence is the one :func:`repro.itp.sequence.extract_sequence` returns
+    for that argument: its first member is partitions ``1..first_cut``,
+    member ``i+1`` is partition ``first_cut + i``, and element ``i`` sits at
+    cut ``first_cut + i - 1``.
     """
     n = len(elements) - 1
+    max_var = max((abs(l) for node in proof.original_nodes()
+                   for l in node.clause.literals), default=0)
     for i in range(n):
+        members = range(1, first_cut + 1) if i == 0 else (first_cut + i,)
         solver = CdclSolver()
-        max_var = max((abs(l) for node in proof.original_nodes()
-                       for l in node.clause.literals), default=0)
         solver.ensure_var(max_var)
         for node in proof.original_nodes():
-            if node.partition == i + 1:
+            if node.partition in members:
                 solver.add_clause(list(node.clause.literals))
         # Left element at cut i (skip I₀ = ⊤), negated right element at cut i+1
         # (skip Iₙ = ⊥, whose negation is a tautology).
         if i > 0:
-            leaf_map = {lit >> 1: var for var, lit in cut_var_maps[i].items()}
+            leaf_map = {lit >> 1: var
+                        for var, lit in cut_var_maps[first_cut + i - 1].items()}
             left = _encode_predicate(solver, aig, elements[i], leaf_map)
             solver.add_clause([left])
         if i + 1 < n:
-            leaf_map = {lit >> 1: var for var, lit in cut_var_maps[i + 1].items()}
+            leaf_map = {lit >> 1: var
+                        for var, lit in cut_var_maps[first_cut + i].items()}
             right = _encode_predicate(solver, aig, elements[i + 1], leaf_map)
             solver.add_clause([-right])
         else:

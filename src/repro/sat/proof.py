@@ -582,11 +582,12 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
     strip_lits = {-g for g in active}
     stats = ActivationStripStats(nodes_before=len(proof))
     core = set(proof.core_ids(root_id))
+    group_vars = others | active
 
     def is_release_unit(node: ProofNode) -> bool:
         lits = node.clause.literals
         return (node.group is None and len(lits) == 1
-                and -lits[0] in others | active)
+                and -lits[0] in group_vars)
 
     stripped = ResolutionProof()
     for node in proof.nodes_in_order():
