@@ -13,7 +13,7 @@ sequences, sequences + CBA) share:
   by default on a *persistent* per-run :class:`~repro.core.fixpoint.FixpointChecker`
   whose incremental Tseitin encoding pays for each accumulated cone once;
 * the shared *interpolant lifecycle*: refutations are post-processed
-  (core trimming + RecyclePivots, :meth:`UmcEngine._reduced_proof`) before
+  (core trimming + RecyclePivots, :meth:`UmcEngine._trim_proof`) before
   extraction, and every freshly extracted interpolant cone is structurally
   compacted (:meth:`UmcEngine._register_interpolant`) before it enters the
   reachable-set accumulation;
@@ -22,8 +22,12 @@ sequences, sequences + CBA) share:
   :class:`~repro.bmc.incremental.IncrementalUnroller` per engine run that
   extends frame by frame with the outer bound and carries learned clauses,
   activities and phases across bounds;
+* one bound-refutation path (:meth:`UmcEngine._bound_refutation`): the
+  searcher's own refutation, or a fresh proof-logged check with its
+  FAIL, retraction and publish steps;
 * resource accounting (wall-clock budget → *overflow*, per-call conflict
-  budgets) and the uniform :class:`VerificationResult` packaging.
+  budgets, one clause/propagation account for every SAT path) and the
+  uniform :class:`VerificationResult` packaging.
 
 One solve per bound: the search *is* the refutation check
 ---------------------------------------------------------
@@ -49,8 +53,8 @@ design could not label.  The fresh-solver path survives in three roles:
 
 * **fallback** — a stripped chain can depend on a *released* earlier
   depth's group; :meth:`UmcEngine._group_refutation` then returns
-  ``None`` (counted in ``proof_group_fallbacks``) and the engine builds
-  the monolithic check as before;
+  ``None`` (counted in ``proof_group_fallbacks``) and
+  :meth:`UmcEngine._bound_refutation` builds the monolithic check;
 * **reference** — ``--no-group-proof`` restores the two-solve split,
   and the identity tests pin verdicts and k_fp/j_fp bit-identical
   on-vs-off;
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..aig.aig import Aig, lit_is_const, lit_negate
 from ..aig.model import Model
@@ -77,6 +81,7 @@ from ..aig.ops import cone_size
 from ..bmc.cex import Trace
 from ..bmc.checks import BmcCheckKind
 from ..bmc.incremental import IncrementalUnroller
+from ..bmc.unroll import Unroller
 from ..cnf.cnf import Cnf
 from ..cnf.tseitin import TseitinEncoder
 from ..itp.compact import compact_cone
@@ -314,7 +319,20 @@ class UmcEngine:
         result = solver.solve(assumptions=list(assumptions), budget=self._sat_budget())
         self.stats.sat_calls += 1
         self.stats.sat_time += time.monotonic() - started
-        call = solver.last_call_stats
+        self._account_call(solver.last_call_stats)
+        if result is SatResult.UNKNOWN:
+            raise OutOfBudget(self._current_bound)
+        self._check_counter_budgets()
+        return result
+
+    def _account_call(self, call: SolverStats) -> None:
+        """Fold one SAT call's counters into the run's statistics.
+
+        Every SAT path reports here — the engines' own solvers, the
+        persistent fixpoint checker and the one-shot containment solvers —
+        so the deterministic budgets (:meth:`_check_counter_budgets`) see
+        all solver work, containment-check encodings included.
+        """
         self.stats.clauses_added += call.clauses_added
         self.stats.conflicts += call.conflicts
         self.stats.propagations += call.propagations
@@ -322,22 +340,22 @@ class UmcEngine:
                                             call.conflicts)
         if self.tracer.enabled:
             self._sat_call_point(call)
-        if result is SatResult.UNKNOWN:
-            raise OutOfBudget(self._current_bound)
-        # The deterministic budgets: unlike the wall clock, cumulative
-        # solver counters trip at the same query on every machine, so
-        # resource-bounded runs (and their artefacts) stay reproducible.
-        # Clause additions bind on encoding-heavy runs, propagations on
-        # search-heavy ones; both are checked after each completed call
-        # (here and in _implies, whose throwaway solvers feed the same
-        # counters).
+
+    def _check_counter_budgets(self) -> None:
+        """Raise :class:`OutOfBudget` once a cumulative SAT counter is over.
+
+        Unlike the wall clock, cumulative solver counters trip at the same
+        query on every machine, so resource-bounded runs (and their
+        artefacts) stay reproducible.  Clause additions bind on
+        encoding-heavy runs, propagations on search-heavy ones; both are
+        checked after each completed call.
+        """
         if (self.options.max_clauses is not None
                 and self.stats.clauses_added > self.options.max_clauses):
             raise OutOfBudget(self._current_bound)
         if (self.options.max_propagations is not None
                 and self.stats.propagations > self.options.max_propagations):
             raise OutOfBudget(self._current_bound)
-        return result
 
     def _implies(self, antecedent: int, consequent: int) -> bool:
         """Containment check over the engine's AIG, counted in its statistics.
@@ -363,22 +381,14 @@ class UmcEngine:
                 return self._implies_incremental(antecedent, consequent)
             started = time.monotonic()
 
-            def account(solver_stats: SolverStats) -> None:
-                self.stats.clauses_added += solver_stats.clauses_added
-                self.stats.conflicts += solver_stats.conflicts
-                self.stats.propagations += solver_stats.propagations
-                self.stats.max_call_conflicts = max(self.stats.max_call_conflicts,
-                                                    solver_stats.conflicts)
-                if self.tracer.enabled:
-                    self._sat_call_point(solver_stats)
-
             def account_reduction(simp_stats: CnfSimplifyStats) -> None:
                 self.stats.pre_cnf_clauses_eliminated += simp_stats.clauses_eliminated
 
             cnf_config = self.preprocess.cnf_simplify if self.preprocess else None
             try:
                 result = implies(self.aig, antecedent, consequent,
-                                 budget=self._sat_budget(), on_stats=account,
+                                 budget=self._sat_budget(),
+                                 on_stats=self._account_call,
                                  cnf_simplify=cnf_config,
                                  on_reduction=account_reduction)
             except OutOfBudget:
@@ -386,12 +396,7 @@ class UmcEngine:
             finally:
                 self.stats.sat_time += time.monotonic() - started
                 self.stats.sat_calls += 1
-            if (self.options.max_clauses is not None
-                    and self.stats.clauses_added > self.options.max_clauses):
-                raise OutOfBudget(self._current_bound)
-            if (self.options.max_propagations is not None
-                    and self.stats.propagations > self.options.max_propagations):
-                raise OutOfBudget(self._current_bound)
+            self._check_counter_budgets()
             return result
 
     def _implies_incremental(self, antecedent: int, consequent: int) -> bool:
@@ -407,26 +412,14 @@ class UmcEngine:
         finally:
             self.stats.sat_time += time.monotonic() - started
             self.stats.sat_calls += 1
-        # Per-call deltas (including the clauses the encoder streamed in
-        # between solves) — same accounting as _solve on persistent solvers.
-        call = checker.solver.last_call_stats
-        self.stats.clauses_added += call.clauses_added
-        self.stats.conflicts += call.conflicts
-        self.stats.propagations += call.propagations
-        self.stats.max_call_conflicts = max(self.stats.max_call_conflicts,
-                                            call.conflicts)
-        if self.tracer.enabled:
-            self._sat_call_point(call)
+        # Per-call deltas include the clauses the encoder streamed in
+        # between solves.
+        self._account_call(checker.solver.last_call_stats)
         self.stats.fixpoint_encodings_reused += (checker.encodings_reused
                                                  - reused_before)
         if result is SatResult.UNKNOWN:
             raise OutOfBudget(self._current_bound)
-        if (self.options.max_clauses is not None
-                and self.stats.clauses_added > self.options.max_clauses):
-            raise OutOfBudget(self._current_bound)
-        if (self.options.max_propagations is not None
-                and self.stats.propagations > self.options.max_propagations):
-            raise OutOfBudget(self._current_bound)
+        self._check_counter_budgets()
         return result is SatResult.UNSAT
 
     def _shed_fixpoint_groups(self, live_roots: Iterable[int]) -> None:
@@ -473,10 +466,6 @@ class UmcEngine:
             self.tracer.point("proof_trimmed",
                               nodes=reduction.nodes_trimmed)
         return reduced
-
-    def _reduced_proof(self, solver: CdclSolver) -> ResolutionProof:
-        """The refutation interpolation should extract from (fresh-solver path)."""
-        return self._trim_proof(solver.proof())
 
     def _register_interpolant(self, aig: Aig, itp_lit: int) -> int:
         """Compact (if enabled) and account one freshly extracted interpolant.
@@ -564,6 +553,44 @@ class UmcEngine:
                               chains_stripped=strip.chains_stripped,
                               literals_stripped=strip.literals_stripped)
         return self._trim_proof(proof)
+
+    def _bound_refutation(self, k: int
+                          ) -> Union[Tuple[ResolutionProof, Unroller],
+                                     VerificationResult]:
+        """Bound ``k``'s trimmed refutation and the unroller serving its
+        cuts, or the FAIL result; call after a ``None`` search at ``k``.
+
+        The searcher's own trace serves when it can
+        (:meth:`_group_refutation`); otherwise :meth:`_refutation_check`
+        runs on a fresh solver.  That solver saw no foreign fact, so its
+        model is a genuine counterexample and any imports that skipped the
+        search past it are retracted; its UNSAT answer is published as a
+        depth fact.  Refutation and trimming are separate cooperative
+        turns: one bound as a single turn overshoots the turnstile's
+        progress clock on small instances.
+        """
+        proof = self._group_refutation(k)
+        if proof is not None:
+            return proof, self._cex_searcher.unroller
+        self._share_yield()
+        with self.tracer.span("refutation"):
+            unroller = self._refutation_check(k)
+            sat = self._solve(unroller.solver) is SatResult.SAT
+        if sat:
+            depth = self._failure_depth(unroller, k)
+            self._share_check_disagreement(depth)
+            return self._fail(depth, unroller.extract_trace(depth))
+        self._share_publish_depth(k)
+        self._share_yield()
+        return self._trim_proof(unroller.solver.proof()), unroller
+
+    def _refutation_check(self, k: int) -> Unroller:
+        """Build bound ``k``'s proof-logged refutation check, unsolved."""
+        raise NotImplementedError
+
+    def _failure_depth(self, unroller: Unroller, k: int) -> int:
+        """The counterexample depth of a satisfiable refutation check."""
+        return k
 
     def _search_counterexample(self, bound: int) -> Optional[Trace]:
         """Look for a counterexample at ``bound`` on the persistent solver.

@@ -21,7 +21,7 @@ more abstract (larger) interpolants.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional, Union
 
 from ..abstraction.cba import choose_refinement, extend_counterexample
 from ..abstraction.localization import LocalizationAbstraction, property_support_latches
@@ -31,7 +31,6 @@ from ..bmc.checks import BmcCheckKind, build_check
 from ..bmc.incremental import IncrementalUnroller
 from ..sat.types import SatResult
 from ..share.lemma import Lemma
-from .base import OutOfBudget, initial_states_predicate
 from .itpseq_engine import ItpSeqEngine
 from .result import VerificationResult
 from .sitpseq_engine import compute_serial_sequence
@@ -46,7 +45,7 @@ class ItpSeqCbaEngine(ItpSeqEngine):
 
     stat_groups = ("solver", "preprocess", "lifecycle", "cba", "share")
 
-    def _run(self) -> VerificationResult:
+    def _prepare_bounds(self) -> None:
         # Persistent incremental searchers: one on the current abstract model
         # (rebuilt whenever a refinement changes the model) and one exact-mode
         # unroller on the concrete model shared by every EXTEND query.
@@ -54,51 +53,30 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         self._abstract_searcher_key: Optional[LocalizationAbstraction] = None
         self._extend_searcher: Optional[IncrementalUnroller] = None
 
-        trace = self._depth_zero_trace()
-        if trace is not None:
-            return self._fail(0, trace)
-
         if self.options.cba_initial_visible == "property":
             visible = property_support_latches(self.model)
         else:
             visible = set()
-        abstraction = LocalizationAbstraction(self.model, visible)
+        self._abstraction = LocalizationAbstraction(self.model, visible)
+        self.stats.abstract_latches = self._abstraction.num_visible
+
+    def _bound_elements(self, k: int) -> Union[List[int], VerificationResult]:
+        """Refine until bound ``k`` is abstractly UNSAT, then Fig. 4 on the
+        abstract model, translated to the concrete AIG."""
+        refined = self._refinement_loop(self._abstraction, k)
+        if isinstance(refined, VerificationResult):
+            return refined
+        abstraction, proof, unroller = refined
+        self._abstraction = abstraction
         self.stats.abstract_latches = abstraction.num_visible
-
-        init_predicate = initial_states_predicate(self.model)
-        columns: Dict[int, int] = {}
-
-        k = 0
-        while k < self.options.max_bound:
-            k += 1
-            self._share_sync(k)
-            self._current_bound = k
-            self._check_budget()
-
-            with self._bound_span(k):
-                refined = self._refinement_loop(abstraction, k)
-                if isinstance(refined, VerificationResult):
-                    return refined
-                abstraction, proof, unroller = refined
-                self.stats.abstract_latches = abstraction.num_visible
-                # The abstract model over-approximates the concrete one,
-                # so an abstract bound-k refutation is a concrete "no
-                # counterexample up to k" fact — exportable as-is.
-                self._share_publish_depth(k)
-
-                abstract_model = abstraction.abstract_model
-                with self.tracer.span("itp_extract"):
-                    elements_abs = compute_serial_sequence(self, abstract_model,
-                                                           k, proof, unroller)
-                    elements = self._translate_elements(abstraction,
-                                                        elements_abs)
-
-                outcome = self._update_columns(columns, elements, k,
-                                               init_predicate)
-            if outcome is not None:
-                return outcome
-        return self._unknown(self.options.max_bound,
-                             "bound limit reached without convergence")
+        # The abstract model over-approximates the concrete one, so an
+        # abstract bound-k refutation is a concrete "no counterexample up
+        # to k" fact — exportable as-is.
+        self._share_publish_depth(k)
+        with self.tracer.span("itp_extract"):
+            elements_abs = compute_serial_sequence(
+                self, abstraction.abstract_model, k, proof, unroller)
+            return self._translate_elements(abstraction, elements_abs)
 
     # ------------------------------------------------------------------ #
     # Import policy
@@ -171,7 +149,8 @@ class ItpSeqCbaEngine(ItpSeqEngine):
                                            proof_logging=True)
                     result = self._solve(unroller.solver)
                 if result is SatResult.UNSAT:
-                    return abstraction, self._reduced_proof(unroller.solver), unroller
+                    proof = self._trim_proof(unroller.solver.proof())
+                    return abstraction, proof, unroller
                 raise RuntimeError(  # pragma: no cover - defensive
                     "incremental and monolithic abstract checks disagree")
             self.stats.sat_calls += 1
@@ -205,7 +184,7 @@ class ItpSeqCbaEngine(ItpSeqEngine):
                     for conc_var, abs_var in abstraction.latch_map.items()}
         mapper = LiteralMapper(abstract_aig, self.aig, leaf_map)
         translated: List[int] = []
-        for index, element in enumerate(elements_abs):
+        for element in elements_abs:
             if element in (TRUE, FALSE):
                 translated.append(element)
                 continue

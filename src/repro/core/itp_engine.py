@@ -82,49 +82,21 @@ class ItpEngine(UmcEngine):
 
         # On a group-proof run the searcher unrolls bound-k itself
         # (_cex_check_kind), so its stripped UNSAT trace is the first inner
-        # iteration's refutation and the fresh solve below is skipped; the
-        # rebuilds with interpolant initial states (j ≥ 2) always run fresh.
-        group_proof = self._group_refutation(k)
-        unroller: Optional[Unroller] = None
-        if group_proof is None:
-            self._share_yield()
-            # Build the proof-logged bound-k check on a fresh solver.  After
-            # an UNSAT incremental search the solve is guaranteed UNSAT and
-            # runs only to record the labelled refutation interpolation
-            # needs (see repro.core.base).
-            with self.tracer.span("refutation"):
-                unroller = self._build_check(k, init_formula=None)
-                sat = self._solve(unroller.solver) is SatResult.SAT
-            if sat:
-                # The proof-logged bound check saw no foreign clause, so its
-                # counterexample is genuine; any imports that skipped the
-                # incremental search past it get retracted.
-                depth = self._failure_depth(unroller, k)
-                self._share_check_disagreement(depth)
-                return self._fail(depth, unroller.extract_trace(depth))
-            # The bound-k check forbids a failure at any frame 1..k, so its
-            # refutation is exactly a "no counterexample up to k" fact.
-            self._share_publish_depth(k)
+        # iteration's refutation; the rebuilds with interpolant initial
+        # states (j ≥ 2) always run fresh.  The bound-k check forbids a
+        # failure at any frame 1..k, so its refutation is exactly the "no
+        # counterexample up to k" fact _bound_refutation publishes.
+        refuted = self._bound_refutation(k)
+        if isinstance(refuted, VerificationResult):
+            return refuted
+        proof, unroller = refuted
 
         reached = init_predicate  # R_{j-1}
-        current_init = None       # interpolant used as the next initial states
-
         j = 0
         while True:
             j += 1
-            # One refinement step per cooperative turn: without this the
-            # whole inner loop (often the entire run, at k=1) would occupy
-            # a single turnstile turn and starve the progress clock.
-            self._share_yield()
-            if group_proof is not None:
-                proof = group_proof
-                cut_map = self._cex_searcher.unroller.cut_var_map(1)
-                group_proof = None
-            else:
-                proof = self._reduced_proof(unroller.solver)
-                cut_map = unroller.cut_var_map(1)
             with self.tracer.span("itp_extract"):
-                builder = InterpolantBuilder(self.aig, cut_map,
+                builder = InterpolantBuilder(self.aig, unroller.cut_var_map(1),
                                              system=self.options.itp_system)
                 itp = builder.extract(proof, a_partitions=[1])
                 itp = self._register_interpolant(self.aig, itp)
@@ -132,19 +104,26 @@ class ItpEngine(UmcEngine):
             if self._implies(itp, reached):
                 return self._pass(k, j)
             reached = self.aig.op_or(reached, itp)
-            current_init = itp
 
             with self.tracer.span("refutation"):
-                unroller = self._build_check(k, init_formula=current_init)
+                unroller = self._build_check(k, init_formula=itp)
                 sat = self._solve(unroller.solver) is SatResult.SAT
             if sat:
                 # Spurious (the initial set is an over-approximation): retry
                 # with a longer unrolling.
                 return None
+            # One refinement step per cooperative turn: without this the
+            # whole inner loop (often the entire run, at k=1) would occupy
+            # a single turnstile turn and starve the progress clock.
+            self._share_yield()
+            proof = self._trim_proof(unroller.solver.proof())
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _refutation_check(self, k: int) -> Unroller:
+        return self._build_check(k, init_formula=None)
+
     def _build_check(self, k: int, init_formula: Optional[int]) -> Unroller:
         if init_formula is None:
             initial = None

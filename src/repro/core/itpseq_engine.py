@@ -18,12 +18,13 @@ property.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Union
 
 from ..aig.aig import TRUE
 from ..bmc.checks import build_check
+from ..bmc.unroll import Unroller
 from ..itp.sequence import extract_sequence
-from ..sat.types import SatResult
+from ..sat.proof import ResolutionProof
 from .base import UmcEngine, initial_states_predicate
 from .result import VerificationResult
 
@@ -36,9 +37,12 @@ class ItpSeqEngine(UmcEngine):
     name = "itpseq"
 
     def _run(self) -> VerificationResult:
+        """The bound loop of Fig. 2, shared by every sequence engine; they
+        differ only in :meth:`_bound_elements`."""
         trace = self._depth_zero_trace()
         if trace is not None:
             return self._fail(0, trace)
+        self._prepare_bounds()
 
         init_predicate = initial_states_predicate(self.model)
         columns: Dict[int, int] = {}
@@ -52,57 +56,47 @@ class ItpSeqEngine(UmcEngine):
             self._check_budget()
 
             with self._bound_span(k):
-                # Counterexample search on the persistent incremental solver;
-                # on a group-proof run its UNSAT trace, stripped, *is* the
-                # refutation, and the fresh proof-logged solve is skipped.
-                trace = self._search_counterexample(k)
-                if trace is not None:
-                    return self._fail(k, trace)
-
-                proof = self._group_refutation(k)
-                if proof is not None:
-                    cut_unroller = self._cex_searcher.unroller
-                else:
-                    # Fresh-solver fallback/reference path: search, refutation
-                    # and extraction are separate cooperative turns — one
-                    # bound as a single turn overshoots the turnstile's
-                    # progress clock on small instances.
-                    self._share_yield()
-                    with self.tracer.span("refutation"):
-                        unroller = build_check(self.options.bmc_check,
-                                               self.model, k,
-                                               proof_logging=True)
-                        sat = self._solve(unroller.solver) is SatResult.SAT
-                    if sat:
-                        # The proof-logged solver saw no foreign clause: its
-                        # model is a genuine counterexample.  If the
-                        # share-aware search skipped or refuted this bound,
-                        # the imports were wrong — retract them (the verdict
-                        # stands either way).
-                        self._share_check_disagreement(k)
-                        return self._fail(k, unroller.extract_trace(k))
-                    self._share_publish_depth(k)
-
-                    self._share_yield()
-                    proof = self._reduced_proof(unroller.solver)
-                    cut_unroller = unroller
-                with self.tracer.span("itp_extract"):
-                    cut_maps = {j: cut_unroller.cut_var_map(j)
-                                for j in range(1, k + 1)}
-                    sequence = extract_sequence(proof, k + 1, cut_maps,
-                                                self.aig,
-                                                system=self.options.itp_system)
-                    elements = list(sequence.elements)
-                    for j in range(1, k + 1):
-                        elements[j] = self._register_interpolant(self.aig,
-                                                                 elements[j])
-
+                elements = self._bound_elements(k)
+                if isinstance(elements, VerificationResult):
+                    return elements
                 outcome = self._update_columns(columns, elements, k,
                                                init_predicate)
             if outcome is not None:
                 return outcome
         return self._unknown(self.options.max_bound,
                              "bound limit reached without convergence")
+
+    def _prepare_bounds(self) -> None:
+        """Per-run setup between the depth-0 check and bound 1 (none here)."""
+
+    def _bound_elements(self, k: int) -> Union[List[int], VerificationResult]:
+        """The sequence I^k_0..k+1 of bound ``k``, or its FAIL result."""
+        # Counterexample search on the persistent incremental solver; on a
+        # group-proof run its UNSAT trace, stripped, *is* the refutation.
+        trace = self._search_counterexample(k)
+        if trace is not None:
+            return self._fail(k, trace)
+        refuted = self._bound_refutation(k)
+        if isinstance(refuted, VerificationResult):
+            return refuted
+        proof, unroller = refuted
+        with self.tracer.span("itp_extract"):
+            return self._extract_elements(k, proof, unroller)
+
+    def _refutation_check(self, k: int) -> Unroller:
+        return build_check(self.options.bmc_check, self.model, k,
+                           proof_logging=True)
+
+    def _extract_elements(self, k: int, proof: ResolutionProof,
+                          unroller: Unroller) -> List[int]:
+        """Eq. (2): every element from the one refutation."""
+        cut_maps = {j: unroller.cut_var_map(j) for j in range(1, k + 1)}
+        sequence = extract_sequence(proof, k + 1, cut_maps, self.aig,
+                                    system=self.options.itp_system)
+        elements = list(sequence.elements)
+        for j in range(1, k + 1):
+            elements[j] = self._register_interpolant(self.aig, elements[j])
+        return elements
 
     # ------------------------------------------------------------------ #
     # Matrix column update and fixed-point detection (shared with CBA)

@@ -122,8 +122,9 @@ class EngineOptions:
         not depend on this toggle: they always run on one proof-logged
         :class:`~repro.bmc.incremental.SuffixUnroller` per bound, with a
         fresh suffix solver only as the per-step fallback.  Suspended while
-        a share port is attached (foreign clauses must never enter a
-        proof).  On by default; disable with ``--no-group-proof`` to
+        a share port is attached, for cost: a search a foreign depth fact
+        skips would come back as a fresh proof-logged solve (see
+        ``UmcEngine._group_proof_active``).  On by default; disable with ``--no-group-proof`` to
         restore the two-solves-per-bound split.
     """
 

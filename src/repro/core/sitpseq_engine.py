@@ -30,12 +30,12 @@ step falls back to a fresh solver for that step alone
 (``proof_group_fallbacks``).
 
 The verification loop around the sequence is identical to Fig. 2 and is
-inherited from :class:`ItpSeqEngine`.
+inherited from :class:`ItpSeqEngine`; only the extraction step differs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..aig.aig import FALSE, TRUE
 from ..aig.model import Model
@@ -48,7 +48,6 @@ from ..sat.proof import ActivationDependencyError, ResolutionProof
 from ..sat.types import SatResult
 from .base import UmcEngine
 from .itpseq_engine import ItpSeqEngine
-from .result import VerificationResult
 
 __all__ = ["SerialItpSeqEngine", "compute_serial_sequence"]
 
@@ -165,7 +164,8 @@ def _suffix_refutation(
             if engine._solve(unroller.solver) is not SatResult.UNSAT:
                 raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
                                    "satisfiable")
-            return engine._reduced_proof(unroller.solver), unroller, j - 1
+            return (engine._trim_proof(unroller.solver.proof()), unroller,
+                    j - 1)
         engine.stats.proof_chains_stripped += strip.chains_stripped
         if engine.tracer.enabled:
             engine.tracer.point("group_proof", bound=k, serial_step=j,
@@ -201,62 +201,7 @@ class SerialItpSeqEngine(ItpSeqEngine):
 
     name = "sitpseq"
 
-    def _run(self) -> VerificationResult:
-        trace = self._depth_zero_trace()
-        if trace is not None:
-            return self._fail(0, trace)
-
-        from .base import initial_states_predicate
-
-        init_predicate = initial_states_predicate(self.model)
-        columns: Dict[int, int] = {}
-
-        k = 0
-        while k < self.options.max_bound:
-            k += 1
-            # Same bound-boundary lemma exchange as the parallel engine
-            # (see ItpSeqEngine._run).
-            self._share_sync(k)
-            self._current_bound = k
-            self._check_budget()
-
-            with self._bound_span(k):
-                # Incremental counterexample search first; on a group-proof
-                # run its stripped UNSAT trace seeds the serial chain, and
-                # the suffix checks of Fig. 4 share one solver per bound
-                # (compute_serial_sequence).
-                trace = self._search_counterexample(k)
-                if trace is not None:
-                    return self._fail(k, trace)
-
-                proof = self._group_refutation(k)
-                if proof is not None:
-                    cut_unroller = self._cex_searcher.unroller
-                else:
-                    # Separate turns for search / refutation / extraction, as
-                    # in the parallel engine.
-                    self._share_yield()
-                    with self.tracer.span("refutation"):
-                        unroller = build_check(self.options.bmc_check,
-                                               self.model, k,
-                                               proof_logging=True)
-                        sat = self._solve(unroller.solver) is SatResult.SAT
-                    if sat:
-                        # Lemma-free proof-logged check is authoritative; see
-                        # ItpSeqEngine._run.
-                        self._share_check_disagreement(k)
-                        return self._fail(k, unroller.extract_trace(k))
-                    self._share_publish_depth(k)
-
-                    self._share_yield()
-                    proof = self._reduced_proof(unroller.solver)
-                    cut_unroller = unroller
-                with self.tracer.span("itp_extract"):
-                    elements = compute_serial_sequence(self, self.model, k,
-                                                       proof, cut_unroller)
-                outcome = self._update_columns(columns, elements, k,
-                                               init_predicate)
-            if outcome is not None:
-                return outcome
-        return self._unknown(self.options.max_bound,
-                             "bound limit reached without convergence")
+    def _extract_elements(self, k: int, proof: ResolutionProof,
+                          unroller: Unroller) -> List[int]:
+        """Fig. 4: the serial chain seeded by the bound's refutation."""
+        return compute_serial_sequence(self, self.model, k, proof, unroller)
