@@ -12,6 +12,7 @@ import pytest
 
 from budgets import CLAUSE_BUDGET, PROP_BUDGET
 from repro.circuits import full_suite, quick_suite
+from repro.core import EngineOptions
 from repro.harness import (
     HarnessConfig,
     ExperimentRunner,
@@ -22,9 +23,10 @@ from repro.harness import (
 
 pytestmark = pytest.mark.benchmark(group="fig6")
 
-_CONFIG = HarnessConfig(time_limit=None, max_bound=25,
-                        max_clauses=CLAUSE_BUDGET,
-                        max_propagations=PROP_BUDGET, run_bdds=False)
+_CONFIG = HarnessConfig(options=EngineOptions(max_bound=25,
+                                              max_clauses=CLAUSE_BUDGET,
+                                              max_propagations=PROP_BUDGET),
+                        run_bdds=False)
 
 
 def _run(instances, jobs, config=_CONFIG):

@@ -27,9 +27,10 @@ from repro.harness import (
 
 pytestmark = pytest.mark.benchmark(group="parallel")
 
-_CONFIG = HarnessConfig(time_limit=None, max_bound=25,
-                        max_clauses=CLAUSE_BUDGET,
-                        max_propagations=PROP_BUDGET, run_bdds=False)
+_CONFIG = HarnessConfig(options=EngineOptions(max_bound=25,
+                                              max_clauses=CLAUSE_BUDGET,
+                                              max_propagations=PROP_BUDGET),
+                        run_bdds=False)
 
 
 def test_parallel_harness_identity(benchmark, save_artifact, save_timing, jobs):

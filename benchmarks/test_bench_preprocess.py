@@ -95,10 +95,9 @@ def test_preprocess_identity_on_quick_suite(benchmark, save_artifact, jobs):
     def run_both():
         records = {}
         for preprocess in (True, False):
-            config = HarnessConfig(time_limit=None, max_bound=25,
-                                   max_clauses=CLAUSE_BUDGET,
-                                   max_propagations=PROP_BUDGET,
-                                   run_bdds=False, preprocess=preprocess)
+            config = HarnessConfig(
+                options=EngineOptions(preprocess=preprocess, **_OPTIONS),
+                run_bdds=False)
             records[preprocess] = ExperimentRunner(config).run_suite(
                 quick_suite(), jobs=jobs)
         return records
@@ -115,7 +114,8 @@ def test_preprocess_identity_on_quick_suite(benchmark, save_artifact, jobs):
                 assert on_record.k_fp == off_record.k_fp, (with_pre.name, engine)
             rows.append([with_pre.name, engine, on_record.verdict,
                          on_record.k_fp, off_record.k_fp,
-                         on_record.clauses_added, off_record.clauses_added])
+                         on_record.stats.clauses_added,
+                         off_record.stats.clauses_added])
     save_artifact("preprocess_identity_quick.txt", format_table(
         ["instance", "engine", "verdict", "k(pre)", "k(raw)",
          "clauses(pre)", "clauses(raw)"],

@@ -20,13 +20,14 @@ import pytest
 
 from budgets import CLAUSE_BUDGET, PROP_BUDGET
 from repro.circuits import academic_suite, get_instance, industrial_suite
+from repro.core import EngineOptions
 from repro.harness import HarnessConfig, ExperimentRunner, render_table1
 
 pytestmark = pytest.mark.benchmark(group="table1")
 
-_CONFIG = HarnessConfig(time_limit=None, max_bound=25,
-                        max_clauses=CLAUSE_BUDGET,
-                        max_propagations=PROP_BUDGET,
+_CONFIG = HarnessConfig(options=EngineOptions(max_bound=25,
+                                              max_clauses=CLAUSE_BUDGET,
+                                              max_propagations=PROP_BUDGET),
                         bdd_node_limit=200_000, bdd_time_limit=None)
 
 

@@ -21,6 +21,7 @@ import os
 import sys
 
 from repro.circuits import full_suite, quick_suite
+from repro.core import EngineOptions
 from repro.harness import (
     ExperimentRunner,
     HarnessConfig,
@@ -72,8 +73,9 @@ def main() -> None:
 
     jobs = args.jobs  # 0 = all cores, resolved downstream by resolve_jobs
     if run_table or run_curves:
-        config = HarnessConfig(time_limit=args.time_limit, max_bound=args.max_bound,
-                               run_bdds=run_table)
+        options = EngineOptions(time_limit=args.time_limit,
+                                max_bound=args.max_bound)
+        config = HarnessConfig(options=options, run_bdds=run_table)
         print(f"running {len(instances)} instances x 5 engines "
               f"(jobs={args.jobs or 'all cores'}) ...", file=sys.stderr)
         records = ExperimentRunner(config).run_suite(instances, progress=_progress,

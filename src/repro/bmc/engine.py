@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..aig.model import Model
+from ..core.result import SPAN_COUNTERS, STAT_GROUPS, EngineStats
 from ..sat.solver import CdclSolver
 from ..sat.types import Budget, SatResult, SolverStats
 from .cex import Trace
@@ -41,6 +42,9 @@ __all__ = ["BmcResult", "BmcEngine"]
 
 _log = logging.getLogger("repro.bmc.engine")
 
+#: What the span tracer samples: the SAT counters plus the sharing ones.
+_SPAN_COUNTERS = SPAN_COUNTERS + STAT_GROUPS["share"]
+
 
 @dataclass
 class BmcResult:
@@ -50,8 +54,7 @@ class BmcResult:
     (no failure up to ``max_depth``) or ``"unknown"`` (resource limit hit).
     ``clause_additions`` / ``conflicts`` aggregate the solver work across
     the whole run (all solvers in fresh-solver mode, the single persistent
-    one in incremental mode); ``per_depth_clauses`` attributes the clause
-    additions to the depth whose check triggered them.
+    one in incremental mode).
     """
 
     status: str
@@ -60,10 +63,8 @@ class BmcResult:
     checked_depth: int = 0
     sat_calls: int = 0
     time_seconds: float = 0.0
-    per_depth_times: Dict[int, float] = field(default_factory=dict)
     clause_additions: int = 0
     conflicts: int = 0
-    per_depth_clauses: Dict[int, int] = field(default_factory=dict)
 
     @property
     def is_failure(self) -> bool:
@@ -93,12 +94,10 @@ class BmcEngine:
         from ..obs.tracer import NULL_TRACER
 
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Live counter snapshot sampled by the tracer on span boundaries.
-        self._counters = {"sat_calls": 0, "clauses_added": 0,
-                          "conflicts": 0, "propagations": 0,
-                          "lemmas_tx": 0, "lemmas_rx": 0,
-                          "lemmas_retracted": 0, "share_solves_skipped": 0}
-        self.tracer.bind_counters(lambda: self._counters)
+        #: Counters accumulated over every run of this engine (the SAT and
+        #: sharing ones; the rest stay 0).
+        self.stats = EngineStats()
+        self.tracer.bind_counters(lambda: self.stats.sample(_SPAN_COUNTERS))
         self.source_model = model
         self._preprocess = None
         self._preprocess_seconds = 0.0
@@ -160,13 +159,13 @@ class BmcEngine:
             if self._share_validator is not None:
                 reason = self._share_validator.reject_reason(shared.lemma)
                 if reason is not None:
-                    self._counters["lemmas_retracted"] += 1
+                    self.stats.lemmas_retracted += 1
                     if self.tracer.enabled:
                         self.tracer.point("share_reject", seq=shared.seq,
                                           reason=reason)
                     continue
             self._share_depth = max(self._share_depth, shared.lemma.depth)
-            self._counters["lemmas_rx"] += 1
+            self.stats.lemmas_rx += 1
             accepted.append(shared.seq)
         if accepted:
             self.share.commit(depth, accepted)
@@ -178,14 +177,7 @@ class BmcEngine:
 
         self._share_published_depth = depth
         self.share.publish(DepthLemma(depth=depth))
-        self._counters["lemmas_tx"] += 1
-
-    def check_initial_states(self) -> Optional[Trace]:
-        """Return a depth-0 counterexample when an initial state is already bad."""
-        trace, _ = self._initial_check()
-        if trace is None:
-            return None
-        return self._finish_trace(trace)
+        self.stats.lemmas_tx += 1
 
     def _initial_check(self) -> tuple:
         """Depth-0 check on a throwaway solver; returns ``(trace, stats)``."""
@@ -230,14 +222,13 @@ class BmcEngine:
             # Depth 0 (the initial-states check) runs unconditionally and
             # unbudgeted, mirroring the fresh-solver mode.
             remaining = None
-            depth_start = time.monotonic()
             if depth > 0:
                 self._share_sync(depth)
                 if depth <= self._share_depth:
                     # A foreign "no counterexample ≤ d" fact covers this
                     # depth: skip its solve and defer its frame encoding
                     # (extend_to below catches up at the next live depth).
-                    self._counters["share_solves_skipped"] += 1
+                    self.stats.share_solves_skipped += 1
                     result.checked_depth = depth
                     if self.tracer.enabled:
                         self.tracer.point("share_skip", bound=depth)
@@ -260,8 +251,7 @@ class BmcEngine:
                 with self.tracer.span("cex_search"):
                     answer = unroller.solve(budget=budget)
                     result.sat_calls += 1
-                    self._account(result, depth, unroller.last_call_stats)
-                result.per_depth_times[depth] = time.monotonic() - depth_start
+                    self._account(result, unroller.last_call_stats)
                 if answer is SatResult.UNKNOWN:
                     result.status = "unknown"
                     result.checked_depth = depth - 1
@@ -288,7 +278,7 @@ class BmcEngine:
 
         trace, initial_stats = self._initial_check()
         result.sat_calls += 1
-        self._account(result, 0, initial_stats)
+        self._account(result, initial_stats)
         if trace is not None:
             result.status = "fail"
             result.depth = 0
@@ -304,7 +294,6 @@ class BmcEngine:
                     result.status = "unknown"
                     result.checked_depth = depth - 1
                     break
-            depth_start = time.monotonic()
             with self.tracer.span("bound", bound=depth):
                 with self.tracer.span("cex_search"):
                     unroller = build_check(self.check_kind, self.model, depth,
@@ -313,8 +302,7 @@ class BmcEngine:
                                     max_time=remaining)
                     answer = unroller.solver.solve(budget=budget)
                     result.sat_calls += 1
-                    self._account(result, depth, unroller.solver.stats)
-                result.per_depth_times[depth] = time.monotonic() - depth_start
+                    self._account(result, unroller.solver.stats)
                 if answer is SatResult.UNKNOWN:
                     result.status = "unknown"
                     result.checked_depth = depth - 1
@@ -333,19 +321,18 @@ class BmcEngine:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _account(self, result: BmcResult, depth: int,
-                 stats: SolverStats) -> None:
-        result.clause_additions += stats.clauses_added
-        result.conflicts += stats.conflicts
-        result.per_depth_clauses[depth] = stats.clauses_added
-        self._counters["sat_calls"] += 1
-        self._counters["clauses_added"] += stats.clauses_added
-        self._counters["conflicts"] += stats.conflicts
-        self._counters["propagations"] += stats.propagations
+    def _account(self, result: BmcResult, call: SolverStats) -> None:
+        result.clause_additions += call.clauses_added
+        result.conflicts += call.conflicts
+        stats = self.stats
+        stats.sat_calls += 1
+        stats.clauses_added += call.clauses_added
+        stats.conflicts += call.conflicts
+        stats.propagations += call.propagations
         if self.tracer.enabled:
-            self.tracer.point("sat_call", conflicts=stats.conflicts,
-                              propagations=stats.propagations,
-                              clauses_added=stats.clauses_added)
+            self.tracer.point("sat_call", conflicts=call.conflicts,
+                              propagations=call.propagations,
+                              clauses_added=call.clauses_added)
 
     def _finish_trace(self, trace: Trace) -> Trace:
         """Lift a (possibly reduced-model) trace back and validate it."""

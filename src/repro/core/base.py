@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from ..aig.aig import Aig, lit_is_const, lit_negate
 from ..aig.model import Model
@@ -96,7 +96,7 @@ from ..share.bus import SharePort
 from ..share.lemma import DepthLemma, Lemma, model_fingerprint
 from .fixpoint import FixpointChecker
 from .options import EngineOptions
-from .result import EngineStats, Verdict, VerificationResult
+from .result import SPAN_COUNTERS, EngineStats, Verdict, VerificationResult
 
 __all__ = ["OutOfBudget", "initial_states_predicate", "implies", "UmcEngine"]
 
@@ -227,7 +227,7 @@ class UmcEngine:
         #: stats object is transparent to open spans.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = EngineStats()
-        self.tracer.bind_counters(self._counter_sample)
+        self.tracer.bind_counters(lambda: self.stats.sample(SPAN_COUNTERS))
         #: Pipeline outcome when preprocessing ran (None otherwise); carries
         #: the ModelMap that lifts reduced-model traces back (see _fail).
         self.preprocess: Optional[PreprocessResult] = None
@@ -270,14 +270,6 @@ class UmcEngine:
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def _counter_sample(self) -> Dict[str, int]:
-        """The deterministic counters span deltas are computed from."""
-        stats = self.stats
-        return {"sat_calls": stats.sat_calls,
-                "clauses_added": stats.clauses_added,
-                "conflicts": stats.conflicts,
-                "propagations": stats.propagations}
-
     def _bound_span(self, bound: int):
         """The per-bound structural span (mirrored as a DEBUG log line)."""
         if _log.isEnabledFor(logging.DEBUG):

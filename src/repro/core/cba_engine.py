@@ -37,6 +37,9 @@ from .sitpseq_engine import compute_serial_sequence
 
 __all__ = ["ItpSeqCbaEngine"]
 
+#: Maximum number of latches re-introduced per refinement step.
+REFINE_BATCH = 4
+
 
 class ItpSeqCbaEngine(ItpSeqEngine):
     """Serial interpolation sequences + counterexample-based abstraction (Fig. 5)."""
@@ -53,11 +56,10 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         self._abstract_searcher_key: Optional[LocalizationAbstraction] = None
         self._extend_searcher: Optional[IncrementalUnroller] = None
 
-        if self.options.cba_initial_visible == "property":
-            visible = property_support_latches(self.model)
-        else:
-            visible = set()
-        self._abstraction = LocalizationAbstraction(self.model, visible)
+        # The initial abstraction keeps the latches in the property's
+        # combinational support visible.
+        self._abstraction = LocalizationAbstraction(
+            self.model, property_support_latches(self.model))
         self.stats.abstract_latches = self._abstraction.num_visible
 
     def _bound_elements(self, k: int) -> Union[List[int], VerificationResult]:
@@ -165,8 +167,7 @@ class ItpSeqCbaEngine(ItpSeqEngine):
                 # Cannot happen: with every latch visible the abstract model is
                 # the concrete model, whose counterexamples always extend.
                 raise RuntimeError("spurious counterexample on a total abstraction")
-            latches = choose_refinement(abstraction, extension,
-                                        self.options.cba_refine_batch)
+            latches = choose_refinement(abstraction, extension, REFINE_BATCH)
             abstraction = abstraction.refine(latches)
             self.stats.refinements += 1
             if self.tracer.enabled:

@@ -60,21 +60,6 @@ class EngineOptions:
         Serialisation ratio for serial interpolation sequences (Fig. 4).
     validate_traces:
         Replay counterexamples on the concrete model before reporting FAIL.
-    cba_initial_visible:
-        Initial abstraction for the CBA engine: ``"property"`` keeps the
-        latches in the combinational support of the property, ``"none"``
-        abstracts every latch.
-    cba_refine_batch:
-        Maximum number of latches re-introduced per refinement step.
-    pdr_gen_budget:
-        PDR inductive generalization: maximum number of *failed*
-        literal-drop attempts per blocked cube (successful drops are free);
-        0 disables generalization beyond the UNSAT-core shrink.
-    pdr_push_period:
-        PDR clause pushing: run the propagation phase only every N frame
-        openings (1, the default, pushes after every frame as the standard
-        algorithm does; larger values trade later fixpoint detection for
-        fewer push queries).
     preprocess:
         Run the model-preprocessing pipeline (:mod:`repro.preprocess`)
         before encoding anything: cone-of-influence reduction, stuck-latch
@@ -137,10 +122,6 @@ class EngineOptions:
     itp_system: str = "mcmillan"
     alpha_s: float = 0.5
     validate_traces: bool = True
-    cba_initial_visible: str = "property"
-    cba_refine_batch: int = 4
-    pdr_gen_budget: int = 32
-    pdr_push_period: int = 1
     preprocess: bool = True
     preprocess_passes: Optional[Tuple[str, ...]] = None
     proof_reduce: bool = True
@@ -159,19 +140,9 @@ class EngineOptions:
             raise ValueError("max_bound must be at least 1")
         if self.itp_system not in ("mcmillan", "pudlak"):
             raise ValueError(f"unknown interpolation system {self.itp_system!r}")
-        if self.cba_initial_visible not in ("property", "none"):
-            raise ValueError(
-                f"cba_initial_visible must be 'property' or 'none', "
-                f"got {self.cba_initial_visible!r}")
-        if self.cba_refine_batch < 1:
-            raise ValueError("cba_refine_batch must be at least 1")
         if self.max_clauses is not None and self.max_clauses < 1:
             raise ValueError("max_clauses must be at least 1 (or None)")
         if self.max_propagations is not None and self.max_propagations < 1:
             raise ValueError("max_propagations must be at least 1 (or None)")
-        if self.pdr_gen_budget < 0:
-            raise ValueError("pdr_gen_budget must be non-negative")
-        if self.pdr_push_period < 1:
-            raise ValueError("pdr_push_period must be at least 1")
         if self.preprocess_passes is not None:
             self.preprocess_passes = validate_pass_names(self.preprocess_passes)

@@ -27,10 +27,10 @@ Contract with the rest of the system:
   path (PDR needs no interpolants), so unlike its four siblings it builds
   no fresh solver per bound at all.
 
-Knobs (:class:`~repro.core.options.EngineOptions`): ``pdr_gen_budget``
-bounds the failed literal-drop attempts per generalization,
-``pdr_push_period`` runs the clause-pushing phase only every N frame
-openings (1 = after every frame, the default and the standard algorithm).
+The engine reads only the shared :class:`~repro.core.options.EngineOptions`
+(bound, budgets, preprocessing, trace validation).  Generalization is
+bounded by the module constant :data:`GEN_BUDGET`, and clause pushing runs
+after every frame opening, as the standard algorithm does.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ from .base import UmcEngine
 from .result import VerificationResult
 
 __all__ = ["PdrEngine"]
+
+#: Inductive generalization: the maximum number of *failed* literal-drop
+#: attempts per blocked cube (successful drops are free).
+GEN_BUDGET = 32
 
 
 class PdrEngine(UmcEngine):
@@ -88,13 +92,11 @@ class PdrEngine(UmcEngine):
                 # F_k is clear of bad states and F_i ⊇ Reach≤i, so no
                 # counterexample of length ≤ k exists.
                 self._share_publish_depth(k)
-                if (k % self.options.pdr_push_period == 0
-                        or k == self.options.max_bound):
-                    with self.tracer.span("propagate"):
-                        fixpoint = frames.propagate()
-                    self.stats.clauses_pushed = frames.clauses_pushed
-                    if fixpoint is not None:
-                        return self._pass(k, fixpoint)
+                with self.tracer.span("propagate"):
+                    fixpoint = frames.propagate()
+                self.stats.clauses_pushed = frames.clauses_pushed
+                if fixpoint is not None:
+                    return self._pass(k, fixpoint)
             k = frames.add_level()
         return self._unknown(self.options.max_bound,
                              "frame limit reached without convergence")
@@ -165,7 +167,7 @@ class PdrEngine(UmcEngine):
                              k: int):
         """Generalize a blocked cube, then push its clause as far as it holds."""
         with self.tracer.span("generalize"):
-            cube = generalize(frames, cube, level, self.options.pdr_gen_budget)
+            cube = generalize(frames, cube, level, GEN_BUDGET)
             while level < k:
                 answer = frames.check_obligation(cube, level + 1)
                 if answer[0] != "blocked":

@@ -14,15 +14,16 @@ and the depth measures (k_fp, j_fp) defined in Section IV-B:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional, Sequence
 
 from ..bmc.cex import Trace
 
-__all__ = ["Verdict", "VerificationResult", "EngineStats", "STAT_GROUPS"]
+__all__ = ["Verdict", "VerificationResult", "EngineStats", "STAT_GROUPS",
+           "SPAN_COUNTERS"]
 
-#: Subsystem grouping of the :class:`EngineStats` counters.  Every key of
-#: :meth:`EngineStats.as_dict` appears in exactly one group; engines declare
+#: Subsystem grouping of the :class:`EngineStats` counters.  Every field
+#: appears in exactly one group (a test pins this); engines declare
 #: which groups are structurally meaningful for them via their
 #: ``stat_groups`` class attribute, and the CLI's ``--stats`` rendering
 #: suppresses the groups an engine can only ever report as zero.
@@ -42,6 +43,10 @@ STAT_GROUPS: Dict[str, tuple] = {
     "share": ("lemmas_tx", "lemmas_rx", "lemmas_retracted",
               "share_solves_skipped"),
 }
+
+#: The cumulative SAT counters every engine's span tracer samples (see
+#: :meth:`EngineStats.sample`); span deltas are computed from these.
+SPAN_COUNTERS = ("sat_calls", "clauses_added", "conflicts", "propagations")
 
 
 class Verdict(enum.Enum):
@@ -142,39 +147,14 @@ class EngineStats:
     share_solves_skipped: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "sat_calls": self.sat_calls,
-            "sat_time": round(self.sat_time, 4),
-            "itp_extractions": self.itp_extractions,
-            "itp_nodes": self.itp_nodes,
-            "refinements": self.refinements,
-            "abstract_latches": self.abstract_latches,
-            "containment_checks": self.containment_checks,
-            "clauses_added": self.clauses_added,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "max_call_conflicts": self.max_call_conflicts,
-            "blocked_cubes": self.blocked_cubes,
-            "clauses_pushed": self.clauses_pushed,
-            "pre_inputs_removed": self.pre_inputs_removed,
-            "pre_latches_removed": self.pre_latches_removed,
-            "pre_ands_removed": self.pre_ands_removed,
-            "pre_cnf_clauses_eliminated": self.pre_cnf_clauses_eliminated,
-            "fraig_classes": self.fraig_classes,
-            "fraig_merges": self.fraig_merges,
-            "fraig_sat_confirms": self.fraig_sat_confirms,
-            "proof_nodes_trimmed": self.proof_nodes_trimmed,
-            "itp_ands_compacted": self.itp_ands_compacted,
-            "fixpoint_encodings_reused": self.fixpoint_encodings_reused,
-            "fixpoint_groups_shed": self.fixpoint_groups_shed,
-            "proof_group_solves_saved": self.proof_group_solves_saved,
-            "proof_chains_stripped": self.proof_chains_stripped,
-            "proof_group_fallbacks": self.proof_group_fallbacks,
-            "lemmas_tx": self.lemmas_tx,
-            "lemmas_rx": self.lemmas_rx,
-            "lemmas_retracted": self.lemmas_retracted,
-            "share_solves_skipped": self.share_solves_skipped,
-        }
+        """Every counter, in field order (``sat_time`` rounded to 0.1 ms)."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["sat_time"] = round(self.sat_time, 4)
+        return row
+
+    def sample(self, names: Sequence[str]) -> Dict[str, int]:
+        """The named counters' current values, in ``names`` order."""
+        return {name: getattr(self, name) for name in names}
 
     def grouped(self, groups=None) -> "Dict[str, Dict[str, float]]":
         """The :meth:`as_dict` counters bucketed by subsystem.

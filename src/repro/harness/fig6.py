@@ -56,7 +56,7 @@ def fig6_clause_series(records: Iterable[InstanceRecord],
     records = list(records)
     series: Dict[str, List[int]] = {}
     for engine in engines:
-        counts = [record.engine_record(engine).clauses_added
+        counts = [record.engine_record(engine).stats.clauses_added
                   for record in records
                   if record.engine_record(engine) is not None]
         series[engine] = sorted(counts)
@@ -89,14 +89,14 @@ def fig6_summary(records: Iterable[InstanceRecord],
         solved_time = sum(r.time_seconds for r in solved)
         rows.append([engine, len(engine_records), len(solved),
                      round(solved_time, 3), round(total_time, 3),
-                     sum(r.clauses_added for r in engine_records),
-                     max((r.max_call_conflicts for r in engine_records),
+                     sum(r.stats.clauses_added for r in engine_records),
+                     max((r.stats.max_call_conflicts for r in engine_records),
                          default=0),
-                     sum(r.pre_ands_removed for r in engine_records),
-                     sum(r.fraig_merges for r in engine_records),
-                     sum(r.fixpoint_encodings_reused for r in engine_records),
-                     sum(r.fixpoint_groups_shed for r in engine_records),
-                     sum(r.proof_group_solves_saved for r in engine_records)])
+                     sum(r.stats.pre_ands_removed for r in engine_records),
+                     sum(r.stats.fraig_merges for r in engine_records),
+                     sum(r.stats.fixpoint_encodings_reused for r in engine_records),
+                     sum(r.stats.fixpoint_groups_shed for r in engine_records),
+                     sum(r.stats.proof_group_solves_saved for r in engine_records)])
     return rows
 
 

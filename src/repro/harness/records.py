@@ -7,37 +7,36 @@ from typing import Dict, List, Optional
 
 from ..bdd.checker import BddVerdict
 from ..circuits.suite import SuiteInstance
-from ..core.result import VerificationResult
+from ..core.result import EngineStats, VerificationResult
 
 __all__ = ["EngineRecord", "InstanceRecord"]
+
+
+#: The :class:`EngineStats` counters an :class:`EngineRecord` reports, in
+#: column order (after engine, verdict, time, k_fp and j_fp).
+RECORD_COLUMNS = (
+    "sat_calls", "itp_nodes", "refinements", "clauses_added", "conflicts",
+    "propagations", "max_call_conflicts", "blocked_cubes", "clauses_pushed",
+    "pre_latches_removed", "pre_ands_removed", "pre_cnf_clauses_eliminated",
+    "fraig_classes", "fraig_merges", "fraig_sat_confirms",
+    "proof_nodes_trimmed", "itp_ands_compacted", "fixpoint_encodings_reused",
+    "fixpoint_groups_shed", "proof_group_solves_saved",
+    "proof_chains_stripped", "proof_group_fallbacks",
+)
 
 
 @dataclass
 class EngineRecord:
     """One engine's outcome on one instance (one Table I cell group).
 
-    ``clauses_added`` / ``conflicts`` are cumulative over the whole run;
-    ``max_call_conflicts`` is the per-call peak — both views of the solver
-    work are recorded so the Fig. 6/7 artefacts can relate runtimes to the
-    incremental-vs-monolithic encoding effort.  ``blocked_cubes`` /
-    ``clauses_pushed`` describe the PDR engine's frame effort (0 for the
-    interpolation engines), letting Table-I-style runs compare the two
-    prover families on solver counters rather than wall clock alone.
-    The ``pre_*`` columns record what the preprocessing pipeline removed
-    before the engine encoded anything (latches / AND gates of the model,
-    plus the clauses the CNF pass eliminated from containment checks);
-    all zero when the run had preprocessing disabled; the ``fraig_*``
-    columns expose the SAT-sweeping pass's effort (classes examined,
-    nodes merged, miter UNSAT proofs).  The interpolant
-    lifecycle columns (``proof_nodes_trimmed`` / ``itp_ands_compacted`` /
-    ``fixpoint_encodings_reused`` / ``fixpoint_groups_shed``) record what
-    proof trimming, cone compaction and the persistent containment
-    checker saved or retracted; zero for the non-interpolation engines or
-    with the lifecycle toggles off.  The ``proof_group_*`` columns count
-    what group-aware proof logging did: per-bound fresh refutation solves
-    it deleted, activation-stripped chains, and fallbacks to the fresh
-    path (zero with ``--no-group-proof`` or for engines that never reuse
-    the searcher's refutation).
+    ``stats`` is the run's :class:`~repro.core.result.EngineStats`; the
+    record's rows report the :data:`RECORD_COLUMNS` subset of it (what
+    each counter means is documented on ``EngineStats``).  Cumulative
+    solver work (``clauses_added``, ``conflicts``) sits next to the
+    per-call peak (``max_call_conflicts``), so the Fig. 6/7 artefacts can
+    relate runtimes to the incremental-vs-monolithic encoding effort; the
+    PDR, preprocessing, interpolant-lifecycle and group-proof columns are
+    zero for the engines (or option settings) that never move them.
     """
 
     engine: str
@@ -45,95 +44,30 @@ class EngineRecord:
     time_seconds: float
     k_fp: Optional[int]
     j_fp: Optional[int]
-    sat_calls: int = 0
-    itp_nodes: int = 0
-    refinements: int = 0
-    clauses_added: int = 0
-    conflicts: int = 0
-    propagations: int = 0
-    max_call_conflicts: int = 0
-    blocked_cubes: int = 0
-    clauses_pushed: int = 0
-    pre_latches_removed: int = 0
-    pre_ands_removed: int = 0
-    pre_cnf_clauses_eliminated: int = 0
-    fraig_classes: int = 0
-    fraig_merges: int = 0
-    fraig_sat_confirms: int = 0
-    proof_nodes_trimmed: int = 0
-    itp_ands_compacted: int = 0
-    fixpoint_encodings_reused: int = 0
-    fixpoint_groups_shed: int = 0
-    proof_group_solves_saved: int = 0
-    proof_chains_stripped: int = 0
-    proof_group_fallbacks: int = 0
+    stats: EngineStats = field(default_factory=EngineStats)
 
     @staticmethod
     def from_result(result: VerificationResult) -> "EngineRecord":
-        return EngineRecord(
-            engine=result.engine,
-            verdict=result.verdict.value,
-            time_seconds=result.time_seconds,
-            k_fp=result.k_fp,
-            j_fp=result.j_fp,
-            sat_calls=result.stats.sat_calls,
-            itp_nodes=result.stats.itp_nodes,
-            refinements=result.stats.refinements,
-            clauses_added=result.stats.clauses_added,
-            conflicts=result.stats.conflicts,
-            propagations=result.stats.propagations,
-            max_call_conflicts=result.stats.max_call_conflicts,
-            blocked_cubes=result.stats.blocked_cubes,
-            clauses_pushed=result.stats.clauses_pushed,
-            pre_latches_removed=result.stats.pre_latches_removed,
-            pre_ands_removed=result.stats.pre_ands_removed,
-            pre_cnf_clauses_eliminated=result.stats.pre_cnf_clauses_eliminated,
-            fraig_classes=result.stats.fraig_classes,
-            fraig_merges=result.stats.fraig_merges,
-            fraig_sat_confirms=result.stats.fraig_sat_confirms,
-            proof_nodes_trimmed=result.stats.proof_nodes_trimmed,
-            itp_ands_compacted=result.stats.itp_ands_compacted,
-            fixpoint_encodings_reused=result.stats.fixpoint_encodings_reused,
-            fixpoint_groups_shed=result.stats.fixpoint_groups_shed,
-            proof_group_solves_saved=result.stats.proof_group_solves_saved,
-            proof_chains_stripped=result.stats.proof_chains_stripped,
-            proof_group_fallbacks=result.stats.proof_group_fallbacks,
-        )
+        return EngineRecord(engine=result.engine,
+                            verdict=result.verdict.value,
+                            time_seconds=result.time_seconds,
+                            k_fp=result.k_fp, j_fp=result.j_fp,
+                            stats=result.stats)
 
     @property
     def solved(self) -> bool:
         return self.verdict in ("pass", "fail")
 
     def as_dict(self) -> Dict[str, object]:
-        return {
+        row: Dict[str, object] = {
             "engine": self.engine,
             "verdict": self.verdict,
             "time": round(self.time_seconds, 3),
             "k_fp": self.k_fp,
             "j_fp": self.j_fp,
-            "sat_calls": self.sat_calls,
-            "itp_nodes": self.itp_nodes,
-            "refinements": self.refinements,
-            "clauses_added": self.clauses_added,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "max_call_conflicts": self.max_call_conflicts,
-            "blocked_cubes": self.blocked_cubes,
-            "clauses_pushed": self.clauses_pushed,
-            "pre_latches_removed": self.pre_latches_removed,
-            "pre_ands_removed": self.pre_ands_removed,
-            "pre_cnf_clauses_eliminated": self.pre_cnf_clauses_eliminated,
-            "fraig_classes": self.fraig_classes,
-            "fraig_merges": self.fraig_merges,
-            "fraig_sat_confirms": self.fraig_sat_confirms,
-            "proof_nodes_trimmed": self.proof_nodes_trimmed,
-            "itp_ands_compacted": self.itp_ands_compacted,
-            "fixpoint_encodings_reused": self.fixpoint_encodings_reused,
-            "fixpoint_groups_shed": self.fixpoint_groups_shed,
-            "proof_group_solves_saved": self.proof_group_solves_saved,
-            "proof_chains_stripped": self.proof_chains_stripped,
-            "proof_group_fallbacks": self.proof_group_fallbacks,
         }
+        row.update(self.stats.sample(RECORD_COLUMNS))
+        return row
 
     def as_deterministic_dict(self) -> Dict[str, object]:
         """Everything in :meth:`as_dict` that reruns reproduce exactly.
@@ -192,8 +126,8 @@ class InstanceRecord:
             row[f"{engine}_verdict"] = record.verdict
             row[f"{engine}_k_fp"] = record.k_fp
             row[f"{engine}_j_fp"] = record.j_fp
-            row[f"{engine}_clauses"] = record.clauses_added
-            row[f"{engine}_max_call_conflicts"] = record.max_call_conflicts
+            row[f"{engine}_clauses"] = record.stats.clauses_added
+            row[f"{engine}_max_call_conflicts"] = record.stats.max_call_conflicts
         return row
 
     def as_deterministic_dict(self) -> Dict[str, object]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.checker import BddVerdict, check_with_bdds
@@ -52,50 +52,37 @@ ProgressCallback = Callable[[str, float, InstanceRecord], None]
 class HarnessConfig:
     """Batch-run configuration.
 
+    ``options`` are the :class:`EngineOptions` every engine cell runs
+    with; the default is the engine defaults under a 60 s wall clock per
+    engine per instance.  Artefact-producing configs set the deterministic
+    budgets ``max_clauses`` (total clause additions per run) and
+    ``max_propagations`` (total unit propagations per run) there *instead
+    of* ``time_limit``, so regenerated tables are machine- and
+    job-count-independent.  The two budgets are complementary: clause
+    additions bind on the encoding-heavy failure mode (the ITPSEQ family
+    re-unrolling a deep circuit), propagations on the search-heavy one
+    (exact-k checks whose formulas stay small but hard).  The BDD baseline
+    ignores ``options`` and always sees the raw circuit: its exact
+    diameters are part of the tables.
+
     ``jobs`` selects how many worker processes run the engine × instance
-    cells (1 = the serial reference path, 0 = all cores).  ``max_clauses``
-    (total clause additions per run) and ``max_propagations`` (total unit
-    propagations per run) are the deterministic resource budgets threaded
-    into every engine's :class:`EngineOptions`; artefact-producing configs
-    use them *instead of* ``time_limit`` so regenerated tables are
-    machine- and job-count-independent.  The two budgets are
-    complementary: clause additions bind on the encoding-heavy failure
-    mode (the ITPSEQ family re-unrolling a deep circuit), propagations on
-    the search-heavy one (exact-k checks whose formulas stay small but
-    hard).
+    cells (1 = the serial reference path, 0 = all cores).
     """
 
     engines: Sequence[str] = ("itp", "itpseq", "sitpseq", "itpseqcba", "pdr")
-    time_limit: Optional[float] = 60.0  # per engine per instance, seconds
-    max_bound: int = 30
-    max_clauses: Optional[int] = None   # per engine per instance, clause additions
-    max_propagations: Optional[int] = None  # per engine per instance, propagations
-    conflict_limit: Optional[int] = None  # per SAT call, conflicts
+    options: EngineOptions = field(
+        default_factory=lambda: EngineOptions(time_limit=60.0))
     run_bdds: bool = True
     bdd_node_limit: int = 200_000
     bdd_time_limit: Optional[float] = 30.0
     check_expected: bool = True
-    engine_options: Optional[EngineOptions] = None
     jobs: int = 1
-    #: Model preprocessing for every engine cell (the BDD baseline always
-    #: sees the raw circuit — its exact diameters are part of the tables).
-    preprocess: bool = True
     #: Directory for span-trace event streams (``None`` = tracing off).
     #: Every engine cell writes ``<events_dir>/<instance>__<engine>.jsonl``
     #: and ``run_suite`` merges them into ``<events_dir>/suite.jsonl`` in
     #: suite × engine order, so the merged stream is identical at any job
     #: count.  The BDD baseline cells are never traced (no SAT counters).
     events_dir: Optional[str] = None
-
-    def options(self) -> EngineOptions:
-        if self.engine_options is not None:
-            return self.engine_options
-        return EngineOptions(max_bound=self.max_bound,
-                             time_limit=self.time_limit,
-                             max_clauses=self.max_clauses,
-                             max_propagations=self.max_propagations,
-                             conflict_limit=self.conflict_limit,
-                             preprocess=self.preprocess)
 
 
 # --------------------------------------------------------------------- #
@@ -139,7 +126,7 @@ def _run_cell(spec: Tuple[str, str, HarnessConfig]):
                                time_limit=config.bdd_time_limit)
     tracer = _cell_tracer(config, instance_name, kind)
     try:
-        result = run_engine(kind, model, config.options(), tracer=tracer)
+        result = run_engine(kind, model, config.options, tracer=tracer)
     finally:
         if tracer is not None:
             tracer.close()
@@ -175,11 +162,10 @@ class ExperimentRunner:
             record.bdd = check_with_bdds(model,
                                          max_nodes=self.config.bdd_node_limit,
                                          time_limit=self.config.bdd_time_limit)
-        options = self.config.options()
         for engine_name in engines or self.config.engines:
             tracer = _cell_tracer(self.config, instance.name, engine_name)
             try:
-                result = run_engine(engine_name, model, options,
+                result = run_engine(engine_name, model, self.config.options,
                                     tracer=tracer)
             finally:
                 if tracer is not None:

@@ -85,9 +85,9 @@ def _preprocess_cells(record: InstanceRecord) -> List[object]:
     engine_records = list(record.engines.values())
     if not engine_records:
         return [None, None, None]
-    return [max(r.pre_latches_removed for r in engine_records),
-            max(r.pre_ands_removed for r in engine_records),
-            max(r.fraig_merges for r in engine_records)]
+    return [max(r.stats.pre_latches_removed for r in engine_records),
+            max(r.stats.pre_ands_removed for r in engine_records),
+            max(r.stats.fraig_merges for r in engine_records)]
 
 
 def table1_deterministic_rows(records: Iterable[InstanceRecord],
@@ -108,10 +108,10 @@ def table1_deterministic_rows(records: Iterable[InstanceRecord],
                 bound = (f"({engine_record.k_fp})"
                          if engine_record.k_fp is not None else "(-)")
                 row += [engine_record.verdict, bound, None,
-                        engine_record.clauses_added]
+                        engine_record.stats.clauses_added]
             else:
                 row += [engine_record.verdict, engine_record.k_fp,
-                        engine_record.j_fp, engine_record.clauses_added]
+                        engine_record.j_fp, engine_record.stats.clauses_added]
         rows.append(row)
     return rows
 

@@ -11,8 +11,8 @@ of Bradley's MIC): try the cube minus one literal, keep the reduction when
 the relative-induction query stays UNSAT — harvesting the query's
 failed-assumption core, which often removes several more literals at once —
 and put the literal back otherwise.  Dropping is attempted once per
-literal; *failed* attempts consume a configurable retry budget
-(``EngineOptions.pdr_gen_budget``) so a stubborn cube cannot soak up an
+literal; *failed* attempts consume a fixed retry budget
+(``repro.core.pdr_engine.GEN_BUDGET``) so a stubborn cube cannot soak up an
 unbounded number of SAT calls.
 
 Initiation (S₀ ⇒ ¬cube) is preserved throughout: candidates that would

@@ -217,26 +217,13 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
     winner_box: List[str] = []
     state_lock = threading.Lock()
 
-    def _bmc_stats(engine: BmcEngine) -> EngineStats:
-        c = engine._counters
-        return EngineStats(
-            sat_calls=c.get("sat_calls", 0),
-            clauses_added=c.get("clauses_added", 0),
-            conflicts=c.get("conflicts", 0),
-            propagations=c.get("propagations", 0),
-            lemmas_tx=c.get("lemmas_tx", 0),
-            lemmas_rx=c.get("lemmas_rx", 0),
-            lemmas_retracted=c.get("lemmas_retracted", 0),
-            share_solves_skipped=c.get("share_solves_skipped", 0))
+    def _snapshot_stats(engine) -> EngineStats:
+        return EngineStats() if engine is None else engine.stats
 
-    def _snapshot_stats(name: str, engine) -> EngineStats:
-        if engine is None:
-            return EngineStats()
-        if name == "bmc":
-            return _bmc_stats(engine)
-        return engine.stats
-
-    def _adapt_bmc(engine: BmcEngine, raw) -> VerificationResult:
+    def _run_bmc(engine: BmcEngine) -> VerificationResult:
+        raw = engine.run(max_depth=options.max_bound,
+                         time_limit=options.time_limit,
+                         conflict_limit=options.conflict_limit)
         if raw.status == "fail":
             verdict, k_fp, j_fp = Verdict.FAIL, raw.depth, 0
         elif raw.status == "no_cex":
@@ -246,7 +233,7 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
         return VerificationResult(
             verdict=verdict, engine="bmc", model_name=model.name,
             k_fp=k_fp, j_fp=j_fp, time_seconds=raw.time_seconds,
-            trace=raw.trace, stats=_bmc_stats(engine),
+            trace=raw.trace, stats=engine.stats,
             message="" if raw.status == "fail" else
             f"bmc: {raw.status} up to depth {raw.checked_depth}")
 
@@ -261,29 +248,21 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
             turnstile.arrive(name, 0)
             if name == "bmc":
                 engine = BmcEngine(model, share=port)
-                port.bind_clock(
-                    lambda: engine._counters.get("propagations", 0)
-                    + CLAUSE_WEIGHT * engine._counters.get(
-                        "clauses_added", 0))
-                result = _adapt_bmc(engine, engine.run(
-                    max_depth=options.max_bound,
-                    time_limit=options.time_limit,
-                    conflict_limit=options.conflict_limit))
             else:
                 engine = ENGINES[name](model, options=options, share=port)
-                port.bind_clock(lambda: engine.stats.propagations
-                                + CLAUSE_WEIGHT * engine.stats.clauses_added)
-                result = engine.run()
+            port.bind_clock(lambda: engine.stats.propagations
+                            + CLAUSE_WEIGHT * engine.stats.clauses_added)
+            result = _run_bmc(engine) if name == "bmc" else engine.run()
         except ShareCancelled:
             result = VerificationResult(
                 verdict=Verdict.OVERFLOW, engine=name,
-                model_name=model.name, stats=_snapshot_stats(name, engine),
+                model_name=model.name, stats=_snapshot_stats(engine),
                 message="cancelled: lost the race")
         except Exception:
             _log.exception("cooperative race: engine %s crashed", name)
             result = VerificationResult(
                 verdict=Verdict.UNKNOWN, engine=name,
-                model_name=model.name, stats=_snapshot_stats(name, engine),
+                model_name=model.name, stats=_snapshot_stats(engine),
                 message="engine crashed")
         finally:
             is_winner = False

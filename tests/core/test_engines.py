@@ -6,6 +6,7 @@ from repro.bmc import BmcCheckKind
 from repro.circuits import (
     bounded_queue,
     counter,
+    get_instance,
     modular_counter,
     mutual_exclusion,
     parity_chain,
@@ -25,6 +26,7 @@ from repro.core import (
     Verdict,
     run_engine,
 )
+from repro.core import cba_engine
 
 ALL_ENGINES = list(ENGINES)
 
@@ -109,12 +111,23 @@ def test_cba_engine_reports_abstraction_stats():
     assert result.stats.abstract_latches <= round_robin_arbiter(3).num_latches
 
 
-def test_cba_engine_refines_on_spurious_counterexamples():
+def test_cba_engine_refines_on_spurious_counterexamples(monkeypatch):
     # Start from the empty abstraction so at least one refinement is needed
     # on a design whose property depends on latch behaviour.
-    options = _options(cba_initial_visible="none")
-    result = ItpSeqCbaEngine(token_ring(4), options).run()
+    monkeypatch.setattr(cba_engine, "property_support_latches",
+                        lambda model: set())
+    result = ItpSeqCbaEngine(token_ring(4), _options()).run()
     assert result.verdict is Verdict.PASS
+    assert result.stats.refinements >= 1
+
+
+def test_cba_engine_refines_to_the_planted_failure_by_default():
+    # The property-support abstraction misses the occupancy counter's
+    # overflow: default options refine before the genuine FAIL.
+    instance = get_instance("queue02bug")
+    result = ItpSeqCbaEngine(instance.build(), _options()).run()
+    assert result.verdict is Verdict.FAIL
+    assert result.k_fp == instance.expected_depth
     assert result.stats.refinements >= 1
 
 

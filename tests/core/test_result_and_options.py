@@ -1,5 +1,7 @@
 """Unit tests for engine options, results and shared base utilities."""
 
+import dataclasses
+
 import pytest
 
 from repro.aig import Aig, lit_negate
@@ -13,7 +15,7 @@ from repro.core import (
     implies,
     initial_states_predicate,
 )
-from repro.core.result import EngineStats
+from repro.core.result import STAT_GROUPS, EngineStats
 
 
 def test_options_defaults_follow_paper():
@@ -30,10 +32,6 @@ def test_options_validation():
         EngineOptions(max_bound=0)
     with pytest.raises(ValueError):
         EngineOptions(itp_system="magic")
-    with pytest.raises(ValueError):
-        EngineOptions(cba_initial_visible="everything")
-    with pytest.raises(ValueError):
-        EngineOptions(cba_refine_batch=0)
 
 
 def test_options_with_changes_returns_copy():
@@ -64,6 +62,17 @@ def test_engine_stats_as_dict():
     assert data["sat_calls"] == 3
     assert data["sat_time"] == 1.2346
     assert data["itp_extractions"] == 2
+
+
+def test_engine_stats_as_dict_follows_field_order():
+    names = [f.name for f in dataclasses.fields(EngineStats)]
+    assert list(EngineStats().as_dict()) == names
+
+
+def test_stat_groups_list_every_counter_exactly_once():
+    # A counter missing from every group would vanish from ``--stats``.
+    grouped = [name for names in STAT_GROUPS.values() for name in names]
+    assert sorted(grouped) == sorted(f.name for f in dataclasses.fields(EngineStats))
 
 
 def test_initial_states_predicate_describes_init_values():

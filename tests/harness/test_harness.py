@@ -26,7 +26,8 @@ from repro.harness.fig7 import Fig7Point
 
 
 def _tiny_config(**kwargs):
-    defaults = dict(engines=("itpseq", "itp"), time_limit=60.0, max_bound=15,
+    defaults = dict(engines=("itpseq", "itp"),
+                    options=EngineOptions(time_limit=60.0, max_bound=15),
                     run_bdds=True, bdd_time_limit=10.0)
     defaults.update(kwargs)
     return HarnessConfig(**defaults)
@@ -79,7 +80,7 @@ def test_runner_rejects_unknown_engine():
 
 def test_runner_respects_custom_engine_options():
     options = EngineOptions(max_bound=12, time_limit=30.0)
-    config = HarnessConfig(engines=("itpseq",), engine_options=options,
+    config = HarnessConfig(engines=("itpseq",), options=options,
                            run_bdds=False)
     runner = ExperimentRunner(config)
     record = runner.run_instance(get_instance("arb03"))

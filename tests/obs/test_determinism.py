@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.circuits import get_instance, quick_suite
-from repro.core import run_engine
+from repro.core import EngineOptions, run_engine
 from repro.harness import ExperimentRunner, HarnessConfig
 from repro.obs.events import validate_event
 from repro.obs.report import attribution, build_spans
@@ -27,7 +27,7 @@ from repro.obs.tracer import Tracer
 _ENGINES = ("itp", "itpseq", "sitpseq", "itpseqcba", "pdr")
 
 #: Deterministic budgets only — no wall clock near control flow.
-_CONFIG = dict(time_limit=None, max_bound=20, max_clauses=5_000_000,
+_CONFIG = dict(options=EngineOptions(max_bound=20, max_clauses=5_000_000),
                run_bdds=False, engines=("itpseq", "pdr"))
 
 
@@ -64,8 +64,9 @@ def test_traced_counters_match_span_totals():
 def test_quick_suite_attribution_meets_the_bar(tmp_path):
     """>=95% of itpseq clause additions land in named phase spans."""
     config = HarnessConfig(events_dir=str(tmp_path), engines=("itpseq",),
-                           time_limit=None, max_bound=20,
-                           max_clauses=5_000_000, run_bdds=False)
+                           options=EngineOptions(max_bound=20,
+                                                 max_clauses=5_000_000),
+                           run_bdds=False)
     ExperimentRunner(config).run_suite(quick_suite(), jobs=1)
     events = read_jsonl(str(tmp_path / "suite.jsonl"))
     assert events, "suite trace is empty"

@@ -10,6 +10,7 @@ cover the guard rails around the pooled path.
 import pytest
 
 from repro.circuits import SuiteInstance, get_instance, quick_suite, token_ring
+from repro.core import EngineOptions
 from repro.harness import (
     ExperimentRunner,
     HarnessConfig,
@@ -21,7 +22,7 @@ from repro.harness import (
 
 # Deterministic budget config: no wall clock anywhere near the control
 # flow, so serial and pooled runs cannot diverge even on a loaded machine.
-_CONFIG = dict(time_limit=None, max_bound=20, max_clauses=5_000_000,
+_CONFIG = dict(options=EngineOptions(max_bound=20, max_clauses=5_000_000),
                run_bdds=True, bdd_time_limit=None)
 
 
@@ -88,7 +89,7 @@ def test_pooled_run_rejects_ad_hoc_instances():
 def test_progress_callback_fires_in_suite_order():
     seen = []
     config = HarnessConfig(engines=("pdr",), run_bdds=False,
-                           time_limit=None, max_bound=20)
+                           options=EngineOptions(max_bound=20))
     instances = [get_instance(n) for n in ("ring04", "mutexbug", "arb03")]
     ExperimentRunner(config).run_suite(
         instances, jobs=2,

@@ -68,8 +68,8 @@ def test_model_roundtrip_verifies_identically():
 
 
 def test_harness_config_and_records_roundtrip():
-    config = HarnessConfig(engines=("itp", "pdr"), jobs=4, max_clauses=5000,
-                           time_limit=None)
+    config = HarnessConfig(engines=("itp", "pdr"), jobs=4,
+                           options=EngineOptions(max_clauses=5000))
     assert _roundtrip(config) == config
     result = run_engine("pdr", get_instance("ring04").build(),
                         EngineOptions(max_bound=10))

@@ -21,7 +21,7 @@ import pytest
 
 from repro.bdd import check_with_bdds
 from repro.circuits import full_suite, get_instance
-from repro.core import EngineOptions, PdrEngine, Verdict, run_engine
+from repro.core import EngineOptions, PdrEngine, Verdict, pdr_engine, run_engine
 
 INSTANCES = [instance.name for instance in full_suite()]
 FAIL_INSTANCES = [instance.name for instance in full_suite()
@@ -136,14 +136,13 @@ def test_solver_count_is_independent_of_frame_count(monkeypatch):
         assert len(created) == 1, name
 
 
-@pytest.mark.parametrize("knobs", [dict(pdr_gen_budget=0),
-                                   dict(pdr_gen_budget=2),
-                                   dict(pdr_push_period=3)])
-def test_pdr_knobs_preserve_verdicts(knobs):
+@pytest.mark.parametrize("budget", [0, 2])
+def test_pdr_gen_budget_preserves_verdicts(monkeypatch, budget):
+    monkeypatch.setattr(pdr_engine, "GEN_BUDGET", budget)
     for name in ("ring04", "mutex", "mutexbug", "modcnt06", "cnt08"):
         instance = get_instance(name)
-        result = run_engine("pdr", instance.build(), _options(**knobs))
-        assert result.verdict.value == instance.expected, (name, knobs)
+        result = run_engine("pdr", instance.build(), _options())
+        assert result.verdict.value == instance.expected, (name, budget)
 
 
 def _saturating_counter_with_constraint():
@@ -176,12 +175,12 @@ def test_constraints_do_not_require_bad_state_successor():
     assert result.trace.check(_saturating_counter_with_constraint())
 
 
-def test_generalization_budget_trades_sat_calls_for_clauses():
+def test_generalization_budget_trades_sat_calls_for_clauses(monkeypatch):
     # With no literal dropping each blocked clause is weaker, so the run
     # needs at least as many blocked cubes as the generalizing run.
     def blocked_cubes(budget):
-        engine = PdrEngine(get_instance("ring06").build(),
-                           _options(pdr_gen_budget=budget))
+        monkeypatch.setattr(pdr_engine, "GEN_BUDGET", budget)
+        engine = PdrEngine(get_instance("ring06").build(), _options())
         assert engine.run().verdict is Verdict.PASS
         return engine.stats.blocked_cubes
 
