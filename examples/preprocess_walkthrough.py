@@ -15,9 +15,8 @@ scenario class preprocessing exists for), narrating what each pass does:
    instantiated three times under different gate associations: flattening
    and the sorted chain rebuild normalise the copies, and structural
    hashing merges them;
-4. the CNF-level pass on the containment checks of an interpolation
-   engine run, and the end-to-end effect on the deterministic clause
-   counters;
+4. the full pipeline inside an interpolation engine run, and its
+   end-to-end effect on the deterministic clause counters;
 5. a counterexample found on the *reduced* model, lifted back through the
    composed :class:`~repro.preprocess.ModelMap` and replayed on the raw
    circuit.
@@ -78,7 +77,7 @@ def main():
         label = "preprocessed" if preprocess else "raw        "
         print(f"    {label}: verdict={result.verdict.value} "
               f"clauses_added={result.stats.clauses_added:6d} "
-              f"cnf_eliminated={result.stats.pre_cnf_clauses_eliminated}")
+              f"ands_removed={result.stats.pre_ands_removed}")
     print("    same verdict, same fixpoint - the solver just paid for less.")
 
     banner("5. Lift-back: the counterexample replays on the RAW circuit")

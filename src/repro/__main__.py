@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=True,
                         help="run the model-preprocessing pipeline before "
                              "the engine (COI + sweeping + rewriting + "
-                             "fraiging + CNF elimination; the default)")
+                             "fraiging; the default)")
     parser.add_argument("--no-preprocess", dest="preprocess",
                         action="store_false",
                         help="encode the raw circuit without preprocessing")
@@ -120,22 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         action="store_false", default=True,
                         help="extract interpolants from the raw resolution "
                              "trace instead of the trimmed refutation")
-    parser.add_argument("--no-itp-compact", dest="itp_compact",
-                        action="store_false", default=True,
-                        help="skip structural compaction of freshly "
-                             "extracted interpolant cones")
     parser.add_argument("--no-group-proof", dest="group_proof",
                         action="store_false", default=True,
                         help="re-solve each refuted bound on a fresh "
                              "proof-logged solver instead of reusing the "
                              "incremental search's refutation (stripped of "
                              "activation literals) for interpolation")
-    parser.add_argument("--no-incremental-fixpoint",
-                        dest="fixpoint_incremental",
-                        action="store_false", default=True,
-                        help="run every containment check on a fresh "
-                             "throwaway solver instead of the per-run "
-                             "persistent fixpoint checker")
     parser.add_argument("--stats", action="store_true",
                         help="print the engine's statistics counters, "
                              "grouped by subsystem (groups that are "
@@ -304,28 +294,34 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    options = EngineOptions(max_bound=args.max_bound,
-                            time_limit=args.time_limit,
-                            validate_traces=not args.no_validate,
-                            preprocess=args.preprocess,
-                            preprocess_passes=preprocess_passes,
-                            proof_reduce=args.proof_reduce,
-                            itp_compact=args.itp_compact,
-                            fixpoint_incremental=args.fixpoint_incremental,
-                            group_proof=args.group_proof)
+    try:
+        options = EngineOptions(max_bound=args.max_bound,
+                                time_limit=args.time_limit,
+                                validate_traces=not args.no_validate,
+                                preprocess=args.preprocess,
+                                preprocess_passes=preprocess_passes,
+                                proof_reduce=args.proof_reduce,
+                                group_proof=args.group_proof)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    share_port = None
+    if args.share_replay is not None:
+        from .share.bus import ReplayShareBus
+        from .share.log import read_share_log
+
+        try:
+            replay = read_share_log(args.share_replay)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        share_port = ReplayShareBus(replay).port(args.engine)
     tracer = None
     if args.events is not None and not args.race:
         from .obs.sinks import JsonlSink
         from .obs.tracer import Tracer
 
         tracer = Tracer(JsonlSink(args.events))
-    share_port = None
-    if args.share_replay is not None:
-        from .share.bus import ReplayShareBus
-        from .share.log import read_share_log
-
-        share_port = ReplayShareBus(read_share_log(args.share_replay)) \
-            .port(args.engine)
     try:
         if args.engine == "portfolio":
             # The race builds per-worker tracers from the base path itself

@@ -13,9 +13,8 @@ Two execution modes are offered:
   encoding work, learned clauses / activities / phases carried across
   depths;
 * **fresh-solver** (``incremental=False``) — the original monolithic
-  behaviour, one solver and one full re-encoding per depth.  Kept both as
-  the reference for equivalence testing and because it is the only mode
-  compatible with proof logging.
+  behaviour, one solver and one full re-encoding per depth, kept as the
+  reference for equivalence testing.
 
 Both modes produce identical verdicts, failure depths and replayable
 traces; ``benchmarks/test_bench_incremental.py`` asserts the O(k²) → O(k)
@@ -78,12 +77,12 @@ class BmcEngine:
     produced by the preprocessing pipeline (:mod:`repro.preprocess`) and
     lifts any counterexample back to the original variables before
     validating and reporting it; failure depths and verdicts are identical
-    either way.  The CNF-level pass is not consulted — BMC has no
-    containment checks, so only the model passes apply (by default COI,
-    sweeping, rewriting and fraiging; override with ``preprocess_passes``).
+    either way.  Only the model passes run by default (COI, sweeping,
+    rewriting and fraiging; override with ``preprocess_passes``): the
+    ``cnf`` pass leaves the model unchanged.
     """
 
-    #: Default pipeline: every model pass, no encoding-time CNF pass.
+    #: Default pipeline: every model-changing pass, without ``cnf``.
     DEFAULT_PASSES = ("coi", "sweep", "coi", "rewrite", "fraig")
 
     def __init__(self, model: Model, check_kind: BmcCheckKind = BmcCheckKind.ASSUME,
@@ -104,8 +103,6 @@ class BmcEngine:
         if preprocess:
             from ..preprocess.passes import build_pipeline  # deferred: cycle
 
-            # Model passes only: BMC has no containment checks, so arming
-            # the encoding-time CNF pass would be dead work.
             started = time.monotonic()
             with self.tracer.span("preprocess", engine="bmc",
                                   model=model.name):

@@ -9,8 +9,8 @@ sequences, sequences + CBA) share:
   (:mod:`repro.preprocess`), and counterexamples found on the reduced
   model are lifted back to the original variables before validation;
 * the initial-state predicate S₀ as an AIG cone over latch variables;
-* SAT-based implication / containment checks between AIG predicates —
-  by default on a *persistent* per-run :class:`~repro.core.fixpoint.FixpointChecker`
+* SAT-based containment checks between AIG predicates, all on one
+  *persistent* per-run :class:`~repro.core.fixpoint.FixpointChecker`
   whose incremental Tseitin encoding pays for each accumulated cone once;
 * the shared *interpolant lifecycle*: refutations are post-processed
   (core trimming + RecyclePivots, :meth:`UmcEngine._trim_proof`) before
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from ..aig.aig import Aig, lit_is_const, lit_negate
 from ..aig.model import Model
@@ -82,11 +82,9 @@ from ..bmc.cex import Trace
 from ..bmc.checks import BmcCheckKind
 from ..bmc.incremental import IncrementalUnroller
 from ..bmc.unroll import Unroller
-from ..cnf.cnf import Cnf
 from ..cnf.tseitin import TseitinEncoder
 from ..itp.compact import compact_cone
 from ..obs.tracer import NULL_TRACER, NullTracer
-from ..preprocess.cnfsimp import CnfSimplifyConfig, CnfSimplifyStats, simplify_cnf
 from ..preprocess.passes import PreprocessResult, build_pipeline
 from ..sat.proof import ActivationDependencyError, ResolutionProof, reduce_proof
 from ..sat.solver import CdclSolver
@@ -126,84 +124,25 @@ def initial_states_predicate(model: Model) -> int:
     return aig.op_and(*terms)
 
 
-def implies(aig: Aig, antecedent: int, consequent: int,
-            budget: Optional[Budget] = None,
-            on_stats: Optional[Callable[[SolverStats], None]] = None,
-            cnf_simplify: Optional[CnfSimplifyConfig] = None,
-            on_reduction: Optional[Callable[[CnfSimplifyStats], None]] = None
-            ) -> bool:
+def implies(aig: Aig, antecedent: int, consequent: int) -> bool:
     """Decide ``antecedent ⇒ consequent`` for two predicates in the same AIG.
 
     Both predicates are interpreted over the same (free) leaf valuation, so
-    the check encodes the cones with a shared Tseitin instance and asks
-    whether ``antecedent ∧ ¬consequent`` is satisfiable.
-
-    ``on_stats`` receives the throwaway solver's :class:`SolverStats` after
-    the solve.  Engines use it to fold the containment-check work into
-    their accounting: on interpolant-heavy runs the Tseitin encoding of the
-    cones is a dominant cost, and leaving it uncounted would let a run
-    evade every deterministic resource budget.
-
-    ``cnf_simplify`` routes the encoded formula through the preprocessing
-    pipeline's CNF pass (:func:`repro.preprocess.cnfsimp.simplify_cnf`)
-    before the solver sees it.  This check is pure SAT-or-UNSAT — no proof,
-    no model read-back — so equisatisfiability-only reductions (bounded
-    variable elimination, subsumption) are sound here, and the clause
-    counters then measure the reduced encoding.  ``on_reduction`` receives
-    the :class:`~repro.preprocess.cnfsimp.CnfSimplifyStats` of each run.
-
-    Simplification is gated on the *predicted* encoding size (3 clauses
-    per AND gate in the two cones): beyond ``cnf_simplify.max_clause_count``
-    the check streams clauses straight into the solver, paying neither the
-    clause containers nor the quadratic-ish subsumption sweeps — on
-    interpolant-heavy runs the late containment checks carry cones of
-    hundreds of thousands of clauses, where a pure-Python simplifier costs
-    multiples of the solve it is trying to shorten.
+    the check encodes the cones with a shared Tseitin instance into a fresh
+    solver and asks whether ``antecedent ∧ ¬consequent`` is satisfiable.
+    The engines never call this: their containment checks run on the
+    persistent :class:`~repro.core.fixpoint.FixpointChecker`.  It stays as
+    the public one-shot check and as the reference oracle the checker is
+    tested against.
     """
-    if cnf_simplify is not None:
-        cone = aig.fanin_cone([antecedent, consequent])
-        predicted = 3 * sum(1 for var in cone if aig.is_and(var)) + 2
-        if predicted > cnf_simplify.max_clause_count:
-            cnf_simplify = None
-    if cnf_simplify is not None:
-        cnf = Cnf()
-        encoder = TseitinEncoder(aig, cnf.new_var, cnf.extend,
-                                 allocate_leaves=True)
-        a_lit = encoder.literal(antecedent)
-        c_lit = encoder.literal(consequent)
-        cnf.add_clause([a_lit])
-        cnf.add_clause([-c_lit])
-        reduction = simplify_cnf(cnf, config=cnf_simplify)
-        if on_reduction is not None:
-            on_reduction(reduction.stats)
-        if reduction.conflict:
-            # Preprocessing alone refuted antecedent ∧ ¬consequent.  Such a
-            # check contributes no *solver* counters (there is no solver) —
-            # by design: the deterministic budgets bound solver work, the
-            # counters measure the reduced encoding (here reduced to
-            # nothing), and the simplifier's own effort is capped per call
-            # by ``max_clause_count``, so a run cannot evade the budgets
-            # unboundedly through this path.  The check still shows up in
-            # ``sat_calls`` / ``containment_checks`` and its reduction in
-            # ``pre_cnf_clauses_eliminated``.
-            return True
-        solver = CdclSolver()
-        solver.ensure_var(reduction.cnf.num_vars)
-        solver.add_cnf([clause.literals for clause in reduction.cnf.clauses])
-    else:
-        solver = CdclSolver()
-        encoder = TseitinEncoder(aig, solver.new_var, solver.add_cnf,
-                                 allocate_leaves=True)
-        a_lit = encoder.literal(antecedent)
-        c_lit = encoder.literal(consequent)
-        solver.add_clause([a_lit])
-        solver.add_clause([-c_lit])
-    result = solver.solve(budget=budget)
-    if on_stats is not None:
-        on_stats(solver.stats)
-    if result is SatResult.UNKNOWN:
-        raise OutOfBudget()
-    return result is SatResult.UNSAT
+    solver = CdclSolver()
+    encoder = TseitinEncoder(aig, solver.new_var, solver.add_cnf,
+                             allocate_leaves=True)
+    a_lit = encoder.literal(antecedent)
+    c_lit = encoder.literal(consequent)
+    solver.add_clause([a_lit])
+    solver.add_clause([-c_lit])
+    return solver.solve() is SatResult.UNSAT
 
 
 class UmcEngine:
@@ -320,10 +259,10 @@ class UmcEngine:
     def _account_call(self, call: SolverStats) -> None:
         """Fold one SAT call's counters into the run's statistics.
 
-        Every SAT path reports here — the engines' own solvers, the
-        persistent fixpoint checker and the one-shot containment solvers —
-        so the deterministic budgets (:meth:`_check_counter_budgets`) see
-        all solver work, containment-check encodings included.
+        Every SAT path reports here — the engines' own solvers and the
+        persistent fixpoint checker — so the deterministic budgets
+        (:meth:`_check_counter_budgets`) see all solver work,
+        containment-check encodings included.
         """
         self.stats.clauses_added += call.clauses_added
         self.stats.conflicts += call.conflicts
@@ -350,18 +289,13 @@ class UmcEngine:
             raise OutOfBudget(self._current_bound)
 
     def _implies(self, antecedent: int, consequent: int) -> bool:
-        """Containment check over the engine's AIG, counted in its statistics.
+        """Containment check on the run's persistent :class:`FixpointChecker`.
 
-        With ``options.fixpoint_incremental`` (the default) checks run on
-        the persistent :class:`FixpointChecker`: only the gates no earlier
-        check encoded are Tseitin-encoded, so the R-accumulation sequence
-        pays for each interpolant cone once instead of once per remaining
-        iteration.  With the persistent path disabled, checks fall back to
-        the one-shot throwaway-solver :func:`implies`, including its
-        size-gated CNF simplification.
-
-        Either way the solver's clause and propagation counters fold into
-        the run's cumulative statistics: the Tseitin encoding of large
+        Only the gates no earlier check encoded are Tseitin-encoded, so the
+        R-accumulation sequence pays for each interpolant cone once instead
+        of once per remaining iteration.  The solver's per-call counters
+        (which include the clauses the encoder streamed in since the last
+        solve) fold into the run's statistics: the encoding of large
         interpolant cones is a real — on interpolant-heavy runs dominant —
         cost, and the deterministic budgets must see it or a blowing-up
         run would never trip them.
@@ -369,50 +303,24 @@ class UmcEngine:
         self._check_budget()
         self.stats.containment_checks += 1
         with self.tracer.span("containment"):
-            if self.options.fixpoint_incremental:
-                return self._implies_incremental(antecedent, consequent)
+            if self._fixpoint_checker is None:
+                self._fixpoint_checker = FixpointChecker(self.aig)
+            checker = self._fixpoint_checker
+            reused_before = checker.encodings_reused
             started = time.monotonic()
-
-            def account_reduction(simp_stats: CnfSimplifyStats) -> None:
-                self.stats.pre_cnf_clauses_eliminated += simp_stats.clauses_eliminated
-
-            cnf_config = self.preprocess.cnf_simplify if self.preprocess else None
             try:
-                result = implies(self.aig, antecedent, consequent,
-                                 budget=self._sat_budget(),
-                                 on_stats=self._account_call,
-                                 cnf_simplify=cnf_config,
-                                 on_reduction=account_reduction)
-            except OutOfBudget:
-                raise OutOfBudget(self._current_bound)
+                result = checker.implies(antecedent, consequent,
+                                         budget=self._sat_budget())
             finally:
                 self.stats.sat_time += time.monotonic() - started
                 self.stats.sat_calls += 1
+            self._account_call(checker.solver.last_call_stats)
+            self.stats.fixpoint_encodings_reused += (checker.encodings_reused
+                                                     - reused_before)
+            if result is SatResult.UNKNOWN:
+                raise OutOfBudget(self._current_bound)
             self._check_counter_budgets()
-            return result
-
-    def _implies_incremental(self, antecedent: int, consequent: int) -> bool:
-        """One containment check on the run's persistent fixpoint solver."""
-        if self._fixpoint_checker is None:
-            self._fixpoint_checker = FixpointChecker(self.aig)
-        checker = self._fixpoint_checker
-        reused_before = checker.encodings_reused
-        started = time.monotonic()
-        try:
-            result = checker.implies(antecedent, consequent,
-                                     budget=self._sat_budget())
-        finally:
-            self.stats.sat_time += time.monotonic() - started
-            self.stats.sat_calls += 1
-        # Per-call deltas include the clauses the encoder streamed in
-        # between solves.
-        self._account_call(checker.solver.last_call_stats)
-        self.stats.fixpoint_encodings_reused += (checker.encodings_reused
-                                                 - reused_before)
-        if result is SatResult.UNKNOWN:
-            raise OutOfBudget(self._current_bound)
-        self._check_counter_budgets()
-        return result is SatResult.UNSAT
+            return result is SatResult.UNSAT
 
     def _shed_fixpoint_groups(self, live_roots: Iterable[int]) -> None:
         """Shed fixpoint-checker clause groups no live root observes.
@@ -460,15 +368,15 @@ class UmcEngine:
         return reduced
 
     def _register_interpolant(self, aig: Aig, itp_lit: int) -> int:
-        """Compact (if enabled) and account one freshly extracted interpolant.
+        """Compact and account one freshly extracted interpolant.
 
-        Returns the literal the engine should use from here on: with
-        ``options.itp_compact`` the cone is rebuilt through the rewriting
-        rules (:func:`repro.itp.compact.compact_cone`) before it is
-        disjoined into R — the one place structural sharing compounds,
-        since R's cone is re-encoded by every later containment check.
+        Returns the literal the engine should use from here on: the cone is
+        rebuilt through the rewriting rules
+        (:func:`repro.itp.compact.compact_cone`) before it is disjoined
+        into R — the one place structural sharing compounds, since every
+        later containment check reads R's cone.
         """
-        if self.options.itp_compact and not lit_is_const(itp_lit):
+        if not lit_is_const(itp_lit):
             with self.tracer.span("compact"):
                 compaction = compact_cone(aig, itp_lit)
             self.stats.itp_ands_compacted += compaction.saved

@@ -7,14 +7,13 @@ in the accumulated reachable-set over-approximation R:
     I ⇒ R_{j-1}        i.e.        I ∧ ¬R_{j-1} unsatisfiable.
 
 R only ever grows by disjunction — R_j = R_{j-1} ∨ I_j is one OR node over
-the previous R and the new interpolant — yet the one-shot
-:func:`repro.core.base.implies` re-Tseitin-encodes the *entire* accumulated
-cone into a fresh throwaway solver at every iteration, making the check
-sequence quadratic in total encoded clauses.  On interpolant-heavy runs
-those checks dominate the whole engine (itpseq on the deep token rings
-spends millions of clause additions there).
+the previous R and the new interpolant.  A one-shot check (the reference
+:func:`repro.core.base.implies`) re-Tseitin-encodes the *entire*
+accumulated cone into a fresh solver at every iteration, which makes the
+check sequence quadratic in total encoded clauses.
 
-:class:`FixpointChecker` makes the sequence linear: one incremental
+:class:`FixpointChecker` is the engines' only containment path and makes
+the sequence linear: one incremental
 :class:`~repro.sat.solver.CdclSolver` per engine run, with one persistent
 :class:`~repro.cnf.tseitin.TseitinEncoder` over the engine's AIG.  Each
 check encodes only the gates the encoder has not seen before — for the

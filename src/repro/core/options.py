@@ -63,10 +63,9 @@ class EngineOptions:
     preprocess:
         Run the model-preprocessing pipeline (:mod:`repro.preprocess`)
         before encoding anything: cone-of-influence reduction, stuck-latch
-        sweeping, structural rewriting, SAT sweeping (fraiging) and
-        CNF-level elimination on the containment checks.  Counterexamples
-        found on the reduced model are
-        lifted back to the original variables before validation, so
+        sweeping, structural rewriting and SAT sweeping (fraiging).
+        Counterexamples found on the reduced model are lifted back to the
+        original variables before validation, so
         verdicts and replayed traces are identical either way — only the
         amount of logic the solver pays for changes.  On by default;
         disable to encode the raw circuit as the seed implementation did.
@@ -81,20 +80,6 @@ class EngineOptions:
         smaller derivation DAG, which yields smaller interpolant cones.
         On by default; disable to extract from the raw solver trace as the
         seed implementation did.
-    itp_compact:
-        Structurally compact every freshly extracted interpolant cone
-        (:func:`repro.itp.compact.compact_cone`) before it is disjoined
-        into the reachable-set accumulation — the one place cone sharing
-        compounds, since R is re-encoded at every later containment
-        check.  Guarded never to grow a cone.  On by default.
-    fixpoint_incremental:
-        Run the R-accumulation containment checks on one persistent
-        incremental solver per run
-        (:class:`repro.core.fixpoint.FixpointChecker`) that encodes only
-        each check's *new* cone, instead of re-encoding the whole
-        accumulated R into a throwaway solver per check.  On by default;
-        disabling restores the one-shot path with its size-gated CNF
-        simplification.
     group_proof:
         Reuse the incremental counterexample search's own UNSAT answer as
         the proof-logged refutation: the searcher runs with proof logging
@@ -125,8 +110,6 @@ class EngineOptions:
     preprocess: bool = True
     preprocess_passes: Optional[Tuple[str, ...]] = None
     proof_reduce: bool = True
-    itp_compact: bool = True
-    fixpoint_incremental: bool = True
     group_proof: bool = True
 
     def with_changes(self, **kwargs) -> "EngineOptions":

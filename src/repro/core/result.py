@@ -31,8 +31,8 @@ STAT_GROUPS: Dict[str, tuple] = {
     "solver": ("sat_calls", "sat_time", "clauses_added", "conflicts",
                "propagations", "max_call_conflicts"),
     "preprocess": ("pre_inputs_removed", "pre_latches_removed",
-                   "pre_ands_removed", "pre_cnf_clauses_eliminated",
-                   "fraig_classes", "fraig_merges", "fraig_sat_confirms"),
+                   "pre_ands_removed", "fraig_classes", "fraig_merges",
+                   "fraig_sat_confirms"),
     "lifecycle": ("itp_extractions", "itp_nodes", "containment_checks",
                   "proof_nodes_trimmed", "itp_ands_compacted",
                   "fixpoint_encodings_reused", "fixpoint_groups_shed",
@@ -78,10 +78,8 @@ class EngineStats:
 
     The ``pre_*`` counters describe the preprocessing pipeline's reduction
     of the run's model (inputs/latches/AND gates removed before any
-    encoding happened) and, for ``pre_cnf_clauses_eliminated``, the
-    cumulative clauses the CNF-level pass removed from the containment
-    checks.  All stay 0 with ``EngineOptions.preprocess`` off.  The
-    ``fraig_*`` counters expose the SAT-sweeping pass of the pipeline:
+    encoding happened); they stay 0 with ``EngineOptions.preprocess`` off.
+    The ``fraig_*`` counters expose the SAT-sweeping pass of the pipeline:
     candidate equivalence classes examined, nodes merged onto class
     representatives, and the miter UNSAT answers that proved those merges
     (they stay 0 when the pipeline contains no ``fraig`` pass).
@@ -97,9 +95,9 @@ class EngineStats:
     paid again).  ``fixpoint_groups_shed`` counts the checker's clause
     groups released because column strengthening superseded their cones
     (:meth:`repro.core.fixpoint.FixpointChecker.shed_superseded`); only
-    the sequence engines shed, so it stays 0 elsewhere.  They stay 0 with
-    the corresponding ``EngineOptions`` toggles off, and for the PDR/BMC
-    engines.
+    the sequence engines shed, so it stays 0 elsewhere.
+    ``proof_nodes_trimmed`` stays 0 with ``EngineOptions.proof_reduce``
+    off, and all of them stay 0 for the PDR/BMC engines.
 
     The group-proof counters measure the one-solve-per-bound path
     (``EngineOptions.group_proof``): ``proof_group_solves_saved`` — bounds
@@ -130,7 +128,6 @@ class EngineStats:
     pre_inputs_removed: int = 0
     pre_latches_removed: int = 0
     pre_ands_removed: int = 0
-    pre_cnf_clauses_eliminated: int = 0
     fraig_classes: int = 0
     fraig_merges: int = 0
     fraig_sat_confirms: int = 0

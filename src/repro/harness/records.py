@@ -17,8 +17,8 @@ __all__ = ["EngineRecord", "InstanceRecord"]
 RECORD_COLUMNS = (
     "sat_calls", "itp_nodes", "refinements", "clauses_added", "conflicts",
     "propagations", "max_call_conflicts", "blocked_cubes", "clauses_pushed",
-    "pre_latches_removed", "pre_ands_removed", "pre_cnf_clauses_eliminated",
-    "fraig_classes", "fraig_merges", "fraig_sat_confirms",
+    "pre_latches_removed", "pre_ands_removed", "fraig_classes",
+    "fraig_merges", "fraig_sat_confirms",
     "proof_nodes_trimmed", "itp_ands_compacted", "fixpoint_encodings_reused",
     "fixpoint_groups_shed", "proof_group_solves_saved",
     "proof_chains_stripped", "proof_group_fallbacks",

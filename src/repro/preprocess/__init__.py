@@ -3,7 +3,7 @@
 The package provides a composable pass pipeline over
 :class:`~repro.aig.model.Model` objects — cone-of-influence reduction,
 ternary-simulation stuck-latch sweeping, structural rewriting, SAT
-sweeping (fraiging) and CNF-level bounded variable elimination — plus the
+sweeping (fraiging) and a reporting-only CNF elimination pass — plus the
 :class:`~repro.preprocess.modelmap.ModelMap` machinery that lifts
 counterexample traces found on the reduced model back to the original
 inputs and latches, so preprocessing never weakens trace validation.

@@ -1,15 +1,14 @@
-"""CNF-level simplification: the pipeline's encoding-time pass.
+"""CNF-level simplification behind the pipeline's ``cnf`` pass.
 
-This module is the single CNF simplification entry point of the repo (it
-absorbs the formerly separate ``repro.cnf.simplify``): unit propagation,
-subsumption, self-subsumption (clause strengthening) and SatELite-style
-bounded variable elimination.  The reductions preserve *equisatisfiability*
-— variable elimination trades logical equivalence for size — so the
-consumers are the places where only SAT-or-UNSAT matters: the engines'
-containment checks (:func:`repro.core.base.implies`), one-shot
-combinational queries and the test-suite.  Proof-logged refutation checks
-never run through it: interpolation needs the refutation to be over the
-original clause set.
+Unit propagation, subsumption, self-subsumption (clause strengthening) and
+SatELite-style bounded variable elimination.  The reductions preserve
+*equisatisfiability* — variable elimination trades logical equivalence for
+size — so they are sound only where SAT-or-UNSAT is all that matters.  The
+one caller is :class:`~repro.preprocess.passes.CnfEliminationPass` with
+``measure=True``, which reports the reduction on a model's
+transition-relation CNF; no engine query is simplified.  Proof-logged
+refutation checks must never run through it: interpolation needs the
+refutation to be over the original clause set.
 
 Lift-back exists at this level too, mirroring the model-level
 :class:`~repro.preprocess.modelmap.ModelMap`: eliminating a variable
@@ -70,8 +69,7 @@ class CnfSimplifyConfig:
 
     ``max_clause_count`` guards the worst case: formulas larger than it get
     unit propagation only (linear), never the quadratic-ish subsumption and
-    elimination sweeps — important because the engines run the simplifier
-    on every containment check.  ``max_occurrences`` and ``max_resolvent``
+    elimination sweeps.  ``max_occurrences`` and ``max_resolvent``
     are the classic bounded-VE limits (a variable is only eliminated when
     each polarity occurs few times and no resolvent grows long);
     ``max_rounds`` caps the simplify-to-fixpoint iteration.

@@ -22,19 +22,17 @@ Registered passes (see :data:`PASSES`):
     passes cannot see (:class:`~repro.preprocess.fraig.FraigPass`).
 ``cnf``
     CNF-level bounded variable elimination + subsumption
-    (:class:`CnfEliminationPass`).  This pass acts at *encoding time*: AIG
-    surgery cannot express clause-level elimination, so the pass leaves the
-    model untouched (identity map) and instead (a) measures the reduction
-    on the model's transition-relation CNF for the pipeline report and (b)
-    flags the pipeline result so the engines route their equisatisfiability
-    queries — the containment checks of :func:`repro.core.base.implies` —
-    through :func:`~repro.preprocess.cnfsimp.simplify_cnf`.
+    (:class:`CnfEliminationPass`).  AIG surgery cannot express clause-level
+    elimination, so the pass leaves the model untouched (identity map); on
+    request it measures the reduction on the model's transition-relation
+    CNF for the pipeline report.  No engine query runs through it.
 
 The default order ``coi, sweep, coi, rewrite, fraig, cnf`` runs COI twice
 on purpose: sweeping substitutes constants, which routinely disconnects
 more latches from the property cone; the second COI harvests them.
 Fraiging runs after rewriting so its SAT effort is spent only on the
-equivalences the cheap structural normalisation could not expose.
+equivalences the cheap structural normalisation could not expose.  The
+trailing ``cnf`` pass leaves the model as it is.
 """
 
 from __future__ import annotations
@@ -117,16 +115,14 @@ class Pass:
 class CnfEliminationPass(Pass):
     """Bounded variable elimination + subsumption at the CNF level.
 
-    See the module docstring: the model passes through unchanged; the pass
-    arms encoding-time simplification for the engines' containment checks.
-    With ``measure=True`` it additionally runs the simplifier over the
-    model's transition-relation CNF (latch next-state cones, the property,
+    See the module docstring: the model passes through unchanged.  With
+    ``measure=True`` the pass runs the simplifier over the model's
+    transition-relation CNF (latch next-state cones, the property,
     the constraints — with the model-boundary variables frozen, since an
     unrolling constrains them externally) and reports the clause reduction
     in its :class:`PassStats`.  Measurement is off by default: inside an
     engine construction the numbers would be computed and thrown away, so
-    only report-producing callers (the preprocessing benchmark, the
-    walkthrough example) should ask for them.
+    only report-producing callers should ask for them.
     """
 
     name = "cnf"
@@ -162,9 +158,6 @@ class PreprocessResult:
     model: Model
     model_map: ModelMap
     passes: List[PassStats]
-    #: Set when the pipeline contained a ``cnf`` pass: the configuration the
-    #: engines should use for encoding-time CNF simplification.
-    cnf_simplify: Optional[CnfSimplifyConfig] = None
 
     def lift_trace(self, trace: Trace) -> Trace:
         """Lift a reduced-model counterexample back to the original model."""
@@ -214,7 +207,6 @@ class Pipeline:
         current = model
         model_map = ModelMap.identity(model)
         collected: List[PassStats] = []
-        cnf_config: Optional[CnfSimplifyConfig] = None
         for pipeline_pass in self.passes:
             with tracer.span("pass:%s" % pipeline_pass.name):
                 result = pipeline_pass.apply(current)
@@ -223,16 +215,13 @@ class Pipeline:
                        current.aig.num_ands, result.model.aig.num_ands)
             model_map = model_map.compose(result.model_map)
             current = result.model
-            if isinstance(pipeline_pass, CnfEliminationPass):
-                cnf_config = pipeline_pass.config
         if current.aig is model.aig:
             # Every pass was a no-op: hand out a private copy anyway, since
             # the engines materialise interpolants into the model they get.
             current = Model(model.aig.copy(), model.property_index,
                             name=model.name)
         return PreprocessResult(original=model, model=current,
-                                model_map=model_map, passes=collected,
-                                cnf_simplify=cnf_config)
+                                model_map=model_map, passes=collected)
 
 
 #: Registry of pass name -> zero-argument factory.

@@ -96,14 +96,13 @@ def read_share_log(path: str) -> ShareLogData:
 
     A worker terminated mid-``pub`` leaves a truncated last line; it is
     skipped, as are records that fail to decode — the log's complete
-    prefix is always usable (the race-loser-kill contract).
+    prefix is always usable (the race-loser-kill contract).  A log that
+    cannot be read at all raises :class:`OSError`: replaying it as empty
+    would silently turn a replay into a solo run.
     """
     data = ShareLogData()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.read()
-    except OSError:
-        return data
+    with open(path, "r", encoding="utf-8") as handle:
+        raw = handle.read()
     for line in raw.splitlines():
         line = line.strip()
         if not line:

@@ -1,11 +1,10 @@
 """The deterministic SAT budgets trip exactly at their boundary.
 
-Every SAT path of a run — the engines' own solvers, the persistent
-fixpoint checker and the one-shot containment solvers — folds its
-counters into one account and checks ``max_clauses`` /
-``max_propagations`` after each completed call.  So a budget equal to a
-solo run's final total reproduces that run, and one unit less overflows
-it.  Both containment paths are covered through ``fixpoint_incremental``.
+Every SAT path of a run — the engines' own solvers and the persistent
+fixpoint checker — folds its counters into one account and checks
+``max_clauses`` / ``max_propagations`` after each completed call.  So a
+budget equal to a solo run's final total reproduces that run, and one
+unit less overflows it.
 """
 
 import pytest
@@ -22,14 +21,10 @@ def _summary(result):
             result.stats.clauses_added, result.stats.propagations)
 
 
-@pytest.mark.parametrize("fixpoint_incremental", [True, False],
-                         ids=["incremental", "one_shot"])
 @pytest.mark.parametrize("instance", _INSTANCES)
 @pytest.mark.parametrize("engine", _ENGINES)
-def test_counter_budgets_trip_exactly_at_the_solo_total(engine, instance,
-                                                        fixpoint_incremental):
-    options = EngineOptions(max_bound=20, time_limit=None,
-                            fixpoint_incremental=fixpoint_incremental)
+def test_counter_budgets_trip_exactly_at_the_solo_total(engine, instance):
+    options = EngineOptions(max_bound=20, time_limit=None)
 
     def run(**budget):
         return run_engine(engine, get_instance(instance).build(),

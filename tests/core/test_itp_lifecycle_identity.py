@@ -1,13 +1,13 @@
-"""The interpolant lifecycle must never change an answer — only its cost.
+"""Proof trimming must never change an answer — only its cost.
 
-Acceptance property of the lifecycle overhaul: with proof trimming, cone
-compaction and the persistent fixpoint checker all on (the defaults) vs.
-all off (the pre-lifecycle behaviour), every interpolation engine produces
-bit-identical verdicts *and* fixpoint depth pairs (k_fp, j_fp) across the
-quick + redundant suites.  Compaction and the incremental checker are
-semantics-preserving by construction; trimming changes the refutation the
-interpolants come from, so this identity is asserted empirically, cell by
-cell.
+Trimming is the one lifecycle stage with an off switch
+(``EngineOptions.proof_reduce``).  It changes the refutation the
+interpolants come from, so with it on (the default) vs. off every
+interpolation engine must still produce bit-identical verdicts *and*
+fixpoint depth pairs (k_fp, j_fp) across the quick + redundant suites;
+this identity is asserted empirically, cell by cell.  Compaction and the
+persistent fixpoint checker are always on; the checker's answers are
+checked against the one-shot oracle in ``test_containment_oracle.py``.
 """
 
 import pytest
@@ -18,8 +18,8 @@ from repro.core import EngineOptions, run_engine
 _ITP_ENGINES = ("itp", "itpseq", "sitpseq", "itpseqcba")
 _INSTANCES = quick_suite() + redundant_suite()
 
-_ON = dict(proof_reduce=True, itp_compact=True, fixpoint_incremental=True)
-_OFF = dict(proof_reduce=False, itp_compact=False, fixpoint_incremental=False)
+_ON = dict(proof_reduce=True)
+_OFF = dict(proof_reduce=False)
 
 
 def _options(toggles) -> EngineOptions:
@@ -40,41 +40,12 @@ def test_lifecycle_on_off_verdict_and_depth_identity(engine_name):
 
 
 def test_lifecycle_counters_only_move_when_enabled():
+    """Trimming off keeps the ring fixpoint bit-identical and counts
+    nothing trimmed; the persistent checker reuses encodings either way."""
     ring = get_instance("ring06")
     on = run_engine("itpseq", ring.build(), _options(_ON))
     off = run_engine("itpseq", ring.build(), _options(_OFF))
-    assert on.stats.fixpoint_encodings_reused > 0
-    assert off.stats.proof_nodes_trimmed == 0
-    assert off.stats.itp_ands_compacted == 0
-    assert off.stats.fixpoint_encodings_reused == 0
-
-
-def test_individual_toggles_preserve_answers_on_a_deep_ring():
-    """Each lifecycle stage alone keeps the ring fixpoint bit-identical."""
-    ring = get_instance("ring06")
-    baseline = run_engine("itpseq", ring.build(), _options(_OFF))
-    for key in ("proof_reduce", "itp_compact", "fixpoint_incremental"):
-        toggles = dict(_OFF)
-        toggles[key] = True
-        result = run_engine("itpseq", ring.build(), _options(toggles))
-        assert (result.verdict, result.k_fp, result.j_fp) == \
-            (baseline.verdict, baseline.k_fp, baseline.j_fp), key
-
-
-def test_incremental_fixpoint_reduces_containment_clauses_on_deep_rings():
-    """The headline counter win: the persistent checker stops re-encoding
-    the accumulated R cone, so cumulative clause additions drop.
-
-    The crossover needs a deep fixpoint (many accumulation iterations):
-    on shallow rings the one-shot path's CNF elimination still wins the
-    *counter* (while losing the wall clock — that is the 20k-gate trade
-    the size gate encodes), so this runs an 8-stage ring, where both the
-    counter and the clock favour the persistent checker.
-    """
-    from repro.circuits import token_ring
-
-    on = run_engine("itpseq", token_ring(8),
-                    _options(dict(_OFF, fixpoint_incremental=True)))
-    off = run_engine("itpseq", token_ring(8), _options(_OFF))
     assert (on.verdict, on.k_fp, on.j_fp) == (off.verdict, off.k_fp, off.j_fp)
-    assert on.stats.clauses_added < off.stats.clauses_added
+    assert off.stats.proof_nodes_trimmed == 0
+    assert on.stats.fixpoint_encodings_reused > 0
+    assert off.stats.fixpoint_encodings_reused > 0

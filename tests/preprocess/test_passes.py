@@ -115,11 +115,10 @@ def test_default_pipeline_semantics_preserved_across_suite():
                                    frames=8, seeds=(3, 4))
 
 
-def test_pipeline_composes_stats_and_cnf_flag():
+def test_pipeline_composes_stats():
     result = build_pipeline().run(stuck_gate_counter(4, 4))
     assert [s.name for s in result.passes] == ["coi", "sweep", "coi",
                                                "rewrite", "fraig", "cnf"]
-    assert result.cnf_simplify is not None
     assert result.latches_removed == 8          # 4 stuck + 4 churn
     assert result.inputs_removed == 8
 

@@ -65,10 +65,11 @@ def test_share_log_skips_junk_and_corrupted_records(tmp_path):
     assert [s.seq for s in data.deliveries("itp", 5)] == [1]
 
 
-def test_share_log_missing_file_is_empty():
-    data = read_share_log("/nonexistent/share.jsonl")
-    assert data.fingerprint is None
-    assert data.published == {}
+def test_share_log_missing_file_raises():
+    # Only torn or junk *lines* are tolerated: an unreadable log would
+    # otherwise replay as an empty one, i.e. as a silent solo run.
+    with pytest.raises(OSError):
+        read_share_log("/nonexistent/share.jsonl")
 
 
 #: Wire records of retired lemma kinds, as logs of their time wrote them.

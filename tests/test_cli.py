@@ -30,20 +30,15 @@ def test_version_flag_prints_package_version(capsys):
     assert f"repro {__version__}" in capsys.readouterr().out
 
 
-def test_lifecycle_flags_disable_the_counters(safe_aag, capsys):
-    assert main([safe_aag, "--engine", "itpseq", "--stats"]) == 0
-    lifecycle_on = capsys.readouterr().out
+def test_no_proof_reduce_flag_disables_trimming(safe_aag, capsys):
     assert main([safe_aag, "--engine", "itpseq", "--stats",
-                 "--no-proof-reduce", "--no-itp-compact",
-                 "--no-incremental-fixpoint"]) == 0
-    lifecycle_off = capsys.readouterr().out
-    assert "pass" in lifecycle_on and "pass" in lifecycle_off
-    # With the lifecycle off every lifecycle counter reads zero.
-    for counter in ("proof_nodes_trimmed", "itp_ands_compacted",
-                    "fixpoint_encodings_reused"):
-        assert f"{counter}: 0" in lifecycle_off
-    # With it on, the persistent checker reuses encodings on this model.
-    assert "fixpoint_encodings_reused: 0" not in lifecycle_on
+                 "--no-proof-reduce"]) == 0
+    out = capsys.readouterr().out
+    assert "pass" in out
+    assert "proof_nodes_trimmed: 0" in out
+    # The persistent fixpoint checker, the only containment path, still
+    # reuses encodings on this model.
+    assert "fixpoint_encodings_reused: 0" not in out
 
 
 def test_list_engines_includes_all_five(capsys):
@@ -134,6 +129,14 @@ def test_corrupt_body_is_input_error_not_fail(tmp_path, capsys):
     path.write_text("aag 1 1 0 1 0\nx\n2\n")
     assert main([str(path)]) == 3
     assert "non-integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_invalid_max_bound_is_input_error_not_fail(safe_aag, bound, capsys):
+    # EngineOptions rejects the bound; that must exit 3, never 1 (the
+    # "counterexample found" status) with a traceback.
+    assert main([safe_aag, "--max-bound", bound]) == 3
+    assert "error: max_bound must be at least 1" in capsys.readouterr().err
 
 
 def test_property_index_out_of_range_is_input_error(safe_aag, capsys):
@@ -278,6 +281,17 @@ def test_share_flag_combinations_are_validated(safe_aag, tmp_path, capsys):
     assert main([safe_aag, "--engine", "portfolio", "--race", "--share",
                  "--share-replay", log]) == 3
     assert "conflicts" in capsys.readouterr().err
+
+
+def test_unreadable_share_replay_log_is_input_error(safe_aag, tmp_path,
+                                                    capsys):
+    # A log that cannot be read must not replay as an empty one (a silent
+    # solo run that exits 0).
+    missing = str(tmp_path / "missing.jsonl")
+    assert main([safe_aag, "--engine", "itpseq",
+                 "--share-replay", missing]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "missing.jsonl" in err
 
 
 def test_shared_race_records_replayable_log(safe_aag, tmp_path, capsys):
