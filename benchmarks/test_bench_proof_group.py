@@ -1,10 +1,10 @@
 """Benchmark: group-aware proof logging — one solve per refuted bound.
 
 One committed, CI-diff-gated artefact, ``proof_group.txt`` (regenerated
-by the push-CI smoke): the quick-suite on-vs-off table for the two
+by the push-CI smoke): the quick-suite on-vs-off table for the three
 sequence engines, whose per-bound refutation re-solve the overhaul
 deletes (``EngineOptions.group_proof``; the itp engine shares the same
-path, the CBA loop keeps its own fresh checks by design).
+path, and CBA refutes each abstract bound on its abstract searcher).
 
 Gates, all on solver counters (never wall clock, so the committed bytes
 regenerate identically on any machine):
@@ -14,7 +14,7 @@ regenerate identically on any machine):
   30% (measured: 100%; every refuted bound's fresh solve disappears and
   the fallback path never fires on these suites);
 * cumulative clause additions with group proof on are never more than 5%
-  above the fresh-solver path anywhere (measured: 38–76% *below* on the
+  above the fresh-solver path anywhere (measured: 36–76% *below* on the
   PASS cells — the monolithic re-encode per bound is gone);
 * total SAT calls never increase.
 
@@ -33,7 +33,7 @@ from repro.harness import format_table
 
 pytestmark = pytest.mark.benchmark(group="proof_group")
 
-_SEQ_ENGINES = ("itpseq", "sitpseq")
+_SEQ_ENGINES = ("itpseq", "sitpseq", "itpseqcba")
 
 
 def _options(group_proof):

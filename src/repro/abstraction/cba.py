@@ -31,14 +31,14 @@ unrolling from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..aig.model import Model
 from ..bmc.cex import Trace
 from ..bmc.checks import BmcCheckKind, build_exact_check
 from ..bmc.incremental import IncrementalUnroller
 from ..sat.solver import CdclSolver
-from ..sat.types import Budget, SatResult
+from ..sat.types import SatResult
 from .localization import LocalizationAbstraction
 
 __all__ = ["ExtensionOutcome", "extend_counterexample", "choose_refinement"]
@@ -63,7 +63,7 @@ def extend_counterexample(
     abstraction: LocalizationAbstraction,
     abstract_trace: Trace,
     depth: int,
-    budget: Optional[Budget] = None,
+    solve: Optional[Callable[[CdclSolver, Sequence[int]], SatResult]] = None,
     searcher: Optional[IncrementalUnroller] = None,
 ) -> ExtensionOutcome:
     """EXTEND: check an abstract counterexample on the concrete model.
@@ -73,7 +73,10 @@ def extend_counterexample(
     refutes.  ``searcher``, when given, must be an exact-mode
     :class:`~repro.bmc.incremental.IncrementalUnroller` over ``concrete``;
     it is extended to ``depth`` and reused, so repeated EXTEND queries share
-    one solver instead of re-encoding the unrolling each time.
+    one solver instead of re-encoding the unrolling each time.  ``solve``,
+    when given, runs the query as ``solve(solver, assumptions)`` — the
+    engine's hook into its SAT accounting and budgets; without it the query
+    runs unbudgeted.
     """
     if depth < 1:
         # Depth-0 abstract counterexamples: the concrete initial state either
@@ -131,7 +134,8 @@ def extend_counterexample(
             assumptions.append(literal)
             assumption_index[literal] = (frame, conc_latch)
 
-    result = solver.solve(assumptions=assumptions, budget=budget)
+    result = (solve(solver, assumptions) if solve is not None
+              else solver.solve(assumptions=assumptions))
     if result is SatResult.UNKNOWN:
         # Treat as spurious with no guidance; the engine will fall back to a
         # structural refinement heuristic.

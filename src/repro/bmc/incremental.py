@@ -36,14 +36,14 @@ refutation check**: every permanent clause is labelled with the same
 Γ-partition index the monolithic builders use (S₀ and T(V⁰,V¹) → 1,
 T(Vᶠ,Vᶠ⁺¹), frame-``f`` constraints and assume-mode p(Vᶠ) → ``f+1``, the
 depth-``d`` target → ``d+1``), the depth target's clause group is recorded
-with its group tag, and after an UNSAT :meth:`solve` the
-:meth:`refutation` method strips the activation literals from the recorded
+with its group tag, and after an UNSAT :meth:`solve`
+:func:`grouped_refutation` strips the activation literals from the recorded
 trace (:func:`repro.sat.proof.strip_activations`) to produce a genuine
 labelled refutation of the monolithic S₀ ∧ Tᵏ ∧ B — the object
 interpolation consumes, without a second solve.  Clauses learned at
 earlier depths re-enter later refutations as derived chains over
 permanent clauses; only a chain that depends on a *released* target group
-is unusable, in which case :meth:`refutation` raises
+is unusable, in which case :func:`grouped_refutation` raises
 :class:`~repro.sat.proof.ActivationDependencyError` and the caller falls
 back to a fresh monolithic solve (see :mod:`repro.core.base`).
 
@@ -66,7 +66,7 @@ from .cex import Trace
 from .checks import BmcCheckKind
 from .unroll import Unroller
 
-__all__ = ["IncrementalUnroller", "SuffixUnroller"]
+__all__ = ["IncrementalUnroller", "SuffixUnroller", "grouped_refutation"]
 
 
 class IncrementalUnroller:
@@ -91,18 +91,12 @@ class IncrementalUnroller:
 
     def __init__(self, model: Model,
                  check_kind: BmcCheckKind = BmcCheckKind.ASSUME,
-                 solver: Optional[CdclSolver] = None,
                  proof_logging: bool = False) -> None:
-        if solver is None:
-            solver = CdclSolver(proof_logging=proof_logging)
-        elif proof_logging and not solver.proof_logging:
-            raise ValueError("proof_logging requested but the supplied solver "
-                             "does not record proofs")
         self.model = model
-        self.proof_logging = solver.proof_logging
+        self.proof_logging = proof_logging
         self.check_kind = check_kind
-        self.solver = solver
-        self.unroller = Unroller(model, solver)
+        self.solver = CdclSolver(proof_logging=proof_logging)
+        self.unroller = Unroller(model, self.solver)
         self.depth = 0
         self._group: Optional[int] = None
         # The Γ-partition labels mirror the monolithic builders exactly
@@ -186,28 +180,6 @@ class IncrementalUnroller:
         """Build the counterexample trace after a SAT answer."""
         return self.unroller.extract_trace(self.depth)
 
-    def refutation(self) -> Tuple[ResolutionProof, ActivationStripStats]:
-        """The activation-free refutation of the current depth's check.
-
-        Valid only after an UNSAT :meth:`solve` on a proof-logging
-        unroller.  Strips the current target group's activation literal
-        from the recorded trace, yielding a labelled refutation of the
-        monolithic S₀ ∧ Tᵏ ∧ B equivalent to what a fresh
-        :func:`repro.bmc.checks.build_check` solve would have produced.
-        Raises :class:`~repro.sat.proof.ActivationDependencyError` when the
-        refutation depends on a released earlier-depth group.
-        """
-        if not self.proof_logging:
-            raise SolverError("refutation() requires proof_logging=True")
-        root = self.solver.last_refutation_root()
-        if root is None:
-            raise SolverError(
-                "no refutation recorded (last answer was not UNSAT)")
-        assert self._group is not None
-        active = {self._group}
-        others = self.solver.group_vars() - active
-        return strip_activations(self.solver.proof(), active, others, root)
-
     @property
     def last_call_stats(self) -> SolverStats:
         """Per-call counters of the most recent :meth:`solve`."""
@@ -241,7 +213,7 @@ class SuffixUnroller:
     releases every group below it, so a later refutation can never use the
     Init-free prefix: a clause learned from a released frame carries that
     frame's activation literal and is satisfied for good, and
-    :meth:`refutation` rejects a core that touches one
+    :func:`grouped_refutation` rejects a core that touches one
     (:class:`~repro.sat.proof.ActivationDependencyError`).  The stripped
     proof therefore refutes Eq. (3)'s A ∧ B plus, at most, the definitions
     of released frames — gate names over variables nothing else mentions,
@@ -327,17 +299,19 @@ class SuffixUnroller:
         """CNF latch variables at absolute ``frame`` → model AIG literals."""
         return self.unroller.cut_var_map(frame)
 
-    def refutation(self) -> Tuple[ResolutionProof, ActivationStripStats]:
-        """The activation-free refutation of the armed suffix check.
 
-        Valid only after an UNSAT solve under :meth:`assumptions`.  Raises
-        :class:`~repro.sat.proof.ActivationDependencyError` when the core
-        touches a released group.
-        """
-        root = self.solver.last_refutation_root()
-        if root is None:
-            raise SolverError(
-                "no refutation recorded (last answer was not UNSAT)")
-        active = set(self.assumptions())
-        others = self.solver.group_vars() - active
-        return strip_activations(self.solver.proof(), active, others, root)
+def grouped_refutation(solver: CdclSolver, active: Sequence[int]
+                       ) -> Tuple[ResolutionProof, ActivationStripStats]:
+    """The activation-free refutation of ``solver``'s last UNSAT answer,
+    obtained under the group literals ``active`` (an unroller's
+    :meth:`assumptions`).  Raises
+    :class:`~repro.sat.proof.ActivationDependencyError` when the core
+    touches any other (released) group.
+    """
+    root = solver.last_refutation_root()
+    if root is None:
+        raise SolverError("no refutation recorded (proof logging off, or "
+                          "the last answer was not UNSAT)")
+    active = set(active)
+    return strip_activations(solver.proof(), active,
+                             solver.group_vars() - active, root)

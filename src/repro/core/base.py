@@ -49,21 +49,19 @@ literals from the recorded trace — sound because activation variables
 are never resolution pivots, so stripping commutes with every recorded
 step.  Clauses learned at earlier bounds enter later refutations as
 derived chains over permanent labelled clauses, exactly the case the old
-design could not label.  The fresh-solver path survives in three roles:
+design could not label.  CBA's abstract searcher refutes its bounds the
+same way, and serial sequence suffix checks run on a grouped solver of
+their own, one per bound (:class:`~repro.bmc.incremental.SuffixUnroller`);
+all three strip through :meth:`UmcEngine._strip_refutation`.  The
+fresh-solver path survives in two roles:
 
-* **fallback** — a stripped chain can depend on a *released* earlier
-  depth's group; :meth:`UmcEngine._group_refutation` then returns
-  ``None`` (counted in ``proof_group_fallbacks``) and
-  :meth:`UmcEngine._bound_refutation` builds the monolithic check;
+* **fallback** — a stripped chain can depend on a *released* group;
+  the strip then returns ``None`` (counted in ``proof_group_fallbacks``)
+  and the caller builds the fresh check (a fresh suffix solver for that
+  serial step alone, see :mod:`repro.core.sitpseq_engine`);
 * **reference** — ``--no-group-proof`` restores the two-solve split,
   and the identity tests pin verdicts and k_fp/j_fp bit-identical
-  on-vs-off;
-* **the checks the searcher cannot express** — CBA's abstract
-  refutations always build fresh proof-logged solvers.  Serial sequence
-  suffix checks (a different initial predicate per step) run on their own
-  grouped solver, one per bound
-  (:class:`~repro.bmc.incremental.SuffixUnroller`), and fall back to a
-  fresh suffix solver per step (see :mod:`repro.core.sitpseq_engine`).
+  on-vs-off.
 
 Group proof is suspended while a share port is attached
 (:meth:`UmcEngine._group_proof_active` says why).
@@ -80,7 +78,8 @@ from ..aig.model import Model
 from ..aig.ops import cone_size
 from ..bmc.cex import Trace
 from ..bmc.checks import BmcCheckKind
-from ..bmc.incremental import IncrementalUnroller
+from ..bmc.incremental import (IncrementalUnroller, SuffixUnroller,
+                               grouped_refutation)
 from ..bmc.unroll import Unroller
 from ..cnf.tseitin import TseitinEncoder
 from ..itp.compact import compact_cone
@@ -245,14 +244,22 @@ class UmcEngine:
 
     def _solve(self, solver: CdclSolver, assumptions: Iterable[int] = ()) -> SatResult:
         """Run a SAT query under the remaining budget, updating statistics."""
+        result = self._try_solve(solver, assumptions)
+        if result is SatResult.UNKNOWN:
+            raise OutOfBudget(self._current_bound)
+        return result
+
+    def _try_solve(self, solver: CdclSolver,
+                   assumptions: Iterable[int] = ()) -> SatResult:
+        """:meth:`_solve`, except that a call the per-call budget cut short
+        returns UNKNOWN instead of ending the run (CBA's EXTEND queries
+        treat it as an unguided refinement)."""
         self._check_budget()
         started = time.monotonic()
         result = solver.solve(assumptions=list(assumptions), budget=self._sat_budget())
         self.stats.sat_calls += 1
         self.stats.sat_time += time.monotonic() - started
         self._account_call(solver.last_call_stats)
-        if result is SatResult.UNKNOWN:
-            raise OutOfBudget(self._current_bound)
         self._check_counter_budgets()
         return result
 
@@ -417,42 +424,52 @@ class UmcEngine:
                 proof_logging=self._group_proof_active())
         return self._cex_searcher
 
-    def _group_refutation(self, bound: int) -> Optional[ResolutionProof]:
-        """The trimmed refutation of ``bound`` from the searcher's own trace.
-
-        Valid right after :meth:`_search_counterexample` returned ``None``
-        for ``bound`` on a group-proof run: the searcher's last answer is
-        then the UNSAT this bound's refutation check would re-derive, so
-        its stripped trace (:meth:`IncrementalUnroller.refutation`) *is*
-        the labelled refutation of the monolithic S₀ ∧ Tᵏ ∧ B — and the
-        fresh-solver solve is skipped (``proof_group_solves_saved``).
-
-        Returns ``None`` when the group path is off, the searcher did not
-        actually refute ``bound`` (depth mismatch), or
-        stripping rejected the trace because a chain depends on a released
-        earlier-depth group — the caller then falls back to the fresh
-        monolithic proof-logged check (``proof_group_fallbacks``).
-        """
-        if not self._group_proof_active() or self._cex_searcher is None:
-            return None
-        searcher = self._cex_searcher
-        if not searcher.proof_logging or searcher.depth != bound:
-            return None
+    def _strip_refutation(self, grouped: Union[IncrementalUnroller,
+                                               SuffixUnroller],
+                          bound: int, **fields) -> Optional[ResolutionProof]:
+        """The trimmed, stripped refutation of a grouped solver's last UNSAT
+        answer under its :meth:`assumptions` (``bound`` and ``fields``
+        label the trace points), or ``None`` when a core chain depends on a
+        released group (``proof_group_fallbacks``): the caller then solves
+        a fresh proof-logged check instead."""
         try:
             with self.tracer.span("proof_strip", bound=bound):
-                proof, strip = searcher.refutation()
+                proof, strip = grouped_refutation(grouped.solver,
+                                                  grouped.assumptions())
         except ActivationDependencyError:
             self.stats.proof_group_fallbacks += 1
             if self.tracer.enabled:
-                self.tracer.point("group_proof_fallback", bound=bound)
+                self.tracer.point("group_proof_fallback", bound=bound,
+                                  **fields)
             return None
-        self.stats.proof_group_solves_saved += 1
         self.stats.proof_chains_stripped += strip.chains_stripped
         if self.tracer.enabled:
-            self.tracer.point("group_proof", bound=bound,
+            self.tracer.point("group_proof", bound=bound, **fields,
                               chains_stripped=strip.chains_stripped,
                               literals_stripped=strip.literals_stripped)
         return self._trim_proof(proof)
+
+    def _group_refutation(self, searcher: IncrementalUnroller,
+                          bound: int) -> Optional[ResolutionProof]:
+        """The trimmed refutation of ``bound`` from a searcher's own trace.
+
+        Valid right after ``searcher`` (the engine's, or CBA's abstract
+        one) answered UNSAT at ``bound`` on a group-proof run: that answer
+        is the UNSAT the bound's refutation check would re-derive, so its
+        stripped trace *is* the labelled refutation of the monolithic
+        S₀ ∧ Tᵏ ∧ B, and the fresh-solver solve is skipped
+        (``proof_group_solves_saved``).
+
+        Returns ``None`` when the group path is off, the searcher did not
+        refute ``bound``, or the strip rejected the trace — the caller then
+        falls back to the fresh monolithic proof-logged check.
+        """
+        if not self._group_proof_active() or searcher.depth != bound:
+            return None
+        proof = self._strip_refutation(searcher, bound)
+        if proof is not None:
+            self.stats.proof_group_solves_saved += 1
+        return proof
 
     def _bound_refutation(self, k: int
                           ) -> Union[Tuple[ResolutionProof, Unroller],
@@ -469,7 +486,7 @@ class UmcEngine:
         turns: one bound as a single turn overshoots the turnstile's
         progress clock on small instances.
         """
-        proof = self._group_refutation(k)
+        proof = self._group_refutation(self._cex_searcher, k)
         if proof is not None:
             return proof, self._cex_searcher.unroller
         self._share_yield()

@@ -7,7 +7,9 @@ The engine interleaves, at every bound ``k``:
    genuine failures or used to re-introduce latches (REFINE);
 2. once the abstract depth-``k`` check is unsatisfiable, a *serial*
    interpolation sequence (Fig. 4) computed on the **abstract** model from
-   that refutation;
+   that refutation — on a group-proof run, the persistent abstract
+   searcher's own UNSAT trace, stripped of its activation literals (see
+   :mod:`repro.core.base`), so the bound is solved once;
 3. the usual matrix-column / fixed-point bookkeeping of Fig. 2, performed on
    the concrete state space (the abstract interpolants are predicates over
    visible latches only, so they translate to the concrete AIG by renaming
@@ -107,11 +109,14 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         whenever the abstraction object changes; within one abstraction it
         carries learned clauses across spurious-counterexample iterations
         and across bounds (the paper never re-proves smaller bounds after a
-        refinement, so deepening stays strictly monotonic).
+        refinement, so deepening stays strictly monotonic).  On group-proof
+        runs it logs its proof, so each UNSAT answer is also the bound's
+        refutation.
         """
         if self._abstract_searcher_key is not abstraction:
             self._abstract_searcher = IncrementalUnroller(
-                abstraction.abstract_model, check_kind=self.options.bmc_check)
+                abstraction.abstract_model, check_kind=self.options.bmc_check,
+                proof_logging=self._group_proof_active())
             self._abstract_searcher_key = abstraction
         return self._abstract_searcher
 
@@ -124,13 +129,18 @@ class ItpSeqCbaEngine(ItpSeqEngine):
 
     def _refinement_loop(self, abstraction: LocalizationAbstraction, k: int):
         """Iterate abstract check / EXTEND / REFINE until the bound-k abstract
-        instance is unsatisfiable (returning the refutation) or a concrete
+        instance is unsatisfiable (returning the abstraction, its trimmed
+        refutation and the unroller serving its cuts) or a concrete
         counterexample is found (returning a FAIL result).
 
-        The SAT-or-UNSAT question is answered on the persistent incremental
-        searcher; the proof-logged fresh-solver check is only built once the
-        abstract instance is known UNSAT, purely to record the refutation the
-        serial sequence extraction needs (see repro.core.base).
+        Every question is answered on the persistent abstract searcher, and
+        its UNSAT answer is also the bound's refutation
+        (:meth:`_group_refutation`).  A fresh proof-logged abstract check is
+        built only when the searcher's trace cannot serve: a strip that
+        hits a released group, ``--no-group-proof``, or a share-attached
+        run.  EXTEND queries go through the run's SAT account
+        (:meth:`_try_solve`), so they count against the clause and
+        propagation budgets.
         """
         while True:
             self._check_budget()
@@ -145,6 +155,9 @@ class ItpSeqCbaEngine(ItpSeqEngine):
                         is SatResult.SAT:
                     abstract_trace = searcher.extract_trace()
             if abstract_trace is None:
+                proof = self._group_refutation(searcher, k)
+                if proof is not None:
+                    return abstraction, proof, searcher.unroller
                 with self.tracer.span("refutation"):
                     unroller = build_check(self.options.bmc_check,
                                            abstraction.abstract_model, k,
@@ -155,12 +168,10 @@ class ItpSeqCbaEngine(ItpSeqEngine):
                     return abstraction, proof, unroller
                 raise RuntimeError(  # pragma: no cover - defensive
                     "incremental and monolithic abstract checks disagree")
-            self.stats.sat_calls += 1
             with self.tracer.span("extend"):
                 extension = extend_counterexample(
                     self.model, abstraction, abstract_trace, k,
-                    budget=self._sat_budget(),
-                    searcher=self._extend_search())
+                    solve=self._try_solve, searcher=self._extend_search())
             if extension.is_real:
                 return self._fail(k, extension.concrete_trace)
             if abstraction.is_total():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..bmc.checks import BmcCheckKind, build_bound_check
+from ..bmc.checks import BmcCheckKind, build_check
 from ..bmc.unroll import Unroller
 from ..itp.craig import InterpolantBuilder
 from ..sat.types import SatResult
@@ -130,7 +130,8 @@ class ItpEngine(UmcEngine):
         else:
             def initial(unroller: Unroller, formula=init_formula) -> None:
                 unroller.assert_formula(formula, frame=0, partition=1)
-        return build_bound_check(self.model, k, proof_logging=True, initial=initial)
+        return build_check(BmcCheckKind.BOUND, self.model, k, proof_logging=True,
+                           initial=initial)
 
     def _failure_depth(self, unroller: Unroller, k: int) -> int:
         """Find the first frame whose bad literal is asserted in the SAT model."""

@@ -85,10 +85,10 @@ class EngineOptions:
         the proof-logged refutation: the searcher runs with proof logging
         on, and :func:`repro.sat.proof.strip_activations` turns its
         recorded trace into an activation-free refutation of the monolithic
-        S₀ ∧ Tᵏ ∧ B — deleting the fresh-solver re-solve per bound.  The
-        fresh-solver path remains as automatic fallback (when a stripped
-        chain depends on a released earlier-depth group) and stays the only
-        path for CBA's abstract refutations.  Serial sequence suffixes do
+        S₀ ∧ Tᵏ ∧ B — deleting the fresh-solver re-solve per bound; CBA's
+        abstract searcher serves its bounds the same way.  The fresh-solver
+        path remains as automatic fallback (when a stripped chain depends
+        on a released earlier-depth group).  Serial sequence suffixes do
         not depend on this toggle: they always run on one proof-logged
         :class:`~repro.bmc.incremental.SuffixUnroller` per bound, with a
         fresh suffix solver only as the per-step fallback.  Suspended while

@@ -44,7 +44,7 @@ from ..bmc.incremental import SuffixUnroller
 from ..bmc.unroll import Unroller
 from ..itp.craig import InterpolantBuilder
 from ..itp.sequence import extract_sequence
-from ..sat.proof import ActivationDependencyError, ResolutionProof
+from ..sat.proof import ResolutionProof
 from ..sat.types import SatResult
 from .base import UmcEngine
 from .itpseq_engine import ItpSeqEngine
@@ -152,26 +152,14 @@ def _suffix_refutation(
             # against it anyway so a bug surfaces loudly instead of silently.
             raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
                                "satisfiable")
-        try:
-            with engine.tracer.span("proof_strip", bound=k):
-                proof, strip = suffix.refutation()
-        except ActivationDependencyError:
-            engine.stats.proof_group_fallbacks += 1
-            if engine.tracer.enabled:
-                engine.tracer.point("group_proof_fallback", bound=k,
-                                    serial_step=j)
-            unroller = _build_suffix_check(engine, model, seed, k - j + 1)
-            if engine._solve(unroller.solver) is not SatResult.UNSAT:
-                raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
-                                   "satisfiable")
-            return (engine._trim_proof(unroller.solver.proof()), unroller,
-                    j - 1)
-        engine.stats.proof_chains_stripped += strip.chains_stripped
-        if engine.tracer.enabled:
-            engine.tracer.point("group_proof", bound=k, serial_step=j,
-                                chains_stripped=strip.chains_stripped,
-                                literals_stripped=strip.literals_stripped)
-        return engine._trim_proof(proof), suffix, 0
+        proof = engine._strip_refutation(suffix, k, serial_step=j)
+        if proof is not None:
+            return proof, suffix, 0
+        unroller = _build_suffix_check(engine, model, seed, k - j + 1)
+        if engine._solve(unroller.solver) is not SatResult.UNSAT:
+            raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
+                               "satisfiable")
+        return engine._trim_proof(unroller.solver.proof()), unroller, j - 1
 
 
 def _build_suffix_check(engine: UmcEngine, model: Model, init_formula: int,

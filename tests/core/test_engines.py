@@ -26,7 +26,11 @@ from repro.core import (
     Verdict,
     run_engine,
 )
-from repro.core import cba_engine
+from repro.core import VerificationResult, cba_engine
+from repro.itp.sequence import extract_sequence
+from repro.itp.verify import check_sequence_conditions
+from repro.sat import check_proof
+from repro.sat.solver import CdclSolver
 
 ALL_ENGINES = list(ENGINES)
 
@@ -116,9 +120,58 @@ def test_cba_engine_refines_on_spurious_counterexamples(monkeypatch):
     # on a design whose property depends on latch behaviour.
     monkeypatch.setattr(cba_engine, "property_support_latches",
                         lambda model: set())
+    # Keep every refutation the rebuilt (refined) searcher's trace served.
+    served = []
+    loop = ItpSeqCbaEngine._refinement_loop
+
+    def refinement_loop(self, abstraction, k):
+        outcome = loop(self, abstraction, k)
+        if not isinstance(outcome, VerificationResult):
+            refined, proof, unroller = outcome
+            if refined.num_visible and \
+                    unroller is self._abstract_searcher.unroller:
+                cut_maps = {j: unroller.cut_var_map(j)
+                            for j in range(1, k + 1)}
+                served.append((k, proof, cut_maps,
+                               refined.abstract_model.aig))
+        return outcome
+
+    monkeypatch.setattr(ItpSeqCbaEngine, "_refinement_loop", refinement_loop)
     result = ItpSeqCbaEngine(token_ring(4), _options()).run()
     assert result.verdict is Verdict.PASS
     assert result.stats.refinements >= 1
+    assert result.stats.proof_group_solves_saved > 0
+    assert result.stats.proof_group_fallbacks == 0
+    assert served
+    # The served refutation is a genuine proof of the refined abstract
+    # bound, and its sequence meets Definition 2 by fresh SAT calls.
+    k, proof, cut_maps, aig = served[0]
+    check_proof(proof)
+    sequence = extract_sequence(proof, k + 1, cut_maps, aig)
+    assert check_sequence_conditions(proof, list(sequence.elements),
+                                     cut_maps, aig)
+
+
+@pytest.mark.parametrize("name", ("mutexbug", "queue02bug", "lock03"))
+def test_cba_engine_accounts_every_sat_call(monkeypatch, name):
+    # EXTEND, abstract, suffix and containment solves all reach the run's
+    # account: per-call sums over every solve equal the engine's counters.
+    engine = ItpSeqCbaEngine(get_instance(name).build(), _options())
+    calls = []
+    solve = CdclSolver.solve
+
+    def counted(self, *args, **kwargs):
+        answer = solve(self, *args, **kwargs)
+        call = self.last_call_stats
+        calls.append((call.clauses_added, call.propagations))
+        return answer
+
+    monkeypatch.setattr(CdclSolver, "solve", counted)
+    result = engine.run()
+    assert result.verdict is Verdict.FAIL
+    assert len(calls) == result.stats.sat_calls
+    assert sum(c for c, _ in calls) == result.stats.clauses_added
+    assert sum(p for _, p in calls) == result.stats.propagations
 
 
 def test_cba_engine_refines_to_the_planted_failure_by_default():

@@ -16,6 +16,11 @@ accumulated reached set, so containment there closes one bound later.
 Those cells are pinned exactly rather than exempted, so any *drift* in
 either configuration still fails loudly.
 
+CBA's abstract searcher serves its bounds the same way: on ring04 every
+refuted bound is a saved solve, and a strip forced to fail on that
+searcher falls back to the fresh abstract check on every bound with the
+``group_proof=False`` answer.
+
 The strip itself is verified semantically at the bottom: the refutation
 the engines consume passes the independent proof checker, and the
 interpolants extracted from it satisfy the Craig / sequence-chain
@@ -25,13 +30,17 @@ conditions by fresh SAT calls (repro.itp.verify).
 import pytest
 
 from repro.bmc.checks import BmcCheckKind
-from repro.bmc.incremental import IncrementalUnroller
+from repro.bmc.incremental import IncrementalUnroller, grouped_refutation
 from repro.circuits import get_instance, quick_suite, redundant_suite
-from repro.core import ENGINES, EngineOptions, run_engine
+from repro.core import ENGINES, EngineOptions, VerificationResult, run_engine
+from repro.core import base
+from repro.core.base import UmcEngine
+from repro.core.cba_engine import ItpSeqCbaEngine
 from repro.itp.craig import InterpolantBuilder
 from repro.itp.sequence import extract_sequence
 from repro.itp.verify import check_craig_conditions, check_sequence_conditions
 from repro.sat import check_proof
+from repro.sat.proof import ActivationDependencyError
 from repro.sat.types import SatResult
 
 _INSTANCES = quick_suite() + redundant_suite()
@@ -90,13 +99,58 @@ def test_group_proof_counters_gate_on_toggle():
     assert off.stats.proof_group_fallbacks == 0
 
 
-def test_cba_engine_never_claims_group_solves():
-    # The CBA refinement loop owns its own abstract checks and never calls
-    # _group_refutation: its counters must stay zero even with the default
-    # toggle on — the fresh path is its designed behaviour.
+def _count_refuted_bounds(monkeypatch):
+    """Count the bounds CBA's refinement loop refutes (one entry each)."""
+    refuted = []
+    loop = ItpSeqCbaEngine._refinement_loop
+
+    def refinement_loop(self, abstraction, k):
+        outcome = loop(self, abstraction, k)
+        if not isinstance(outcome, VerificationResult):
+            refuted.append(k)
+        return outcome
+
+    monkeypatch.setattr(ItpSeqCbaEngine, "_refinement_loop", refinement_loop)
+    return refuted
+
+
+def test_cba_engine_refutes_on_its_abstract_searcher(monkeypatch):
+    # Every bound's refutation comes from the abstract searcher's own
+    # trace: no fresh abstract check is built.
+    refuted = _count_refuted_bounds(monkeypatch)
     result = run_engine("itpseqcba", get_instance("ring04").build(),
                         _options(True))
-    assert result.stats.proof_group_solves_saved == 0
+    assert result.verdict.value == "pass"
+    assert refuted
+    assert result.stats.proof_group_solves_saved == len(refuted)
+    assert result.stats.proof_group_fallbacks == 0
+
+
+def test_cba_forced_strip_failure_falls_back_on_every_bound(monkeypatch):
+    # A strip the abstract searcher's trace cannot pass leaves CBA on its
+    # fresh proof-logged check, which answers exactly like --no-group-proof.
+    instance = get_instance("ring04")
+    off = run_engine("itpseqcba", instance.build(), _options(False))
+    refuted = _count_refuted_bounds(monkeypatch)
+    strip = UmcEngine._strip_refutation
+
+    def rejecting(solver, active):
+        raise ActivationDependencyError("forced for the test")
+
+    def strip_refutation(self, grouped, bound, **fields):
+        if isinstance(grouped, IncrementalUnroller):
+            with monkeypatch.context() as patch:
+                patch.setattr(base, "grouped_refutation", rejecting)
+                return strip(self, grouped, bound, **fields)
+        return strip(self, grouped, bound, **fields)
+
+    monkeypatch.setattr(UmcEngine, "_strip_refutation", strip_refutation)
+    forced = run_engine("itpseqcba", instance.build(), _options(True))
+    assert refuted
+    assert forced.stats.proof_group_fallbacks == len(refuted)
+    assert forced.stats.proof_group_solves_saved == 0
+    assert (forced.verdict, forced.k_fp, forced.j_fp) == \
+        (off.verdict, off.k_fp, off.j_fp)
 
 
 # --------------------------------------------------------------------- #
@@ -111,7 +165,8 @@ def test_stripped_refutation_satisfies_sequence_conditions():
                                    proof_logging=True)
     k = searcher.extend_to(3)
     assert searcher.solve() is SatResult.UNSAT
-    stripped, stats = searcher.refutation()
+    stripped, stats = grouped_refutation(searcher.solver,
+                                         searcher.assumptions())
     check_proof(stripped)
     assert stats.nodes_after <= stats.nodes_before
 
@@ -129,7 +184,7 @@ def test_stripped_refutation_satisfies_craig_conditions():
                                    proof_logging=True)
     searcher.extend_to(3)
     assert searcher.solve() is SatResult.UNSAT
-    stripped, _ = searcher.refutation()
+    stripped, _ = grouped_refutation(searcher.solver, searcher.assumptions())
     check_proof(stripped)
 
     aig = model.aig

@@ -23,7 +23,8 @@ from repro.bmc.checks import BmcCheckKind
 from repro.bmc.incremental import SuffixUnroller
 from repro.circuits import get_instance
 from repro.core import EngineOptions, run_engine
-from repro.core import sitpseq_engine
+from repro.core import base, sitpseq_engine
+from repro.core.base import UmcEngine
 from repro.itp.verify import check_craig_conditions, check_sequence_conditions
 from repro.obs.sinks import ListSink
 from repro.obs.tracer import Tracer
@@ -49,13 +50,14 @@ def _record_steps(monkeypatch):
     """
     steps, sequences = [], []
     frame_groups = {}
-    strip = SuffixUnroller.refutation
+    strip = base.grouped_refutation
     refute = sitpseq_engine._suffix_refutation
     compute = sitpseq_engine.compute_serial_sequence
 
-    def refutation(self):
-        proof, stats = strip(self)
-        steps[-1]["stripped"] = proof
+    def grouped_refutation(solver, active):
+        proof, stats = strip(solver, active)
+        if steps and solver is steps[-1]["solver"]:
+            steps[-1]["stripped"] = proof
         return proof, stats
 
     def suffix_refutation(engine, model, suffix, j, seed):
@@ -67,7 +69,8 @@ def _record_steps(monkeypatch):
             frame_groups[suffix] = {
                 frame: assumptions[len(assumptions) - frame]
                 for frame in range(1, suffix.depth)}
-        steps.append({"k": suffix.depth, "j": j, "stripped": None})
+        steps.append({"k": suffix.depth, "j": j, "solver": suffix.solver,
+                      "stripped": None})
         proof, cuts, shift = refute(engine, model, suffix, j, seed)
         groups = frame_groups[suffix]
         steps[-1].update(
@@ -82,7 +85,7 @@ def _record_steps(monkeypatch):
         sequences.append((k, model.aig, elements))
         return elements
 
-    monkeypatch.setattr(SuffixUnroller, "refutation", refutation)
+    monkeypatch.setattr(base, "grouped_refutation", grouped_refutation)
     monkeypatch.setattr(sitpseq_engine, "_suffix_refutation",
                         suffix_refutation)
     monkeypatch.setattr(sitpseq_engine, "compute_serial_sequence",
@@ -149,16 +152,22 @@ def test_forced_strip_failure_falls_back_for_one_step(monkeypatch,
     instance = get_instance("ring06")
     reference = run_engine(engine_name, instance.build(), _options(0.5))
 
-    strip = SuffixUnroller.refutation
+    strip = UmcEngine._strip_refutation
     calls = []
 
-    def refutation(self):
-        calls.append(self.first)
-        if len(calls) == 3:
-            raise ActivationDependencyError("forced for the test")
-        return strip(self)
+    def rejecting(solver, active):
+        raise ActivationDependencyError("forced for the test")
 
-    monkeypatch.setattr(SuffixUnroller, "refutation", refutation)
+    def strip_refutation(self, grouped, bound, **fields):
+        if isinstance(grouped, SuffixUnroller):
+            calls.append(grouped.first)
+            if len(calls) == 3:
+                with monkeypatch.context() as patch:
+                    patch.setattr(base, "grouped_refutation", rejecting)
+                    return strip(self, grouped, bound, **fields)
+        return strip(self, grouped, bound, **fields)
+
+    monkeypatch.setattr(UmcEngine, "_strip_refutation", strip_refutation)
     sink = ListSink()
     result = run_engine(engine_name, instance.build(), _options(0.5),
                         tracer=Tracer(sink, wall_clock=False))
