@@ -16,8 +16,10 @@ The package provides, in pure Python:
   learned-clause / VSIDS / phase persistence across calls, per-call
   :class:`~repro.sat.types.SolverStats` snapshots, and
   :class:`~repro.bmc.incremental.IncrementalUnroller` — one persistent
-  solver across all BMC unrolling depths, used by :class:`BmcEngine` (its
-  default mode) and by every engine's counterexample search;
+  solver across all BMC unrolling depths, behind every engine's
+  counterexample search — :class:`BmcEngine` included, which runs on the
+  same engine base (:class:`~repro.core.base.UmcEngine`) as the engines
+  below;
 * the four unbounded model-checking engines compared in the paper —
   standard interpolation, interpolation sequences, serial interpolation
   sequences and interpolation sequences with counterexample-based

@@ -1,7 +1,9 @@
-"""Shared machinery for the interpolation-based UMC engines.
+"""Shared machinery for the engine front-ends.
 
-All four engines (standard interpolation, parallel/serial interpolation
-sequences, sequences + CBA) share:
+The six front-ends (standard interpolation, parallel/serial interpolation
+sequences, sequences + CBA, PDR and the BMC falsifier
+:class:`~repro.bmc.engine.BmcEngine`) are :class:`UmcEngine` subclasses.
+The base gives them, as each one needs it:
 
 * an engine-private copy of the model's AIG into which interpolants are
   materialised (so a run never mutates the caller's circuit) — by default

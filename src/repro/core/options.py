@@ -29,6 +29,7 @@ class EngineOptions:
         Wall-clock budget in seconds for one verification run (the paper
         used 1800 s on its testbed); ``None`` disables the limit.  Exceeding
         it yields an ``OVERFLOW`` verdict, mirroring the paper's *ovf*.
+        Must be non-negative; ``0.0`` overflows at the first budgeted call.
     conflict_limit:
         Per-SAT-call conflict budget; ``None`` disables it.
     max_clauses:
@@ -121,6 +122,8 @@ class EngineOptions:
             raise ValueError(f"alpha_s must be within [0, 1], got {self.alpha_s}")
         if self.max_bound < 1:
             raise ValueError("max_bound must be at least 1")
+        if self.time_limit is not None and self.time_limit < 0:
+            raise ValueError("time_limit must be non-negative (or None)")
         if self.itp_system not in ("mcmillan", "pudlak"):
             raise ValueError(f"unknown interpolation system {self.itp_system!r}")
         if self.max_clauses is not None and self.max_clauses < 1:

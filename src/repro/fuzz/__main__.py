@@ -103,6 +103,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--jobs must be >= 0 (0 = all cores)")
     if args.share_race_every < 0:
         parser.error("--share-race-every must be >= 0 (0 = off)")
+    if args.max_bound < 1:
+        parser.error("--max-bound must be at least 1")
+    if args.bmc_depth < 0:
+        parser.error("--bmc-depth must be non-negative")
 
     mutators = tuple(MUTATORS)
     if args.mutators is not None:

@@ -220,23 +220,6 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
     def _snapshot_stats(engine) -> EngineStats:
         return EngineStats() if engine is None else engine.stats
 
-    def _run_bmc(engine: BmcEngine) -> VerificationResult:
-        raw = engine.run(max_depth=options.max_bound,
-                         time_limit=options.time_limit,
-                         conflict_limit=options.conflict_limit)
-        if raw.status == "fail":
-            verdict, k_fp, j_fp = Verdict.FAIL, raw.depth, 0
-        elif raw.status == "no_cex":
-            verdict, k_fp, j_fp = Verdict.UNKNOWN, raw.checked_depth, None
-        else:
-            verdict, k_fp, j_fp = Verdict.OVERFLOW, raw.checked_depth, None
-        return VerificationResult(
-            verdict=verdict, engine="bmc", model_name=model.name,
-            k_fp=k_fp, j_fp=j_fp, time_seconds=raw.time_seconds,
-            trace=raw.trace, stats=engine.stats,
-            message="" if raw.status == "fail" else
-            f"bmc: {raw.status} up to depth {raw.checked_depth}")
-
     def _body(name: str) -> None:
         port = ports[name]
         engine = None
@@ -252,7 +235,9 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
                 engine = ENGINES[name](model, options=options, share=port)
             port.bind_clock(lambda: engine.stats.propagations
                             + CLAUSE_WEIGHT * engine.stats.clauses_added)
-            result = _run_bmc(engine) if name == "bmc" else engine.run()
+            result = (engine.verify(options.max_bound, options.time_limit,
+                                    options.conflict_limit)
+                      if name == "bmc" else engine.run())
         except ShareCancelled:
             result = VerificationResult(
                 verdict=Verdict.OVERFLOW, engine=name,

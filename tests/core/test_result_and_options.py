@@ -32,6 +32,10 @@ def test_options_validation():
         EngineOptions(max_bound=0)
     with pytest.raises(ValueError):
         EngineOptions(itp_system="magic")
+    with pytest.raises(ValueError):
+        EngineOptions(time_limit=-1.0)
+    # A zero limit is valid: it forces an immediate overflow.
+    assert EngineOptions(time_limit=0.0).time_limit == 0.0
 
 
 def test_options_with_changes_returns_copy():

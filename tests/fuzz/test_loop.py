@@ -49,7 +49,8 @@ def test_cli_exit_codes(capsys):
 def test_cli_usage_errors_exit_3(capsys):
     import pytest
     for argv in (["--iterations", "0"], ["--jobs", "-1"],
-                 ["--mutators", "nonesuch"], ["--seed", "-1"]):
+                 ["--mutators", "nonesuch"], ["--seed", "-1"],
+                 ["--max-bound", "0"], ["--bmc-depth", "-1"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 3

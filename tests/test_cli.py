@@ -139,6 +139,13 @@ def test_invalid_max_bound_is_input_error_not_fail(safe_aag, bound, capsys):
     assert "error: max_bound must be at least 1" in capsys.readouterr().err
 
 
+def test_negative_time_limit_is_input_error_not_overflow(safe_aag, capsys):
+    # EngineOptions rejects the limit; that must exit 3, never 2 (the
+    # "ovf" status of a run that merely ran out of time).
+    assert main([safe_aag, "--time-limit", "-1"]) == 3
+    assert "error: time_limit must be non-negative" in capsys.readouterr().err
+
+
 def test_property_index_out_of_range_is_input_error(safe_aag, capsys):
     assert main([safe_aag, "--property", "7"]) == 3
     assert "error" in capsys.readouterr().err
