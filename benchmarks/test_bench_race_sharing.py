@@ -108,10 +108,14 @@ notes:
   * Both columns come from the deterministic in-process runner
     (repro.share.cooperative_race); blind = same turnstile schedule over
     a non-delivering bus, so the deltas isolate the lemmas themselves.
-  * Counterexample cells gain >= 25%: foreign "no cex up to d" facts let
-    BMC skip peer-refuted depths.  PASS cells gain from skipped
+  * Counterexample cells that BMC wins gain >= 25%: foreign "no cex up
+    to d" facts let BMC skip peer-refuted depths.
+  * Cells that PDR wins end when PDR's work clock does.  Skipped
     counterexample-search solves (the searcher never extends its
-    unrolling past an imported depth fact).
+    unrolling past an imported depth fact) advance the losers' clocks
+    less, so they reach further bounds before PDR finishes and may add
+    more clauses: these cells land on either side of blind, and the
+    no-harm bound is the asserted property there.
   * Deep ring/arb PASS cells stay low single-digit: their winner is
     standard interpolation at k=1 and no answer-sound import can shorten
     its fixpoint proof (lemmas reach only the proof-free searcher, never

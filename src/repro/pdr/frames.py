@@ -29,7 +29,13 @@ transition relation T(V⁰, V¹) inside **one**
 
 Learned clauses, VSIDS activities and saved phases persist across every
 query of the run, which is where PDR's thousands of shallow SAT calls
-recoup their cost.
+recoup their cost.  So do the assumption levels: the solver keeps the
+levels of the longest assumption prefix a query shares with the one before
+it.  Every query therefore lists its assumptions *stable-first* — the
+transition (constraint) literals, then the frame activations from the top
+frame down, then the query's throwaway group, then the cube — so queries at
+different levels share the high-frame prefix, and releasing the throwaway
+group keeps it.
 
 The solver hook
 ---------------
@@ -163,9 +169,13 @@ class FrameSequence:
         return sum(len(cubes) for cubes in self._levels)
 
     def activation_assumptions(self, level: int) -> List[int]:
-        """Assumption literals expressing membership in F_level."""
+        """Assumption literals expressing membership in F_level.
+
+        They run from the top frame down, so the lists for different levels
+        share a prefix and the solver keeps its levels between queries.
+        """
         return [self.solver.group_literal(group)
-                for group in self._groups[level:]]
+                for group in reversed(self._groups[level:])]
 
     # ------------------------------------------------------------------ #
     # Cube plumbing
@@ -257,8 +267,8 @@ class FrameSequence:
           F_{level-1} (full valuation) and the inputs driving it into
           ``cube``.
         """
-        assumptions = (self.activation_assumptions(level - 1)
-                       + self._transition_assumptions)
+        assumptions = (self._transition_assumptions
+                       + self.activation_assumptions(level - 1))
         next_lits = self._cube_lits(cube, 1)
         temp = self.solver.new_group()
         try:
@@ -323,8 +333,8 @@ class FrameSequence:
                 [-lit for lit in self._cube_lits(successor, 1)], group=temp)
             result = self._solve(
                 self.solver,
-                state_lits + self._input_lits(inputs)
-                + [self.solver.group_literal(temp)])
+                [self.solver.group_literal(temp)] + state_lits
+                + self._input_lits(inputs))
             return self._lifted_from_core(state, state_lits, result)
         finally:
             self.solver.release_group(temp)
@@ -374,8 +384,8 @@ class FrameSequence:
             for cube in self._levels[level]:
                 result = self._solve(
                     self.solver,
-                    self.activation_assumptions(level)
-                    + self._transition_assumptions
+                    self._transition_assumptions
+                    + self.activation_assumptions(level)
                     + self._cube_lits(cube.as_dict(), 1))
                 (pushed if result is SatResult.UNSAT else kept).append(cube)
             if pushed:
@@ -431,8 +441,8 @@ class FrameSequence:
         for cube in self.frame_cubes(level):
             result = self._solve(
                 self.solver,
-                self.activation_assumptions(level)
-                + self._transition_assumptions
+                self._transition_assumptions
+                + self.activation_assumptions(level)
                 + self._cube_lits(cube.as_dict(), 1))
             if result is not SatResult.UNSAT:
                 return False

@@ -12,9 +12,10 @@ scratch.  It implements the standard modern CDCL loop:
 * learned-clause database reduction driven by clause activities;
 * solving under assumptions (MiniSAT-style) for incremental queries;
 * a first-class *incremental* interface: clauses may be added between
-  :meth:`~CdclSolver.solve` calls (watches are repaired against the current
-  level-0 assignment on the fly), learned clauses, VSIDS activities and
-  saved phases all survive across calls, activation-literal clause groups
+  :meth:`~CdclSolver.solve` calls (watches are chosen against the current
+  assignment on the fly), learned clauses, VSIDS activities, saved phases
+  and the assumption levels all survive across calls, activation-literal
+  clause groups
   (:meth:`~CdclSolver.new_group` / :meth:`~CdclSolver.release_group`) allow
   retractable constraints, and every call leaves a per-call
   :class:`~repro.sat.types.SolverStats` snapshot in
@@ -34,7 +35,7 @@ scratch.  It implements the standard modern CDCL loop:
 Every input clause goes through one ingest loop, :meth:`~CdclSolver.add_cnf`
 (:meth:`~CdclSolver.add_clause` is a batch of one): the per-batch checks and
 lookups are paid once, and each clause is deduplicated, checked for
-tautology, proof-recorded and watched against the level-0 assignment in
+tautology, proof-recorded and watched against the current assignment in
 order, so a batch leaves exactly the state its clauses would leave one by
 one.  The Tseitin encoder hands the solver one cone per batch.
 
@@ -54,9 +55,38 @@ unqueued variable it unassigns.  A fresh variable is appended as
 every other entry).  The 1e-100 activity rescale rebuilds the queue with one
 ``heapify`` over the queued variables, and so does a bump that leaves more
 than :data:`_QUEUE_SLACK` entries per variable, which bounds the stale ones.
-This *same-trajectory contract* holds for every speed change to the kernel:
-decisions, propagations, conflicts and learned clauses stay exactly what
-they were, and the committed benchmark counters are the oracle for it.
+
+The assumption trail is kept across calls (cf. Hickey and Bacchus,
+"Speeding Up Assumption-Based SAT", SAT 2019).  Decision level ``i`` of the
+first ``len(assumptions)`` levels holds assumption ``i - 1``, so a call
+ends by backtracking to its last assumption level instead of level 0 and
+remembers the assumption list; the next call backtracks only to the longest
+common prefix of that list and its own assumptions and extends from there.
+The kept levels stay propagation-complete under these rules:
+
+* *Adding clauses.*  A clause with two literals that are not false under
+  the kept trail is watched on them without a backtrack: it can neither
+  propagate nor conflict at any kept level.  Any other clause — a unit, the
+  empty clause, or one with fewer than two non-false literals — first
+  backtracks to level 0 and is handled against the level-0 assignment.
+* *Releasing a group* ``g``.  If ``g`` is assigned above level 0, the solver
+  backtracks to just below its level, so no kept literal rests on the
+  group's clauses.  The unit ``-g`` is then put on level 0, inserted below
+  the kept levels.  That is sound because no clause ever contains ``+g`` —
+  the provenance invariant :func:`~repro.sat.proof.strip_activations`
+  relies on — so ``-g`` implies nothing.  The unit is counted, given a
+  clause id and proof-recorded like any other input clause.
+* *Entry and restarts.*  A conflict while propagating pending literals at
+  the start of a call backtracks to level 0 and propagates again; a
+  conflict at level 0 is a root conflict as before.  Restarts backtrack to
+  level 0.
+
+Trails, and hence decisions, propagations, conflicts and learned clauses,
+therefore depend on the order of the assumption lists: callers that issue
+many queries list their stable assumptions first (see
+:mod:`repro.pdr.frames`).  The committed benchmark counters and the pins in
+``tests/sat/test_trajectory_pin.py`` record the trajectory, so a kernel
+change that moves it has to say so.
 
 Performance note: a pure-Python CDCL is roughly two to three orders of
 magnitude slower than MiniSAT.  The engines therefore run on down-scaled
@@ -158,6 +188,10 @@ class CdclSolver:
         #: :meth:`last_refutation_root`).
         self._refutation_root: Optional[int] = None
 
+        #: The last call's assumptions: decision level i <= the current
+        #: level holds ``_assumptions[i - 1]`` between calls.
+        self._assumptions: List[int] = []
+
         #: Clause groups: activation variable -> clause records of the group.
         self._groups: Dict[int, List[_ClauseRec]] = {}
         #: Every activation variable ever handed out (released ones stay:
@@ -207,10 +241,12 @@ class CdclSolver:
 
         ``partition`` tags the clause for interpolation (which member of the
         ``Gamma`` partition / which side of the (A, B) cut it belongs to).
-        Clauses may be added only before :meth:`solve` is first called or
-        between calls at decision level 0 — the watch positions are chosen
-        against the current level-0 assignment, so clauses arriving already
-        unit or conflicting are handled correctly.
+        Clauses may be added before :meth:`solve` is first called or between
+        calls.  A clause with two literals that are not false under the
+        assumption levels the last call kept is watched on them as is; any
+        other clause backtracks to level 0 first and is watched against the
+        level-0 assignment, so clauses arriving already unit or conflicting
+        are handled correctly.
 
         ``group`` attaches the clause to an activation-literal group from
         :meth:`new_group`: the group's negated activation literal is appended,
@@ -233,8 +269,6 @@ class CdclSolver:
         clause ids, watches, trail and proof as adding its clauses one at a
         time.  When a clause is rejected, the clauses before it stay added.
         """
-        if self._trail_lim:
-            raise SolverError("clauses may only be added at decision level 0")
         group_recs: Optional[List[_ClauseRec]] = None
         if group is not None:
             group_recs = self._groups.get(group)
@@ -282,7 +316,7 @@ class CdclSolver:
                 group_recs.append(rec)
             if len(lits) > 1:
                 # Watch the first two literals that are not false under the
-                # level-0 assignment: a literal is not false when its
+                # current assignment: a literal is not false when its
                 # variable is unassigned or carries the literal's own
                 # polarity.
                 first, second = lits[0], lits[1]
@@ -297,10 +331,12 @@ class CdclSolver:
                 self._add_assigned(rec)
             elif lits:
                 clause_list.append(rec)
+                self._backtrack(0)
                 if not self._enqueue(lits[0], rec):
                     self._handle_root_conflict(rec)
             else:
                 clause_list.append(rec)
+                self._backtrack(0)
                 self._ok = False
                 self._root_conflict = True
                 if proof is not None and proof.empty_clause_id is None:
@@ -314,10 +350,33 @@ class CdclSolver:
 
     def _add_assigned(self, rec: _ClauseRec) -> None:
         """Add a clause of two or more literals, one of whose first two is
-        false under the level-0 assignment: move the first two non-false
+        false under the current assignment: move the first two non-false
         literals to the front and watch them, or handle a clause that
-        arrives unit or conflicting."""
+        arrives unit or conflicting at level 0."""
         lits = rec.lits
+        non_false = self._non_false_positions(lits)
+        if len(non_false) < 2 and self._trail_lim:
+            # It could propagate or conflict at a kept assumption level.
+            self._backtrack(0)
+            non_false = self._non_false_positions(lits)
+        if not non_false:
+            self._clauses.append(rec)
+            self._handle_root_conflict(rec)
+            return
+        if len(non_false) == 1:
+            self._clauses.append(rec)
+            only = lits[non_false[0]]
+            if self._assign[abs(only)] == _UNASSIGNED:
+                self._enqueue(only, rec)
+            return
+        i0, i1 = non_false
+        lits[0], lits[i0] = lits[i0], lits[0]
+        lits[1], lits[i1] = lits[i1], lits[1]
+        self._attach(rec)
+
+    def _non_false_positions(self, lits: List[int]) -> List[int]:
+        """Positions of the first two literals of ``lits`` not false under
+        the current assignment."""
         assign = self._assign
         non_false: List[int] = []
         for i, lit in enumerate(lits):
@@ -326,20 +385,7 @@ class CdclSolver:
                 non_false.append(i)
                 if len(non_false) == 2:
                     break
-        if not non_false:
-            self._clauses.append(rec)
-            self._handle_root_conflict(rec)
-            return
-        if len(non_false) == 1:
-            self._clauses.append(rec)
-            only = lits[non_false[0]]
-            if assign[abs(only)] == _UNASSIGNED:
-                self._enqueue(only, rec)
-            return
-        i0, i1 = non_false
-        lits[0], lits[i0] = lits[i0], lits[0]
-        lits[1], lits[i1] = lits[i1], lits[1]
-        self._attach(rec)
+        return non_false
 
     # ------------------------------------------------------------------ #
     # Activation-literal clause groups (incremental retraction)
@@ -370,19 +416,46 @@ class CdclSolver:
     def release_group(self, group: int) -> None:
         """Permanently retract a group's clauses.
 
-        The activation literal is asserted false (satisfying, and thereby
-        neutralising, every clause of the group as well as any learned clause
-        derived from them) and the group's input clauses are dropped from the
-        watch lists.
+        The activation literal is asserted false by a unit input clause
+        (satisfying, and thereby neutralising, every clause of the group as
+        well as any learned clause derived from them) and the group's input
+        clauses are dropped from the watch lists.  Assumption levels below
+        the one that assigned the activation variable are kept: the unit
+        ``-group`` implies nothing, since no clause contains ``+group``, so
+        it goes in at level 0 underneath them.
         """
-        if self._trail_lim:
-            raise SolverError("groups may only be released at decision level 0")
         recs = self._groups.pop(group, None)
         if recs is None:
             raise SolverError(f"unknown or released clause group {group}")
         for rec in recs:
             rec.deleted = True
-        self.add_clause([-group])
+        if self._assign[group] != _UNASSIGNED and self._level[group] > 0:
+            # Kept literals from this level up may rest on the group.
+            self._backtrack(self._level[group] - 1)
+        if self._assign[group] != _UNASSIGNED:
+            # Assigned at level 0: the ordinary unit-clause path.
+            self.add_clause([-group])
+            return
+        self.stats.clauses_added += 1
+        cid = self._next_cid
+        self._next_cid = cid + 1
+        if self._proof is not None:
+            self._proof.add_original(cid, Clause.from_normalised((-group,)),
+                                     None, None)
+        rec = _ClauseRec(cid, [-group], False)
+        self._clauses.append(rec)
+        trail_lim = self._trail_lim
+        position = trail_lim[0] if trail_lim else len(self._trail)
+        self._trail.insert(position, -group)
+        for i in range(len(trail_lim)):
+            trail_lim[i] += 1
+        if self._queue_head >= position:
+            # Nothing watches +group, so there is nothing to propagate.
+            self._queue_head += 1
+        self._assign[group] = 0
+        self._level[group] = 0
+        self._reason[group] = rec
+        self._phase[group] = False
 
     def group_vars(self) -> Set[int]:
         """Every activation variable ever allocated, released ones included.
@@ -413,9 +486,14 @@ class CdclSolver:
 
         The call may be repeated: the clause database (including learned
         clauses), variable activities and saved phases persist, which is what
-        makes incremental BMC deepening profitable.  After every call,
-        :attr:`last_call_stats` holds the counter deltas attributable to it
-        (clauses encoded since the previous call included).
+        makes incremental BMC deepening profitable.  So do the assumption
+        levels: the call ends at its last assumption level, and the next
+        call backtracks only to the first assumption that differs from this
+        call's, so queries that share a prefix of assumptions skip
+        re-deriving it.  After every call, :attr:`last_call_stats` holds the
+        counter deltas attributable to it (clauses encoded since the
+        previous call included).  The literal 0 is rejected as an assumption
+        with :class:`SolverError`, before any state changes.
         """
         try:
             return self._solve_main(assumptions, budget)
@@ -426,6 +504,11 @@ class CdclSolver:
 
     def _solve_main(self, assumptions: Sequence[int],
                     budget: Optional[Budget]) -> SatResult:
+        assumption_list = list(assumptions)
+        if assumption_list:
+            if 0 in assumption_list:
+                raise SolverError("0 is not a valid literal")
+            self.ensure_var(max(map(abs, assumption_list)))
         self._model = None
         self._conflict_assumptions = None
         self._refutation_root = None
@@ -439,24 +522,33 @@ class CdclSolver:
                 self._refutation_root = self._proof.empty_clause_id
             return SatResult.UNSAT
 
-        # Top-level propagation of everything pending.
+        # Keep the levels of the assumptions shared with the previous call.
+        kept = self._assumptions
+        shared = 0
+        limit = min(self._decision_level(), len(assumption_list))
+        while shared < limit and kept[shared] == assumption_list[shared]:
+            shared += 1
+        self._backtrack(shared)
+        self._assumptions = assumption_list
+
+        # Propagation of everything pending.
         conflict = self._propagate()
+        if conflict is not None and self._trail_lim:
+            self._backtrack(0)
+            conflict = self._propagate()
         if conflict is not None:
             self._handle_root_conflict(conflict)
             self._last_result = SatResult.UNSAT
             self._conflict_assumptions = []
             return SatResult.UNSAT
 
-        assumption_list = list(assumptions)
-        for lit in assumption_list:
-            self.ensure_var(abs(lit))
-
         try:
             result = self._search(assumption_list, budget, start)
         except BudgetExceeded:
             result = SatResult.UNKNOWN
         finally:
-            self._backtrack(0)
+            # Keep the assumption levels for the next call.
+            self._backtrack(min(self._decision_level(), len(assumption_list)))
         self._last_result = result
         return result
 
@@ -568,8 +660,8 @@ class CdclSolver:
                     continue
                 if value == 0:
                     self._conflict_assumptions = self._analyze_final(lit, assumptions)
-                    # Recorded before _backtrack(0) wipes the reasons; reads
-                    # the trail only, so the search trajectory is untouched.
+                    # Reads the trail only, so the search trajectory is
+                    # untouched.
                     self._record_assumption_refutation(lit, assumptions)
                     return SatResult.UNSAT
                 self._new_decision_level()

@@ -110,6 +110,18 @@ def test_assumptions_sat_and_unsat():
     assert solver.solve() is SatResult.SAT
 
 
+def test_zero_assumption_is_rejected():
+    solver = CdclSolver()
+    solver.add_clause([1, 2])
+    assert solver.solve(assumptions=[-1]) is SatResult.SAT
+    for assumptions in ([0], [-1, 0]):
+        with pytest.raises(SolverError, match="0 is not a valid literal"):
+            solver.solve(assumptions=assumptions)
+    # The rejected calls left the solver as it was.
+    assert solver.solve(assumptions=[-1]) is SatResult.SAT
+    assert solver.model() == {1: False, 2: True}
+
+
 def test_incremental_clause_addition():
     solver = CdclSolver()
     solver.add_clause([1, 2])

@@ -25,7 +25,7 @@ that on-vs-off relationship is pinned separately in
 
 import pytest
 
-from repro.bmc.engine import BmcEngine
+from repro.bmc.engine import BmcEngine, BmcResult
 from repro.circuits.suite import quick_suite, redundant_suite
 from repro.core import EngineOptions
 from repro.core.portfolio import ENGINES, run_engine
@@ -48,11 +48,14 @@ def _options():
                          group_proof=False)
 
 
+def _bmc_outcome(raw):
+    return (raw.status, raw.depth if raw.status == "fail"
+            else raw.checked_depth)
+
+
 def _solo(name, model):
     if name == "bmc":
-        raw = BmcEngine(model).run(max_depth=MAX_BOUND)
-        return (raw.status, raw.depth if raw.status == "fail"
-                else raw.checked_depth)
+        return _bmc_outcome(BmcEngine(model).run(max_depth=MAX_BOUND))
     result = run_engine(name, model, options=_options())
     return (result.verdict.value, result.k_fp, result.j_fp)
 
@@ -60,19 +63,15 @@ def _solo(name, model):
 def _replayed(name, model, bus):
     port = bus.port(name)
     if name == "bmc":
-        raw = BmcEngine(model, share=port).run(max_depth=MAX_BOUND)
-        return (raw.status, raw.depth if raw.status == "fail"
-                else raw.checked_depth)
+        return _bmc_outcome(BmcEngine(model, share=port)
+                            .run(max_depth=MAX_BOUND))
     result = run_engine(name, model, options=_options(), share=port)
     return (result.verdict.value, result.k_fp, result.j_fp)
 
 
 def _from_race(name, result):
     if name == "bmc":
-        # Invert _adapt_bmc: UNKNOWN carries no_cex/checked_depth.
-        if result.verdict.value == "fail":
-            return ("fail", result.k_fp)
-        return ("no_cex", result.k_fp)
+        return _bmc_outcome(BmcResult.from_verification(result))
     return (result.verdict.value, result.k_fp, result.j_fp)
 
 
