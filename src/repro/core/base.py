@@ -16,7 +16,10 @@ The base gives them, as each one needs it:
   whose incremental Tseitin encoding pays for each accumulated cone once;
 * the shared *interpolant lifecycle*: refutations are post-processed
   (core trimming + RecyclePivots, :meth:`UmcEngine._trim_proof`) before
-  extraction, and every freshly extracted interpolant cone is structurally
+  extraction — the stripped and the trimmed proof share the solver
+  trace's original clauses and walk only the refutation's core, and
+  extraction reads variable spans from the trace's clause index — and
+  every freshly extracted interpolant cone is structurally
   compacted (:meth:`UmcEngine._register_interpolant`) before it enters the
   reachable-set accumulation;
 * a shared *incremental counterexample search*

@@ -14,18 +14,24 @@ clauses participating in the refutation core: this keeps the labelling
 consistent with the full (A, B) formulas, which is what Definition 1 in the
 paper constrains the interpolant's support against.
 
-One pass over the original clauses serves every cut of an interpolation
-sequence: :class:`PartitionSpans` records each variable's partition span
+One classification serves every cut of an interpolation sequence:
+:class:`PartitionSpans` records each variable's partition span
 ``[lo, hi]``, and a prefix cut ``j`` (partitions ``1..j`` on the A side)
 classifies a variable from its span alone — A-local when ``hi <= j``,
-B-local when ``lo > j``, global otherwise.
+B-local when ``lo > j``, global otherwise.  The spans come from the
+trace's original-clause index
+(:class:`~repro.sat.proof.OriginalLayer`), not from a loop over the
+clauses: each ``(partition, group)`` key's variable set is folded once
+per trace and memoised, and a proof reads only the keys, and the clause
+counts, its view keeps — a stripped proof skips released groups' clauses
+and deletes the active groups' activation literals, exactly as its
+materialised originals would show.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from ..sat.proof import ResolutionProof
 
@@ -43,6 +49,9 @@ class VarClass(enum.Enum):
 class PartitionSpans:
     """Every variable's partition span over a proof's original clauses.
 
+    Built from the proof's original-clause index
+    (:meth:`~repro.sat.proof.ResolutionProof.partition_variables`): one memoised
+    variable set per index key, unioned per rank with set operations.
     Each original clause gets a *rank* from ``ranks`` (keyed by partition
     label); unlabelled clauses and labels missing from ``ranks`` get
     ``beyond``, which must exceed every cut asked about — such clauses are
@@ -56,18 +65,14 @@ class PartitionSpans:
                  beyond: int) -> None:
         self.ranks = dict(ranks)
         self.beyond = beyond
-        by_label: Dict[Optional[int], List[Tuple[int, ...]]] = {}
-        for node in proof.original_nodes():
-            clauses = by_label.get(node.partition)
-            if clauses is None:
-                clauses = by_label[node.partition] = []
-            clauses.append(node.clause.literals)
-        self.labels: Set[int] = {p for p in by_label if p is not None}
-        rank_clauses: Dict[int, List[Tuple[int, ...]]] = {}
-        for partition, clauses in by_label.items():
-            rank_clauses.setdefault(ranks.get(partition, beyond), []).extend(clauses)
-        by_rank = {rank: set(map(abs, chain.from_iterable(clauses)))
-                   for rank, clauses in rank_clauses.items()}
+        self.labels: Set[int] = set()
+        rank_vars: Dict[int, List[Set[int]]] = {}
+        for partition, variables in proof.partition_variables():
+            if partition is not None:
+                self.labels.add(partition)
+            rank_vars.setdefault(ranks.get(partition, beyond),
+                                 []).append(variables)
+        by_rank = {rank: set().union(*sets) for rank, sets in rank_vars.items()}
         # Later writes win: descending ranks leave the least, ascending the
         # greatest.
         self.lo: Dict[int, int] = {}

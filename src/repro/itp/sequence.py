@@ -11,9 +11,10 @@ with a different prefix/suffix split:
     Iⱼ = ITP(⋀_{i≤j} Aᵢ, ⋀_{i>j} Aᵢ)
 
 which is exactly what :func:`extract_sequence` does.  The proof is prepared
-once: one pass over the original clauses gives every variable its partition
-span (:class:`~repro.itp.labeling.PartitionSpans`), so its class at any cut
-is an O(1) lookup, and one core walk checks the chains and records which
+once: the trace's original-clause index gives every variable its partition
+span (:class:`~repro.itp.labeling.PartitionSpans`, memoised set operations
+per index key, no pass over the clauses), so its class at any cut is an
+O(1) lookup, and one core walk checks the chains and records which
 subderivations lie wholly right of each cut — under McMillan those are ⊤
 and never replayed.  Each cut then replays the rest of the core
 (:meth:`~repro.itp.craig.InterpolantBuilder.extract_at`), creating exactly

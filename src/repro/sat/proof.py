@@ -18,6 +18,19 @@ The module also contains an independent proof checker used by the
 test-suite: it re-performs every resolution step with the slow-but-obvious
 :meth:`Clause.resolve` and confirms the final clause is empty.
 
+Shared original clauses
+-----------------------
+A trace's originals live in one append-only :class:`OriginalLayer`, which
+also files each clause's literals under its ``(partition, group)`` key.
+The proofs interpolation consumes are derived from a trace —
+:func:`strip_activations` and :func:`reduce_proof` — and neither copies
+the originals: each holds the nodes its core reaches and shares the
+trace's layer through an :class:`OriginalView`, a snapshot of the layer
+that never sees clauses added later.  Their work scales with the
+refutation's core, not with the trace, and
+:class:`~repro.itp.labeling.PartitionSpans` reads variable spans from the
+index instead of visiting every clause.
+
 Activation-literal clause groups and proofs
 -------------------------------------------
 A proof recorded on an *incremental* solver (activation-literal clause
@@ -37,18 +50,22 @@ replay unchanged and the stripped proof is a genuine refutation of the
 caller's formula.  Clauses carrying a *released* (or foreign) group's
 literal cannot be repaired that way — their group clauses are gone from
 the formula — so a core that touches one is rejected with
-:class:`ActivationDependencyError`, the clean fallback signal.
+:class:`ActivationDependencyError`, the clean fallback signal.  A group's
+``[-g]`` release unit is recorded under the group it retracts, so it is
+dropped or rejected with the group's own clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import itertools
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cnf.cnf import Clause
 
 __all__ = ["ProofNode", "ResolutionProof", "ProofError",
            "ActivationDependencyError", "check_proof",
+           "OriginalLayer", "OriginalView",
            "ProofReductionStats", "reduce_proof",
            "ActivationStripStats", "strip_activations"]
 
@@ -116,6 +133,137 @@ class ProofNode:
         return [cid for _, cid in self.chain]
 
 
+_Key = Tuple[Optional[int], Optional[int]]
+
+
+class OriginalLayer:
+    """The original clauses of one trace, indexed for sharing.
+
+    Append-only.  ``trace`` is the trace's own node table (ids in creation
+    order; the originals are the nodes without a chain), and ``index``
+    files each original clause's literal tuple under its
+    ``(partition, group)`` key — one list append per clause on the
+    solver's ingest path.  A proof derived from the trace (stripped or
+    reduced) shares the layer by reference through an :class:`OriginalView`
+    instead of copying its nodes, and :class:`~repro.itp.labeling.PartitionSpans`
+    reads variable sets from the index, memoised per key, instead of
+    looping over the clauses.  ``released`` holds the groups whose ``[-g]``
+    release unit the trace records.
+    """
+
+    __slots__ = ("trace", "index", "released", "_folds")
+
+    def __init__(self, trace: Dict[int, ProofNode]) -> None:
+        self.trace = trace
+        self.index: Dict[_Key, List[Tuple[int, ...]]] = {}
+        self.released: Set[int] = set()
+        #: key -> [clauses folded, their literals, their variables].
+        self._folds: Dict[_Key, list] = {}
+
+    def counts(self) -> Dict[_Key, int]:
+        """How many clauses each non-empty key holds now."""
+        return {key: len(clauses) for key, clauses in self.index.items()
+                if clauses}
+
+    def variables(self, key: _Key, count: int,
+                  strip_lits: Optional[Set[int]] = None) -> Set[int]:
+        """The variables of the first ``count`` clauses filed under ``key``,
+        with the literals ``strip_lits`` deleted from every clause first.
+
+        The fold is memoised per key and extended by the clauses appended
+        since; a snapshot older than the memo folds its prefix afresh.  The
+        returned set must not be mutated, and it may grow with the layer.
+        """
+        fold = self._folds.get(key)
+        clauses = self.index[key]
+        if fold is not None and fold[0] > count:
+            literals = set(itertools.chain.from_iterable(clauses[:count]))
+            if strip_lits:
+                literals -= strip_lits
+            return set(map(abs, literals))
+        if fold is None:
+            fold = self._folds[key] = [0, set(), set()]
+        if fold[0] < count:
+            new = set(itertools.chain.from_iterable(clauses[fold[0]:count]))
+            fold[0] = count
+            fold[1] |= new
+            fold[2].update(map(abs, new))
+        if strip_lits and not strip_lits.isdisjoint(fold[1]):
+            return set(map(abs, fold[1] - strip_lits))
+        return fold[2]
+
+
+class OriginalView:
+    """A derived proof's original clauses: a trace's layer as of one moment.
+
+    ``counts`` holds, per index key the view keeps, how many of the key's
+    clauses it sees; clauses appended to the layer later are invisible.
+    A *stripped* view (``active`` is not ``None``) hides the ``hidden``
+    groups' clauses (``dropped`` counts them), deletes the active groups'
+    ``-g`` literals, and drops the group tag of every grouped clause it
+    keeps; ``core`` holds the stripped proof's own nodes, built for the
+    refutation's core, so a node is the same object whichever way it is
+    reached.  The node-level view is materialised only when asked for
+    (:meth:`nodes`).
+    """
+
+    __slots__ = ("layer", "size", "counts", "total", "dropped", "active",
+                 "strip_lits", "hidden", "core", "_nodes")
+
+    def __init__(self, layer: OriginalLayer, active: Optional[Set[int]] = None,
+                 hidden: Set[int] = frozenset()) -> None:
+        self.layer = layer
+        self.size = len(layer.trace)
+        self.counts = layer.counts()
+        self.dropped = sum(self.counts.pop(key) for key in list(self.counts)
+                           if key[1] in hidden)
+        self.total = sum(self.counts.values())
+        self.active = active
+        self.strip_lits = {-g for g in active} if active else set()
+        self.hidden = hidden
+        self.core: Dict[int, ProofNode] = {}
+        self._nodes: Optional[Dict[int, ProofNode]] = None
+
+    def nodes(self) -> Dict[int, ProofNode]:
+        """Every original node the view sees, by id, in creation order."""
+        if self._nodes is not None:
+            return self._nodes
+        out: Dict[int, ProofNode] = {}
+        seen = itertools.islice(self.layer.trace.values(), self.size)
+        if self.active is None:
+            for node in seen:
+                if not node.chain:
+                    out[node.clause_id] = node
+        else:
+            active, hidden, core = self.active, self.hidden, self.core
+            strip_lits = self.strip_lits
+            for node in seen:
+                if node.chain:
+                    continue
+                group = node.group
+                cid = node.clause_id
+                if group is None:
+                    out[cid] = node
+                elif group not in hidden:
+                    kept = core.get(cid)
+                    if kept is None:
+                        kept = _stripped_original(node, group in active,
+                                                  strip_lits)
+                    out[cid] = kept
+        self._nodes = out
+        return out
+
+
+def _stripped_original(node: ProofNode, active: bool,
+                       strip_lits: Set[int]) -> ProofNode:
+    """A kept grouped original as a stripped proof holds it: no group tag,
+    and, for an active group, no ``-g`` literals."""
+    clause = node.clause
+    if active:
+        clause = Clause([l for l in clause.literals if l not in strip_lits])
+    return ProofNode(node.clause_id, clause, _NO_CHAIN, node.partition)
+
+
 class ResolutionProof:
     """A recorded resolution refutation (or partial derivation).
 
@@ -123,11 +271,25 @@ class ResolutionProof:
     order, which guarantees antecedents always have smaller identifiers than
     the clauses derived from them — the property the interpolation replay
     relies on to process nodes in one pass.
+
+    A solver's trace owns an :class:`OriginalLayer`.  A proof derived from
+    a trace (:func:`strip_activations`, :func:`reduce_proof`) holds only
+    the nodes its derivation reaches and shares the trace's originals
+    through an :class:`OriginalView`; :meth:`original_nodes`,
+    :meth:`nodes_in_order`, ``in`` and ``len`` see the full view.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, view: Optional[OriginalView] = None) -> None:
         self._nodes: Dict[int, ProofNode] = {}
-        self._order: List[int] = []
+        #: The trace's own originals (``None`` on a derived proof).
+        self._layer: Optional[OriginalLayer] = (
+            OriginalLayer(self._nodes) if view is None else None)
+        #: A derived proof's originals (``None`` on a trace).
+        self._view = view
+        #: Reduced proofs list every original before the first derived node.
+        self._originals_first = False
+        #: A derived proof's :meth:`core_ids`, recorded as it is built.
+        self._core: Optional[List[int]] = None
         self.empty_clause_id: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -143,21 +305,44 @@ class ResolutionProof:
         :func:`strip_activations` uses to tell a group's defining clauses
         apart from permanent ones.
         """
-        if clause_id in self._nodes:
-            raise ProofError(f"duplicate clause id {clause_id}")
-        self._nodes[clause_id] = ProofNode(clause_id, clause, _NO_CHAIN,
-                                           partition, group)
-        self._order.append(clause_id)
+        self.original_adder(partition, group)(clause_id, clause)
 
-    def add_shared_original(self, node: ProofNode) -> None:
-        """Register another proof's original node as it is, without a copy.
+    def original_adder(self, partition: Optional[int] = None,
+                       group: Optional[int] = None
+                       ) -> Callable[[int, Clause], None]:
+        """:meth:`add_original` for a batch of clauses sharing one
+        partition label and group: the index key is looked up once, so
+        each clause costs its node and one list append."""
+        layer = self._layer
+        if layer is None:
+            raise ProofError("a derived proof shares its original clauses")
+        nodes = self._nodes
+        key = (partition, group)
+        clauses = layer.index.get(key)
+        if clauses is None:
+            clauses = layer.index[key] = []
+        file_literals = clauses.append
 
-        Nodes are never mutated once recorded, so two proofs can share one.
+        def add(clause_id: int, clause: Clause) -> None:
+            if clause_id in nodes:
+                raise ProofError(f"duplicate clause id {clause_id}")
+            nodes[clause_id] = ProofNode(clause_id, clause, _NO_CHAIN,
+                                         partition, group)
+            file_literals(clause.literals)
+
+        return add
+
+    def add_release_unit(self, clause_id: int, group: int) -> None:
+        """Register the ``[-group]`` unit that releases ``group``.
+
+        The clause is the ungrouped unit, but it is filed under the group it
+        retracts, so a strip drops or rejects it together with the group's
+        own clauses.
         """
-        if node.clause_id in self._nodes:
-            raise ProofError(f"duplicate clause id {node.clause_id}")
-        self._nodes[node.clause_id] = node
-        self._order.append(node.clause_id)
+        self.add_original(clause_id, Clause.from_normalised((-group,)),
+                          None, group)
+        assert self._layer is not None
+        self._layer.released.add(group)
 
     def add_derived(self, clause_id: int, clause: Clause,
                     chain: Sequence[Tuple[Optional[int], int]]) -> None:
@@ -174,39 +359,83 @@ class ResolutionProof:
             if antecedent >= clause_id:
                 raise ProofError("antecedent ids must precede the derived clause id")
         self._nodes[clause_id] = ProofNode(clause_id, clause, list(chain), None)
-        self._order.append(clause_id)
         if len(clause) == 0:
             self.empty_clause_id = clause_id
+
+    def shared_view(self) -> OriginalView:
+        """This proof's originals as a view a derived proof can share."""
+        if self._view is not None:
+            return self._view
+        assert self._layer is not None
+        return OriginalView(self._layer)
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def __contains__(self, clause_id: int) -> bool:
-        return clause_id in self._nodes
+        if clause_id in self._nodes:
+            return True
+        return self._view is not None and clause_id in self._view.nodes()
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        if self._view is None:
+            return len(self._nodes)
+        derived = sum(1 for node in self._nodes.values() if node.chain)
+        return self._view.total + derived
 
     def node(self, clause_id: int) -> ProofNode:
-        return self._nodes[clause_id]
+        try:
+            return self._nodes[clause_id]
+        except KeyError:
+            if self._view is None:
+                raise
+            return self._view.nodes()[clause_id]
 
     def nodes_in_order(self) -> List[ProofNode]:
         """All nodes in creation (topological) order."""
-        return [self._nodes[cid] for cid in self._order]
+        if self._view is None:
+            return list(self._nodes.values())
+        originals = list(self._view.nodes().values())
+        derived = self.derived_nodes()
+        if self._originals_first:
+            return originals + derived
+        return sorted(originals + derived, key=lambda n: n.clause_id)
 
     def original_nodes(self) -> List[ProofNode]:
-        return [n for n in map(self._nodes.__getitem__, self._order) if not n.chain]
+        if self._view is None:
+            return [n for n in self._nodes.values() if not n.chain]
+        return list(self._view.nodes().values())
 
     def derived_nodes(self) -> List[ProofNode]:
-        return [n for n in self.nodes_in_order() if not n.is_original]
+        return [n for n in self._nodes.values() if n.chain]
 
     def is_refutation(self) -> bool:
         """``True`` when the proof derives the empty clause."""
         return self.empty_clause_id is not None
 
+    def _index(self) -> Tuple[OriginalLayer, Dict[_Key, int], Set[int]]:
+        """The layer, the clause count per index key this proof sees, and
+        the groups whose ``-g`` literals it deletes."""
+        if self._view is None:
+            assert self._layer is not None
+            return self._layer, self._layer.counts(), set()
+        view = self._view
+        return view.layer, view.counts, view.active or set()
+
+    def partition_variables(self) -> List[Tuple[Optional[int], Set[int]]]:
+        """``(partition label, variables)`` per index key of the original
+        clauses this proof sees: set operations over the trace's memoised
+        index, no pass over the clauses.  The sets must not be mutated."""
+        layer, counts, active = self._index()
+        strip_lits = {-g for g in active}
+        return [(key[0], layer.variables(
+                    key, count, strip_lits if key[1] in active else None))
+                for key, count in counts.items()]
+
     def partitions(self) -> Set[int]:
         """Return the set of partition labels used by original clauses."""
-        return {n.partition for n in self.original_nodes() if n.partition is not None}
+        _, counts, _ = self._index()
+        return {partition for partition, _ in counts if partition is not None}
 
     # ------------------------------------------------------------------ #
     # Core DAG extraction
@@ -217,10 +446,15 @@ class ResolutionProof:
         The result is in topological order (antecedents before consequents)
         and is the *unsat core DAG* interpolation actually traverses; chains
         recorded for clauses that never feed the refutation are skipped.
+        The order is the proof's own: id order, and on a reduced proof the
+        originals before the derived nodes.  The cost is the core's, not
+        the trace's.
         """
         if root_id is None:
             if self.empty_clause_id is None:
                 raise ProofError("proof does not derive the empty clause")
+            if self._core is not None:
+                return list(self._core)
             root_id = self.empty_clause_id
         nodes = self._nodes
         needed: Set[int] = {root_id}
@@ -230,17 +464,21 @@ class ResolutionProof:
                 if antecedent not in needed:
                     needed.add(antecedent)
                     stack.append(antecedent)
-        return [cid for cid in self._order if cid in needed]
+        ids = sorted(needed)
+        if self._originals_first:
+            return ([cid for cid in ids if not nodes[cid].chain]
+                    + [cid for cid in ids if nodes[cid].chain])
+        return ids
 
     def core_original_clauses(self) -> List[ProofNode]:
         """Original clauses participating in the refutation."""
-        core = set(self.core_ids())
-        return [n for n in self.original_nodes() if n.clause_id in core]
+        nodes = self._nodes
+        return [nodes[cid] for cid in self.core_ids() if not nodes[cid].chain]
 
     def stats(self) -> Dict[str, int]:
         core = self.core_ids() if self.is_refutation() else []
         return {
-            "clauses": len(self._nodes),
+            "clauses": len(self),
             "original": len(self.original_nodes()),
             "derived": len(self.derived_nodes()),
             "core": len(core),
@@ -391,8 +629,10 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     falls outside the core: interpolation classifies variable locality over
     the full (A, B) clause sets (see :mod:`repro.itp.labeling`), so keeping
     the leaves intact guarantees a reduced proof never changes a variable's
-    class — only the derivation DAG above the leaves shrinks.  The original
-    nodes are shared with ``proof``, which is left unchanged.  The reduced
+    class — only the derivation DAG above the leaves shrinks.  The originals
+    are not copied: the reduced proof shares ``proof``'s original layer
+    (:meth:`ResolutionProof.shared_view`) and holds only its core nodes, so
+    the work is the core's.  ``proof`` is left unchanged.  The reduced
     proof replays exactly (reconstruction *is* a replay), so it satisfies
     :func:`check_proof`, and any interpolant extracted from it is a valid
     interpolant for the original (A, B) split.
@@ -401,9 +641,8 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
         raise ProofError("only refutations can be reduced")
     root_id = proof.empty_clause_id
     assert root_id is not None
-    core = proof.core_ids()
-    derived_core = [proof.node(cid) for cid in core
-                    if not proof.node(cid).is_original]
+    core = [proof.node(cid) for cid in proof.core_ids()]
+    derived_core = [node for node in core if node.chain]
 
     refcount: Dict[int, int] = {}
     for node in derived_core:
@@ -490,25 +729,34 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
         new_clauses[cid] = replayed
         new_chains[cid] = rebuilt
 
-    # Garbage-collect: only chains reachable from the root survive.
+    # Garbage-collect: only chains reachable from the root survive; the
+    # leaves they reach are the reduced core's originals.
     needed: Set[int] = set()
+    leaves: Set[int] = set()
     stack = [root_id]
     while stack:
         cid = stack.pop()
-        if cid in needed or cid not in new_chains:
+        if cid in needed or cid in leaves:
+            continue
+        if cid not in new_chains:
+            leaves.add(cid)
             continue
         needed.add(cid)
         stack.extend(aid for _, aid in new_chains[cid])
 
-    reduced = ResolutionProof()
-    for node in proof.original_nodes():
-        reduced.add_shared_original(node)
+    reduced = ResolutionProof(proof.shared_view())
+    reduced._originals_first = True
+    for cid in sorted(leaves):
+        node = reduced._nodes[cid] = proof.node(cid)
+        if node.chain:
+            raise ProofError(f"reduced chains reference dropped clause {cid}")
     for node in derived_core:
         cid = node.clause_id
         if cid in needed:
             reduced.add_derived(cid, new_clauses[cid], new_chains[cid])
     if not reduced.is_refutation():
         raise ProofError("proof reduction failed to preserve the refutation")
+    reduced._core = list(reduced._nodes)
     stats.nodes_after = len(reduced)
     return reduced, stats
 
@@ -548,7 +796,8 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
     docstring): activation variables are never resolution pivots, so
     deleting every active group's ``-g`` literal from every clause commutes
     with each recorded resolution step, and the chains are kept verbatim.
-    Concretely:
+    The stripped proof sees the trace's originals as they stand at the
+    strip:
 
     * original clauses of an *active* group lose their ``-g`` literal and
       keep their partition label — they become exactly the caller-level
@@ -557,10 +806,11 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
       off-core: interpolation classifies variable locality over the full
       (A, B) clause sets, exactly the rationale of :func:`reduce_proof`;
     * original clauses of *released or foreign* groups — including the
-      ``[-g]`` release units a retraction asserts — are dropped when they
-      sit outside the root's core and rejected with
+      ``[-g]`` release units, which carry the group they retract — are
+      dropped when they sit outside the root's core and rejected with
       :class:`ActivationDependencyError` when inside it (their group is no
-      longer part of the caller's formula);
+      longer part of the caller's formula); so is an active group the trace
+      has released;
     * derived clauses outside the core are dropped; derived clauses inside
       it lose the active ``-g`` literals.  A core clause still carrying a
       released/foreign group's literal, a positive activation literal, or
@@ -568,6 +818,12 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
       provenance invariant the strip is built on;
     * the root clause must strip to the empty clause (its literals are all
       negated active-group literals), completing the refutation.
+
+    Only the root's core is walked.  The other originals are shared with
+    the trace through an :class:`OriginalView` and built only if asked for,
+    and ``literals_stripped`` / ``originals_dropped`` count them per index
+    key (each active-group clause carries its own ``-g`` once), so the
+    work is the core's, not the trace's.
 
     Returns the stripped proof and an :class:`ActivationStripStats`.
     """
@@ -577,42 +833,36 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
         raise ProofError("no refutation root to strip")
     if root_id not in proof:
         raise ProofError(f"unknown refutation root {root_id}")
+    layer = proof._layer
+    if layer is None:
+        raise ProofError("only a solver trace can be stripped")
     active = set(active_groups)
     others = set(other_groups) - active
+    released = active & layer.released
+    if released:
+        raise ActivationDependencyError(
+            f"assumed groups {sorted(released)} are released")
     strip_lits = {-g for g in active}
     stats = ActivationStripStats(nodes_before=len(proof))
-    core = set(proof.core_ids(root_id))
-    group_vars = others | active
-
-    def is_release_unit(node: ProofNode) -> bool:
-        lits = node.clause.literals
-        return (node.group is None and len(lits) == 1
-                and -lits[0] in group_vars)
-
-    stripped = ResolutionProof()
-    for node in proof.nodes_in_order():
-        cid = node.clause_id
-        if node.is_original:
-            if node.group in others or is_release_unit(node):
-                if cid in core:
+    nodes = proof._nodes
+    view = OriginalView(layer, active, others)
+    stripped = ResolutionProof(view)
+    kept = view.core = stripped._nodes
+    core_ids = proof.core_ids(root_id)
+    for cid in core_ids:
+        node = nodes[cid]
+        chain = node.chain
+        if not chain:
+            group = node.group
+            if group is not None:
+                if group in others:
                     raise ActivationDependencyError(
                         f"core clause {cid} belongs to released/foreign "
-                        f"group {node.group}")
-                stats.originals_dropped += 1
-                continue
-            if node.group in active:
-                lits = [l for l in node.clause.literals
-                        if l not in strip_lits]
-                stats.literals_stripped += len(node.clause) - len(lits)
-                stripped.add_original(cid, Clause(lits), node.partition)
-            elif node.group is None:
-                stripped.add_shared_original(node)
-            else:
-                stripped.add_original(cid, node.clause, node.partition)
+                        f"group {group}")
+                node = _stripped_original(node, group in active, strip_lits)
+            kept[cid] = node
             continue
-        if cid not in core:
-            continue
-        for pivot, _ in node.chain:
+        for pivot, _ in chain:
             if pivot in active or pivot in others:
                 raise ActivationDependencyError(
                     f"core clause {cid} resolves on activation variable "
@@ -633,16 +883,28 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
                     f"core clause {cid} carries positive activation "
                     f"literal {lit}")
             lits.append(lit)
-        if len(lits) < len(node.clause):
-            stats.chains_stripped += 1
-            stats.literals_stripped += len(node.clause) - len(lits)
         if cid == root_id and lits:
             raise ProofError(
                 f"refutation root {cid} strips to non-empty clause "
                 f"{sorted(lits)}")
-        stripped.add_derived(cid, Clause(lits), node.chain)
+        if len(lits) < len(node.clause):
+            stats.chains_stripped += 1
+            stats.literals_stripped += len(node.clause) - len(lits)
+            # Deleting literals keeps the normal form of a clause that has
+            # no complementary pair.
+            clause = (Clause(lits) if node.clause.is_tautology
+                      else Clause.from_normalised(tuple(lits)))
+            node = ProofNode(cid, clause, chain)
+        # The chains are the trace's, already checked when recorded.
+        kept[cid] = node
+        if not lits:
+            stripped.empty_clause_id = cid
     if not stripped.is_refutation():
         raise ProofError("activation stripping failed to produce a refutation")
+    stripped._core = core_ids
+    stats.literals_stripped += sum(count for (_, group), count
+                                   in view.counts.items() if group in active)
+    stats.originals_dropped = view.dropped
     stats.nodes_after = len(stripped)
     return stripped, stats
 

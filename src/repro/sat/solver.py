@@ -278,7 +278,8 @@ class CdclSolver:
         watches = self._watches
         clause_list = self._clauses
         proof = self._proof
-        add_original = proof.add_original if proof is not None else None
+        add_original = (proof.original_adder(partition, group)
+                        if proof is not None else None)
         stats = self.stats
         cids: List[int] = []
         for literals in clauses:
@@ -305,8 +306,7 @@ class CdclSolver:
             cids.append(cid)
             if add_original is not None:
                 add_original(cid, Clause(lits) if tautology else
-                             Clause.from_normalised(tuple(sorted(lits, key=abs))),
-                             partition, group)
+                             Clause.from_normalised(tuple(sorted(lits, key=abs))))
             # Tautologies are recorded (for proof completeness) but never
             # watched.
             if tautology:
@@ -422,7 +422,10 @@ class CdclSolver:
         clauses are dropped from the watch lists.  Assumption levels below
         the one that assigned the activation variable are kept: the unit
         ``-group`` implies nothing, since no clause contains ``+group``, so
-        it goes in at level 0 underneath them.
+        it goes in at level 0 underneath them.  With proof logging on, the
+        unit is recorded under the group it retracts
+        (:meth:`~repro.sat.proof.ResolutionProof.add_release_unit`), so a
+        strip drops or rejects it with the group's own clauses.
         """
         recs = self._groups.pop(group, None)
         if recs is None:
@@ -432,18 +435,19 @@ class CdclSolver:
         if self._assign[group] != _UNASSIGNED and self._level[group] > 0:
             # Kept literals from this level up may rest on the group.
             self._backtrack(self._level[group] - 1)
-        if self._assign[group] != _UNASSIGNED:
-            # Assigned at level 0: the ordinary unit-clause path.
-            self.add_clause([-group])
-            return
         self.stats.clauses_added += 1
         cid = self._next_cid
         self._next_cid = cid + 1
         if self._proof is not None:
-            self._proof.add_original(cid, Clause.from_normalised((-group,)),
-                                     None, None)
+            self._proof.add_release_unit(cid, group)
         rec = _ClauseRec(cid, [-group], False)
         self._clauses.append(rec)
+        if self._assign[group] != _UNASSIGNED:
+            # Assigned at level 0: the ordinary unit-clause path.
+            self._backtrack(0)
+            if not self._enqueue(-group, rec):
+                self._handle_root_conflict(rec)
+            return
         trail_lim = self._trail_lim
         position = trail_lim[0] if trail_lim else len(self._trail)
         self._trail.insert(position, -group)
