@@ -5,6 +5,9 @@ by the push-CI smoke): the quick-suite on-vs-off table for the three
 sequence engines, whose per-bound refutation re-solve the overhaul
 deletes (``EngineOptions.group_proof``; the itp engine shares the same
 path, and CBA refutes each abstract bound on its abstract searcher).
+With the toggle on, the serial steps and the parallel remainder also
+solve on the searcher, seeded with their predicate; off, each solves on
+a fresh suffix check.
 
 Gates, all on solver counters (never wall clock, so the committed bytes
 regenerate identically on any machine):
@@ -14,14 +17,18 @@ regenerate identically on any machine):
   30% (measured: 100%; every refuted bound's fresh solve disappears and
   the fallback path never fires on these suites);
 * cumulative clause additions with group proof on are never more than 5%
-  above the fresh-solver path anywhere (measured: 36–76% *below* on the
-  PASS cells — the monolithic re-encode per bound is gone);
+  above the fresh-solver path anywhere (measured: 51–90% *below* on the
+  PASS cells — the monolithic re-encode per bound and the fresh check
+  per serial step are gone);
 * total SAT calls never increase.
 
-Verdicts and convergence depths are bit-identical across the toggle on
-the whole quick suite (asserted per cell; the three redundant-suite
-cells where convergence legitimately shifts one bound are pinned in
-``tests/core/test_group_proof_identity.py``, not here).
+Verdicts are identical across the toggle on the whole quick suite, and
+so are convergence depths except on the cells pinned in ``_PINNED`` to
+their exact on and off pairs: with the toggle off, every serial step
+solves on a fresh check instead of the searcher, and itpseq's stripped
+refutations are stronger proofs, so the interpolants differ.  The
+redundant-suite cells are pinned in
+``tests/core/test_group_proof_identity.py``.
 """
 
 import pytest
@@ -34,6 +41,18 @@ from repro.harness import format_table
 pytestmark = pytest.mark.benchmark(group="proof_group")
 
 _SEQ_ENGINES = ("itpseq", "sitpseq", "itpseqcba")
+
+#: The quick-suite cells whose convergence depths differ across the
+#: toggle, pinned exactly: (instance, engine) -> ((on k_fp, j_fp),
+#: (off k_fp, j_fp)).  The off path solves every serial step on a fresh
+#: check, and itpseq's stripped refutation is a stronger proof.
+_PINNED = {
+    ("traffic1", "itpseq"): ((11, 9), (11, 10)),
+    ("traffic1", "sitpseq"): ((3, 3), (4, 4)),
+    ("mutex", "sitpseq"): ((5, 5), (6, 6)),
+    ("modcnt06", "sitpseq"): ((6, 5), (7, 6)),
+    ("modcnt06", "itpseqcba"): ((6, 5), (7, 6)),
+}
 
 
 def _options(group_proof):
@@ -51,8 +70,13 @@ def test_proof_group_quick_artifact(benchmark, save_artifact):
             for engine in _SEQ_ENGINES:
                 on = run_engine(engine, instance.build(), _options(True))
                 off = run_engine(engine, instance.build(), _options(False))
-                assert (on.verdict, on.k_fp, on.j_fp) == \
-                    (off.verdict, off.k_fp, off.j_fp), (instance.name, engine)
+                assert on.verdict == off.verdict, (instance.name, engine)
+                depths = ((on.k_fp, on.j_fp), (off.k_fp, off.j_fp))
+                pinned = _PINNED.get((instance.name, engine))
+                if pinned is None:
+                    assert depths[0] == depths[1], (instance.name, engine)
+                else:
+                    assert depths == pinned, (instance.name, engine)
                 assert on.verdict.value == instance.expected, (
                     instance.name, engine)
                 rows.append(
@@ -71,7 +95,8 @@ def test_proof_group_quick_artifact(benchmark, save_artifact):
          "chains_stripped", "fallbacks"],
         rows,
         title="Group-aware proof logging: quick-suite on-vs-off "
-              "(verdict/k/j equal by assertion; deterministic counters)")
+              "(verdict equal and k/j equal or pinned by assertion; "
+              "k/j of the on run; deterministic counters)")
     save_artifact("proof_group.txt", table)
 
     for row in rows:

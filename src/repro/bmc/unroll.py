@@ -128,13 +128,15 @@ class Unroller:
     # ------------------------------------------------------------------ #
     # Constraint emission
     # ------------------------------------------------------------------ #
-    def assert_initial_state(self, partition: int = 1) -> None:
+    def assert_initial_state(self, partition: int = 1,
+                             group: Optional[int] = None) -> None:
         """Constrain frame 0 to the model's initial states (S₀)."""
         for latch in self.model.latches:
             if latch.init is None:
                 continue
             cnf_var = self.latch_cnf_var(0, latch.var)
-            self._add_clause([cnf_var if latch.init else -cnf_var], partition)
+            self._add_clause([cnf_var if latch.init else -cnf_var], partition,
+                             group)
 
     def assert_state_cube(self, state: Mapping[int, bool], frame: int,
                           partition: Optional[int]) -> None:

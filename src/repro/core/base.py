@@ -34,8 +34,8 @@ The base gives them, as each one needs it:
   budgets, one clause/propagation account for every SAT path) and the
   uniform :class:`VerificationResult` packaging.
 
-One solve per bound: the search *is* the refutation check
----------------------------------------------------------
+One unrolling per run: the search *is* the refutation check
+----------------------------------------------------------
 Interpolant extraction needs a resolution refutation of the *monolithic*
 partition-labelled formula S₀ ∧ Tᵏ ∧ B.  Historically the incremental
 search could not provide one — its depth target lives under an assumed
@@ -48,25 +48,25 @@ same UNSAT purely for the labelled refutation.
 With ``EngineOptions.group_proof`` (the default) the split is gone.  The
 persistent searcher runs with proof logging on and real Γ-partition
 labels (:class:`~repro.bmc.incremental.IncrementalUnroller` labels its
-permanent frames exactly as the monolithic builders do), and on UNSAT
+frames exactly as the monolithic builders do), and on UNSAT
 :func:`repro.sat.proof.strip_activations` deletes the activation
 literals from the recorded trace — sound because activation variables
 are never resolution pivots, so stripping commutes with every recorded
 step.  Clauses learned at earlier bounds enter later refutations as
-derived chains over permanent labelled clauses, exactly the case the old
-design could not label.  CBA's abstract searcher refutes its bounds the
-same way, and serial sequence suffix checks run on a grouped solver of
-their own, one per bound (:class:`~repro.bmc.incremental.SuffixUnroller`);
-all three strip through :meth:`UmcEngine._strip_refutation`.  The
-fresh-solver path survives in two roles:
+derived chains over labelled clauses, exactly the case the old design
+could not label.  CBA's abstract searcher refutes its bounds the same
+way, and serial steps, the parallel remainder and ITP's image steps
+re-seed the same unrolling (:meth:`UmcEngine._step_refutation`), so a
+run encodes each frame once; all strip through
+:meth:`UmcEngine._strip_refutation`.  The fresh-solver path survives in
+two roles:
 
-* **fallback** — a stripped chain can depend on a *released* group;
-  the strip then returns ``None`` (counted in ``proof_group_fallbacks``)
-  and the caller builds the fresh check (a fresh suffix solver for that
-  serial step alone, see :mod:`repro.core.sitpseq_engine`);
-* **reference** — ``--no-group-proof`` restores the two-solve split,
-  and the identity tests pin verdicts and k_fp/j_fp bit-identical
-  on-vs-off.
+* **fallback** — a stripped chain can depend on a group the check must
+  not use; the strip then returns ``None`` (counted in
+  ``proof_group_fallbacks``) and the caller builds the fresh check;
+* **reference** — ``--no-group-proof`` solves every bound and step on a
+  fresh check; the identity tests pin verdicts and FAIL depths
+  on-vs-off, and k_fp/j_fp where they differ.
 
 Group proof is suspended while a share port is attached
 (:meth:`UmcEngine._group_proof_active` says why).
@@ -76,15 +76,15 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..aig.aig import Aig, lit_is_const, lit_negate
 from ..aig.model import Model
 from ..aig.ops import cone_size
 from ..bmc.cex import Trace
 from ..bmc.checks import BmcCheckKind
-from ..bmc.incremental import (IncrementalUnroller, SuffixUnroller,
-                               grouped_refutation)
+from ..bmc.incremental import IncrementalUnroller, grouped_refutation
 from ..bmc.unroll import Unroller
 from ..cnf.tseitin import TseitinEncoder
 from ..itp.compact import compact_cone
@@ -429,18 +429,17 @@ class UmcEngine:
                 proof_logging=self._group_proof_active())
         return self._cex_searcher
 
-    def _strip_refutation(self, grouped: Union[IncrementalUnroller,
-                                               SuffixUnroller],
-                          bound: int, **fields) -> Optional[ResolutionProof]:
-        """The trimmed, stripped refutation of a grouped solver's last UNSAT
-        answer under its :meth:`assumptions` (``bound`` and ``fields``
-        label the trace points), or ``None`` when a core chain depends on a
-        released group (``proof_group_fallbacks``): the caller then solves
-        a fresh proof-logged check instead."""
+    def _strip_refutation(self, solver: CdclSolver,
+                          assumptions: Sequence[int], bound: int,
+                          **fields) -> Optional[ResolutionProof]:
+        """The trimmed, stripped refutation of ``solver``'s last UNSAT
+        answer under ``assumptions`` (``bound`` and ``fields`` label the
+        trace points), or ``None`` when a core chain depends on a group
+        outside them (``proof_group_fallbacks``): the caller then solves a
+        fresh proof-logged check instead."""
         try:
             with self.tracer.span("proof_strip", bound=bound):
-                proof, strip = grouped_refutation(grouped.solver,
-                                                  grouped.assumptions())
+                proof, strip = grouped_refutation(solver, assumptions)
         except ActivationDependencyError:
             self.stats.proof_group_fallbacks += 1
             if self.tracer.enabled:
@@ -471,7 +470,8 @@ class UmcEngine:
         """
         if not self._group_proof_active() or searcher.depth != bound:
             return None
-        proof = self._strip_refutation(searcher, bound)
+        proof = self._strip_refutation(searcher.solver, searcher.assumptions(),
+                                       bound)
         if proof is not None:
             self.stats.proof_group_solves_saved += 1
         return proof
@@ -503,6 +503,31 @@ class UmcEngine:
             self._share_check_disagreement(depth)
             return self._fail(depth, unroller.extract_trace(depth))
         self._share_publish_depth(k)
+        self._share_yield()
+        return self._trim_proof(unroller.solver.proof()), unroller
+
+    def _step_refutation(self, searcher: IncrementalUnroller, frame: int,
+                         seed: int, fallback: Callable[[], Unroller],
+                         **fields
+                         ) -> Optional[Tuple[ResolutionProof, Unroller]]:
+        """Refute ``searcher``'s current check with ``seed`` in place of the
+        prefix below ``frame`` (:meth:`IncrementalUnroller.step`): the
+        trimmed refutation and the unroller serving its cuts, or ``None``
+        when satisfiable.  A proof-free searcher or a rejected strip falls
+        back to ``fallback()``, a fresh check of the same suffix."""
+        if searcher.proof_logging:
+            with searcher.step(frame, seed) as assumptions:
+                if self._solve(searcher.solver, assumptions) is SatResult.SAT:
+                    return None
+                proof = self._strip_refutation(searcher.solver, assumptions,
+                                               searcher.depth, **fields)
+            if proof is not None:
+                return proof, searcher.unroller
+        unroller = fallback()
+        if self._solve(unroller.solver) is SatResult.SAT:
+            return None
+        # Refutation and trimming are separate cooperative turns, as in
+        # _bound_refutation.
         self._share_yield()
         return self._trim_proof(unroller.solver.proof()), unroller
 

@@ -79,7 +79,8 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         self._share_publish_depth(k)
         with self.tracer.span("itp_extract"):
             elements_abs = compute_serial_sequence(
-                self, abstraction.abstract_model, k, proof, unroller)
+                self, abstraction.abstract_model, k, proof, unroller,
+                self._abstract_searcher)
             return self._translate_elements(abstraction, elements_abs)
 
     # ------------------------------------------------------------------ #

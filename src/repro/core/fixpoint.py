@@ -87,8 +87,9 @@ class FixpointChecker:
         self._group_vars: Dict[int, List[int]] = {}
         self._group: Optional[int] = None
         self._group_used = False
-        #: Cumulative count of AND-gate encodings served from the cache —
-        #: cone clauses a throwaway-solver check would have re-emitted.
+        #: Cumulative count of cached AND gates the checks read directly:
+        #: the fanins their new gates share with earlier encodings, plus
+        #: fully cached roots (see :meth:`_count_reused`).
         self.encodings_reused = 0
         #: Number of containment checks answered.
         self.checks = 0
@@ -117,27 +118,32 @@ class FixpointChecker:
         :data:`SatResult.UNKNOWN` on budget exhaustion — the caller owns
         the budget policy, mirroring :meth:`CdclSolver.solve`.
         """
-        # The reuse counter needs the check's full cone (reused = cached
-        # gates a throwaway solver would re-encode, i.e. avoided clauses/3),
-        # so this walk is O(|accumulated R|) per check where the encoding
-        # below is O(new gates).  That is bookkeeping-only traversal, no
-        # clause work: on the heaviest suite cell (itpseq/indA1_ring12,
-        # ~80 checks over a multi-thousand-gate R) it is under 2% of the
-        # run and within wall-clock noise.
-        cone = self.aig.fanin_cone([antecedent, consequent])
-        self.encodings_reused += sum(
-            1 for var in cone
-            if self.aig.is_and(var) and self._encoder.has_var(var))
         # Antecedent and consequent cones go into separate groups: the two
         # sides have independent lifetimes (a strengthened column's old
         # encoding dies while the R side it was checked against lives on),
         # and shedding is per-group.
+        groups_before = len(self._groups)
         a_lit = self._encode_grouped(antecedent)
         c_lit = self._encode_grouped(consequent)
+        self.encodings_reused += self._count_reused(
+            (antecedent, consequent), self._groups[groups_before:])
         assumptions = list(self._groups) + [a_lit, -c_lit]
         result = self.solver.solve(assumptions=assumptions, budget=budget)
         self.checks += 1
         return result
+
+    def _count_reused(self, roots, new_groups: List[int]) -> int:
+        """The AND gates one check read from the cache, in O(new gates):
+        the distinct AND fanins of the gates it newly encoded that were
+        encoded before it, plus an AND root that was cached outright."""
+        new = {var for group in new_groups for var in self._group_vars[group]}
+        gates = self.aig.gate_table()
+        reused = {lit >> 1 for lit in roots}
+        for var in new:
+            gate = gates[var]
+            reused.add(gate.left >> 1)
+            reused.add(gate.right >> 1)
+        return sum(1 for var in reused if var in gates and var not in new)
 
     def _encode_grouped(self, root: int) -> int:
         """Encode one root's missing cone clauses under a fresh group."""

@@ -13,6 +13,12 @@ The engine follows the paper's Fig. 1 pseudo-code literally:
 
 The counterexample returned on failure always comes from the first inner
 iteration (initial states = S₀), so it is a genuine concrete trace.
+
+On a group-proof run every check of a bound runs on the bound-k
+unrolling the searcher already holds: each image step seeds the
+interpolant at frame 0 in place of S₀
+(:meth:`~repro.bmc.incremental.IncrementalUnroller.step`).  A fresh
+bound-k check (:meth:`ItpEngine._build_check`) is only the fallback.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from typing import Optional
 from ..bmc.checks import BmcCheckKind, build_check
 from ..bmc.unroll import Unroller
 from ..itp.craig import InterpolantBuilder
-from ..sat.types import SatResult
 from .base import UmcEngine, initial_states_predicate
 from .result import VerificationResult
 
@@ -82,9 +87,8 @@ class ItpEngine(UmcEngine):
 
         # On a group-proof run the searcher unrolls bound-k itself
         # (_cex_check_kind), so its stripped UNSAT trace is the first inner
-        # iteration's refutation; the rebuilds with interpolant initial
-        # states (j ≥ 2) always run fresh.  The bound-k check forbids a
-        # failure at any frame 1..k, so its refutation is exactly the "no
+        # iteration's refutation.  The bound-k check forbids a failure at
+        # any frame 1..k, so its refutation is exactly the "no
         # counterexample up to k" fact _bound_refutation publishes.
         refuted = self._bound_refutation(k)
         if isinstance(refuted, VerificationResult):
@@ -106,17 +110,15 @@ class ItpEngine(UmcEngine):
             reached = self.aig.op_or(reached, itp)
 
             with self.tracer.span("refutation"):
-                unroller = self._build_check(k, init_formula=itp)
-                sat = self._solve(unroller.solver) is SatResult.SAT
-            if sat:
+                refuted = self._step_refutation(
+                    self._cex_searcher, 0, itp,
+                    lambda: self._build_check(k, init_formula=itp),
+                    image_step=j + 1)
+            if refuted is None:
                 # Spurious (the initial set is an over-approximation): retry
                 # with a longer unrolling.
                 return None
-            # One refinement step per cooperative turn: without this the
-            # whole inner loop (often the entire run, at k=1) would occupy
-            # a single turnstile turn and starve the progress clock.
-            self._share_yield()
-            proof = self._trim_proof(unroller.solver.proof())
+            proof, unroller = refuted
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -125,6 +127,9 @@ class ItpEngine(UmcEngine):
         return self._build_check(k, init_formula=None)
 
     def _build_check(self, k: int, init_formula: Optional[int]) -> Unroller:
+        """A fresh proof-logged bound-k check from S₀, or from
+        ``init_formula`` at frame 0: the base refutation's and the image
+        steps' fallback."""
         if init_formula is None:
             initial = None
         else:

@@ -21,11 +21,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from ..aig.aig import TRUE
-from ..bmc.checks import build_check
+from ..aig.model import Model
+from ..bmc.checks import BmcCheckKind, build_check
 from ..bmc.unroll import Unroller
 from ..itp.sequence import extract_sequence
 from ..sat.proof import ResolutionProof
 from .base import UmcEngine, initial_states_predicate
+from .options import EngineOptions
 from .result import VerificationResult
 
 __all__ = ["ItpSeqEngine"]
@@ -35,6 +37,17 @@ class ItpSeqEngine(UmcEngine):
     """Parallel interpolation sequences (procedure ITPSEQVERIF of Fig. 2)."""
 
     name = "itpseq"
+
+    def __init__(self, model: Model, options: Optional[EngineOptions] = None,
+                 **kwargs) -> None:
+        # Every element past the first cuts the check inside the unrolling,
+        # where a bound-k target spanning frames 1..k would leave the cut
+        # variables unmapped (and the searcher's steps unsound).
+        if options is not None and options.bmc_check is BmcCheckKind.BOUND:
+            raise ValueError(
+                f"{self.name} needs exact-k or assume-k checks "
+                "(BmcCheckKind.ASSUME or BmcCheckKind.EXACT), not bound-k")
+        super().__init__(model, options, **kwargs)
 
     def _run(self) -> VerificationResult:
         """The bound loop of Fig. 2, shared by every sequence engine; they

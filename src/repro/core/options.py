@@ -53,8 +53,9 @@ class EngineOptions:
     bmc_check:
         Which BMC formulation the sequence engines use for their main check
         (``ASSUME`` by default, per Section III; ``EXACT`` reproduces the
-        other axis of Fig. 7).  The standard-interpolation engine always
-        uses bound-k checks as required for its correctness.
+        other axis of Fig. 7); they raise ``ValueError`` on ``BOUND``.  The
+        standard-interpolation engine always refutes with bound-k checks
+        as required for its correctness.
     itp_system:
         Interpolation system: ``"mcmillan"`` or ``"pudlak"``.
     alpha_s:
@@ -82,21 +83,19 @@ class EngineOptions:
         On by default; disable to extract from the raw solver trace as the
         seed implementation did.
     group_proof:
-        Reuse the incremental counterexample search's own UNSAT answer as
-        the proof-logged refutation: the searcher runs with proof logging
-        on, and :func:`repro.sat.proof.strip_activations` turns its
-        recorded trace into an activation-free refutation of the monolithic
-        S₀ ∧ Tᵏ ∧ B — deleting the fresh-solver re-solve per bound; CBA's
-        abstract searcher serves its bounds the same way.  The fresh-solver
-        path remains as automatic fallback (when a stripped chain depends
-        on a released earlier-depth group).  Serial sequence suffixes do
-        not depend on this toggle: they always run on one proof-logged
-        :class:`~repro.bmc.incremental.SuffixUnroller` per bound, with a
-        fresh suffix solver only as the per-step fallback.  Suspended while
-        a share port is attached, for cost: a search a foreign depth fact
-        skips would come back as a fresh proof-logged solve (see
-        ``UmcEngine._group_proof_active``).  On by default; disable with ``--no-group-proof`` to
-        restore the two-solves-per-bound split.
+        Solve every proof-logged check on the run's one incremental
+        unrolling: the counterexample searcher logs its proof, and
+        :func:`repro.sat.proof.strip_activations` turns its trace into an
+        activation-free refutation of the monolithic S₀ ∧ Tᵏ ∧ B — no
+        fresh re-solve per bound.  CBA's abstract searcher serves its
+        bounds the same way, and serial steps, the parallel remainder and
+        ITP's image steps re-seed the same unrolling
+        (:meth:`repro.bmc.incremental.IncrementalUnroller.step`).  A fresh
+        check remains as automatic fallback for a rejected strip.
+        Suspended while a share port is attached, for cost: a search a
+        foreign depth fact skips would come back as a fresh proof-logged
+        solve (see ``UmcEngine._group_proof_active``).  On by default;
+        ``--no-group-proof`` solves every refutation on a fresh check.
     """
 
     max_bound: int = 30

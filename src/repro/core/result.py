@@ -89,10 +89,13 @@ class EngineStats:
     refutations before extraction (core trimming + RecyclePivots);
     ``itp_ands_compacted`` — AND gates removed from freshly extracted
     interpolant cones by structural compaction; and
-    ``fixpoint_encodings_reused`` — cone-gate encodings the persistent
-    containment checker served from its cache instead of re-emitting
-    (each one is three Tseitin clauses a throwaway solver would have
-    paid again).  ``fixpoint_groups_shed`` counts the checker's clause
+    ``fixpoint_encodings_reused`` — cached AND gates the persistent
+    containment checker's checks read directly: the distinct fanins of
+    each check's newly encoded gates that earlier checks had encoded,
+    plus a root that was cached outright.  It is counted in O(new
+    gates), so it is a lower bound on the cone encodings a throwaway
+    solver would have re-emitted (the cached cones below those fanins
+    are not walked).  ``fixpoint_groups_shed`` counts the checker's clause
     groups released because column strengthening superseded their cones
     (:meth:`repro.core.fixpoint.FixpointChecker.shed_superseded`); only
     the sequence engines shed, so it stays 0 elsewhere.
@@ -105,10 +108,10 @@ class EngineStats:
     instead of a fresh monolithic re-solve (each one is a whole SAT solve
     that never happened); ``proof_chains_stripped`` — derived chains an
     activation literal was deleted from across those refutations and the
-    serial sequences' suffix refutations
-    (:func:`repro.sat.proof.strip_activations`); and
-    ``proof_group_fallbacks`` — bounds, or serial suffix steps, where
-    stripping was rejected (a chain depended on a released group) and the
+    steps refuted on the searcher (serial steps, the parallel remainder,
+    ITP's image steps; :func:`repro.sat.proof.strip_activations`); and
+    ``proof_group_fallbacks`` — bounds, or steps, where stripping was
+    rejected (a chain depended on a group the check must not use) and the
     engine fell back to a fresh solver.
     """
 

@@ -12,22 +12,25 @@ abstraction effect of standard interpolation — the saturation the paper
 credits for convergence at shorter depths (Section IV-B/C).
 
 The first element comes from the bound's base refutation.  Every later
-step of one bound, and the parallel remainder, runs on one proof-logged
-:class:`~repro.bmc.incremental.SuffixUnroller`: the suffixes nest, so the
-frames 1..k are encoded once, and step j solves under the activation
-literals of frames j−1..k with Iⱼ₋₁ asserted at frame j−1.  Before the
-step from frame j−1 is armed, the groups of every frame below it — and
-with them the earlier seeds — are released for good.  That release is
-what keeps the chain sound: a refutation that could use the Init-free
-prefix Tʲ⁻¹ would yield an Iⱼ implied only by Iⱼ₋₁-states that *have*
-(j−1)-step predecessors, not by Img(Iⱼ₋₁), and the fixpoint argument of
-Fig. 2 would break.  A released frame's clauses, and every clause learned
-from them, carry its activation literal, so
-:func:`~repro.sat.proof.strip_activations` either turns the UNSAT answer
-into a refutation of exactly Eq. (3)'s A ∧ B (plus definitions of
-released gates, which only join the A side) or rejects it.  A rejected
-step falls back to a fresh solver for that step alone
-(``proof_group_fallbacks``).
+step, and the parallel remainder, refutes a suffix of the depth-k
+unrolling the run's proof-logged searcher already holds — the engine's
+own, or CBA's current abstract one — so no frame is encoded twice:
+step j asserts Iⱼ₋₁ at frame j−1 in a throwaway group and assumes only
+the target and frames j−1..k
+(:meth:`~repro.bmc.incremental.IncrementalUnroller.step`).  S₀'s group
+and every frame group below j−1 are held false.  That is what keeps the
+chain sound: a refutation that could use the Init-free prefix Tʲ⁻¹ would
+yield an Iⱼ implied only by Iⱼ₋₁-states that *have* (j−1)-step
+predecessors, not by Img(Iⱼ₋₁), and the fixpoint argument of Fig. 2
+would break.  Every clause of those
+groups, and every clause learned from them, carries their activation
+literal, so :func:`~repro.sat.proof.strip_activations` either turns the
+UNSAT answer into a refutation of exactly Eq. (3)'s A ∧ B (plus
+definitions of gates below frame j−1, which only join the A side) or
+rejects it.  A rejected step, and every step of a run whose searcher
+logs no proof (``--no-group-proof``, a share port), is solved on a fresh
+suffix check instead (:func:`_build_suffix_check`; a rejection counts
+in ``proof_group_fallbacks``).
 
 The verification loop around the sequence is identical to Fig. 2 and is
 inherited from :class:`ItpSeqEngine`; only the extraction step differs.
@@ -35,17 +38,16 @@ inherited from :class:`ItpSeqEngine`; only the extraction step differs.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from ..aig.aig import FALSE, TRUE
 from ..aig.model import Model
 from ..bmc.checks import BmcCheckKind, build_check
-from ..bmc.incremental import SuffixUnroller
+from ..bmc.incremental import IncrementalUnroller
 from ..bmc.unroll import Unroller
 from ..itp.craig import InterpolantBuilder
 from ..itp.sequence import extract_sequence
 from ..sat.proof import ResolutionProof
-from ..sat.types import SatResult
 from .base import UmcEngine
 from .itpseq_engine import ItpSeqEngine
 
@@ -58,20 +60,21 @@ def compute_serial_sequence(
     k: int,
     base_proof: ResolutionProof,
     base_unroller: Unroller,
+    searcher: IncrementalUnroller,
 ) -> List[int]:
     """Compute the (partially) serial sequence of Fig. 4 for a bound ``k``.
 
     ``base_proof`` / ``base_unroller`` come from the already-solved
     (unsatisfiable) depth-``k`` BMC check on ``model``; its cut-1 interpolant
     seeds the serial chain, so the first serial element costs no extra SAT
-    call.  The later steps and the parallel remainder share one
-    :class:`~repro.bmc.incremental.SuffixUnroller` (see the module
-    docstring).  Elements are materialised in ``model.aig`` and returned as
-    the full list I₀..I_{k+1} (with I₀ = ⊤ and I_{k+1} = ⊥).
+    call.  The later steps and the parallel remainder refute suffixes of
+    ``searcher``'s depth-``k`` unrolling (see the module docstring).
+    Elements are materialised in ``model.aig`` and returned as the full
+    list I₀..I_{k+1} (with I₀ = ⊤ and I_{k+1} = ⊥).
 
     The function is deliberately engine-agnostic: the serial+CBA engine
-    calls it with an *abstract* model, the plain serial engine with the
-    concrete one.
+    calls it with an *abstract* model and its abstract searcher, the plain
+    serial engine with the concrete ones.
     """
     options = engine.options
     aig = model.aig
@@ -94,10 +97,7 @@ def compute_serial_sequence(
                                  system=options.itp_system)
     elements[1] = engine._register_interpolant(
         aig, builder.extract(base_proof, a_partitions=[1]))
-    if k == 1:
-        return elements  # I₁ was the only element left to compute
 
-    suffix = SuffixUnroller(model, k, options.bmc_check)
     # Serial elements 2..n_serial: one SAT call each on the suffix from frame
     # j-1, constrained there to the previous element (Eq. (3)).
     for j in range(2, n_serial + 1):
@@ -105,8 +105,8 @@ def compute_serial_sequence(
         # k+1 proof-logged solves in a single turn would overshoot the
         # turnstile's progress clock by an entire bound.
         engine._share_yield()
-        proof, cuts, shift = _suffix_refutation(engine, model, suffix, j,
-                                                elements[j - 1])
+        proof, cuts, shift = _suffix_refutation(engine, model, searcher, k,
+                                                j, elements[j - 1])
         cut = j - shift
         step_builder = InterpolantBuilder(aig, cuts.cut_var_map(cut),
                                           system=options.itp_system)
@@ -118,7 +118,7 @@ def compute_serial_sequence(
     if n_serial < k:
         engine._share_yield()
         proof, cuts, shift = _suffix_refutation(
-            engine, model, suffix, n_serial + 1, elements[n_serial])
+            engine, model, searcher, k, n_serial + 1, elements[n_serial])
         first = n_serial + 1 - shift
         cut_maps = {cut: cuts.cut_var_map(cut)
                     for cut in range(first, k + 1 - shift)}
@@ -132,34 +132,30 @@ def compute_serial_sequence(
 
 
 def _suffix_refutation(
-    engine: UmcEngine, model: Model, suffix: SuffixUnroller, j: int, seed: int,
-) -> Tuple[ResolutionProof, Union[SuffixUnroller, Unroller], int]:
-    """Refute the suffix from frame ``j-1`` of ``suffix``'s bound, seeded
+    engine: UmcEngine, model: Model, searcher: IncrementalUnroller, k: int,
+    j: int, seed: int,
+) -> Tuple[ResolutionProof, Unroller, int]:
+    """Refute the suffix from frame ``j-1`` of bound ``k``'s check, seeded
     with ``seed`` there: serial step ``j``, or the parallel remainder when
     ``j = n_s + 1``.
 
-    Returns ``(proof, cuts, shift)``: the trimmed refutation, the object
-    whose ``cut_var_map`` serves its cuts, and how far its partition labels
-    sit below the absolute ones — 0 on the suffix solver, ``j-1`` on the
-    fresh fallback check, which starts at frame 0.
+    Returns ``(proof, cuts, shift)``: the trimmed refutation, the unroller
+    serving its cuts, and how far its partition labels sit below the
+    absolute ones — 0 on the searcher, ``j-1`` on the fresh fallback
+    check, which starts at frame 0.
     """
-    k = suffix.depth
     with engine.tracer.span("serial_step", bound=k, j=j, depth=k - j + 1):
-        suffix.advance(j - 1, seed)
-        if engine._solve(suffix.solver, suffix.assumptions()) \
-                is not SatResult.UNSAT:
-            # Guaranteed unreachable by the Craig property of the seed; guard
-            # against it anyway so a bug surfaces loudly instead of silently.
-            raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
-                               "satisfiable")
-        proof = engine._strip_refutation(suffix, k, serial_step=j)
-        if proof is not None:
-            return proof, suffix, 0
-        unroller = _build_suffix_check(engine, model, seed, k - j + 1)
-        if engine._solve(unroller.solver) is not SatResult.UNSAT:
-            raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
-                               "satisfiable")
-        return engine._trim_proof(unroller.solver.proof()), unroller, j - 1
+        refuted = engine._step_refutation(
+            searcher, j - 1, seed,
+            lambda: _build_suffix_check(engine, model, seed, k - j + 1),
+            serial_step=j)
+    if refuted is None:
+        # Guaranteed unreachable by the Craig property of the seed; guard
+        # against it anyway so a bug surfaces loudly instead of silently.
+        raise RuntimeError(f"serial step {j} of bound {k} unexpectedly "
+                           "satisfiable")
+    proof, cuts = refuted
+    return proof, cuts, 0 if cuts is searcher.unroller else j - 1
 
 
 def _build_suffix_check(engine: UmcEngine, model: Model, init_formula: int,
@@ -192,4 +188,5 @@ class SerialItpSeqEngine(ItpSeqEngine):
     def _extract_elements(self, k: int, proof: ResolutionProof,
                           unroller: Unroller) -> List[int]:
         """Fig. 4: the serial chain seeded by the bound's refutation."""
-        return compute_serial_sequence(self, self.model, k, proof, unroller)
+        return compute_serial_sequence(self, self.model, k, proof, unroller,
+                                       self._cex_searcher)

@@ -26,7 +26,7 @@ from repro.core import (
     Verdict,
     run_engine,
 )
-from repro.core import VerificationResult, cba_engine
+from repro.core import VerificationResult, base, cba_engine
 from repro.itp.sequence import extract_sequence
 from repro.itp.verify import check_sequence_conditions
 from repro.sat import check_proof
@@ -93,6 +93,28 @@ def test_itpseq_engine_with_exact_checks():
     options = _options(bmc_check=BmcCheckKind.EXACT)
     result = ItpSeqEngine(traffic_light(extra_delay_bits=1), options).run()
     assert result.verdict is Verdict.PASS
+
+
+@pytest.mark.parametrize("engine_cls", [ItpSeqEngine, SerialItpSeqEngine,
+                                        ItpSeqCbaEngine])
+def test_sequence_engines_reject_bound_checks(monkeypatch, engine_cls):
+    # Bound-k targets span frames 1..k, so no cut inside the unrolling has
+    # latch-only shared variables: the option is refused up front, before
+    # the model is preprocessed.
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("preprocessing ran")
+
+    monkeypatch.setattr(base, "build_pipeline", no_pipeline)
+    options = _options(bmc_check=BmcCheckKind.BOUND)
+    with pytest.raises(ValueError, match="ASSUME.*EXACT"):
+        engine_cls(token_ring(4), options)
+
+
+def test_itp_engine_keeps_bound_checks():
+    for group_proof in (True, False):
+        options = _options(bmc_check=BmcCheckKind.BOUND,
+                           group_proof=group_proof)
+        assert ItpEngine(token_ring(4), options).run().verdict is Verdict.PASS
 
 
 def test_itpseq_engine_with_pudlak_system():

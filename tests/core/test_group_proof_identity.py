@@ -8,13 +8,16 @@ the quick + redundant suites, FAIL cells land on the same depth with a
 replayable trace, and the refutation-solve counter accounts exactly for
 the SAT calls that disappeared.
 
-Fixpoint depth pairs are bit-identical *except* on three pinned cells:
-the stripped refutation is a different — strictly stronger — proof of
-the same unsatisfiability (its interpolant implies the fresh solve's at
-every cut, never conversely), and stronger sequence columns shrink the
-accumulated reached set, so containment there closes one bound later.
-Those cells are pinned exactly rather than exempted, so any *drift* in
-either configuration still fails loudly.
+Fixpoint depth pairs are bit-identical *except* on the pinned cells.
+The stripped refutation is a different proof of the same
+unsatisfiability — for itpseq a strictly stronger one: its interpolant
+implies the fresh solve's at every cut, never conversely, and stronger
+sequence columns shrink the accumulated reached set, so containment
+there closes one bound later.  The serial and image steps solve on the
+searcher with the toggle on and on a fresh check each with it off, so
+their interpolants differ as well.  Those cells are pinned exactly
+rather than exempted, so any *drift* in either configuration still
+fails loudly.
 
 CBA's abstract searcher serves its bounds the same way: on ring04 every
 refuted bound is a saved solve, and a strip forced to fail on that
@@ -45,13 +48,32 @@ from repro.sat.types import SatResult
 
 _INSTANCES = quick_suite() + redundant_suite()
 
-#: The three cells where convergence legitimately shifts by one bound
-#: (strictly-stronger stripped interpolants -> smaller reached set ->
-#: later containment): (instance, engine) -> ((on k_fp, j_fp), (off ...)).
+#: The cells whose convergence depths differ across the toggle, pinned
+#: exactly: (instance, engine) -> ((on k_fp, j_fp), (off k_fp, j_fp)).
+#: Different proofs of the same unsatisfiability give different
+#: interpolants: the searcher's stripped refutations (strictly stronger
+#: for itpseq: smaller reached sets, later containment), and the serial
+#: and image steps, which the off path solves on a fresh check each.
 _PINNED = {
+    ("traffic1", "itpseq"): ((11, 9), (11, 10)),
+    ("traffic1", "sitpseq"): ((3, 3), (4, 4)),
+    ("mutex", "itp"): ((1, 3), (1, 4)),
+    ("mutex", "sitpseq"): ((5, 5), (6, 6)),
+    ("modcnt06", "sitpseq"): ((6, 5), (7, 6)),
+    ("modcnt06", "itpseqcba"): ((6, 5), (7, 6)),
     ("red_dead08", "itpseq"): ((8, 8), (7, 7)),
+    ("red_dead08", "sitpseq"): ((8, 8), (7, 7)),
+    ("red_dead08", "itpseqcba"): ((8, 8), (7, 7)),
     ("red_stuck04", "itpseq"): ((8, 8), (7, 7)),
+    ("red_stuck04", "sitpseq"): ((8, 8), (7, 7)),
+    ("red_stuck04", "itpseqcba"): ((8, 8), (7, 7)),
+    ("red_dup06", "itp"): ((1, 3), (1, 6)),
+    ("red_dup06", "sitpseq"): ((3, 3), (11, 7)),
+    ("red_dup06", "itpseqcba"): ((3, 3), (11, 7)),
+    ("red_dup10", "itp"): ((1, 3), (1, 10)),
     ("red_dup10", "itpseq"): ((18, 12), (17, 11)),
+    ("red_dup10", "sitpseq"): ((3, 3), (17, 11)),
+    ("red_dup10", "itpseqcba"): ((3, 3), (17, 11)),
 }
 
 
@@ -60,11 +82,30 @@ def _options(group_proof: bool) -> EngineOptions:
                          group_proof=group_proof)
 
 
+def _run_counting_steps(monkeypatch, engine_name, instance, group_proof):
+    """Run one cell; return its result and the steps it refuted (serial
+    steps, remainders and image steps: one solve each, on either path)."""
+    steps = []
+    step_refutation = UmcEngine._step_refutation
+
+    def counting(self, *args, **kwargs):
+        steps.append(args[1])
+        return step_refutation(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(UmcEngine, "_step_refutation", counting)
+        result = run_engine(engine_name, instance.build(),
+                            _options(group_proof))
+    return result, len(steps)
+
+
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_group_proof_on_off_identity(engine_name):
+def test_group_proof_on_off_identity(monkeypatch, engine_name):
     for instance in _INSTANCES:
-        on = run_engine(engine_name, instance.build(), _options(True))
-        off = run_engine(engine_name, instance.build(), _options(False))
+        on, on_steps = _run_counting_steps(monkeypatch, engine_name,
+                                           instance, True)
+        off, off_steps = _run_counting_steps(monkeypatch, engine_name,
+                                             instance, False)
         assert on.verdict.value == instance.expected, (instance.name,
                                                        on.message)
         assert on.verdict == off.verdict, instance.name
@@ -79,11 +120,17 @@ def test_group_proof_on_off_identity(engine_name):
             assert on.trace is not None
             assert on.trace.check(instance.build()), instance.name
         # The counter accounts exactly for the solves that disappeared
-        # (only meaningful where both runs walked the same bounds).
+        # (only meaningful where both runs walked the same bounds).  ITP's
+        # image steps and containment checks follow its interpolants,
+        # which differ across the toggle, so both are taken out first.
         assert off.stats.proof_group_solves_saved == 0
         assert on.stats.proof_group_fallbacks == 0
         if on.stats.proof_group_solves_saved and pinned is None:
-            assert off.stats.sat_calls - on.stats.sat_calls == \
+            off_calls = (off.stats.sat_calls - off_steps
+                         - off.stats.containment_checks)
+            on_calls = (on.stats.sat_calls - on_steps
+                        - on.stats.containment_checks)
+            assert off_calls - on_calls == \
                 on.stats.proof_group_solves_saved, instance.name
 
 
@@ -137,12 +184,13 @@ def test_cba_forced_strip_failure_falls_back_on_every_bound(monkeypatch):
     def rejecting(solver, active):
         raise ActivationDependencyError("forced for the test")
 
-    def strip_refutation(self, grouped, bound, **fields):
-        if isinstance(grouped, IncrementalUnroller):
+    def strip_refutation(self, solver, assumptions, bound, **fields):
+        if not fields:
+            # A bound's refutation (serial steps carry their step number).
             with monkeypatch.context() as patch:
                 patch.setattr(base, "grouped_refutation", rejecting)
-                return strip(self, grouped, bound, **fields)
-        return strip(self, grouped, bound, **fields)
+                return strip(self, solver, assumptions, bound, **fields)
+        return strip(self, solver, assumptions, bound, **fields)
 
     monkeypatch.setattr(UmcEngine, "_strip_refutation", strip_refutation)
     forced = run_engine("itpseqcba", instance.build(), _options(True))

@@ -149,6 +149,25 @@ def test_fixpoint_checker_matches_one_shot_implies():
         assert (got is SatResult.UNSAT) == expected, trial
 
 
+def test_fixpoint_reuse_counts_the_cached_gates_a_check_reads():
+    """The reuse count is the boundary between a check's new gates and the
+    cache: cached AND fanins of new gates, plus a cached AND root."""
+    from repro.aig import Aig
+
+    aig = Aig()
+    a, b, c, d = (aig.add_input(name) for name in "abcd")
+    checker = FixpointChecker(aig)
+    left, right = aig.add_and(a, b), aig.add_and(c, d)
+    reached = aig.add_and(left, right)
+    checker.implies(a, reached)            # encodes three gates, reads none
+    assert checker.encodings_reused == 0
+    wider = aig.add_and(reached, aig.add_and(a, c))
+    checker.implies(wider, reached)        # two new gates read `reached`
+    assert checker.encodings_reused == 1
+    checker.implies(left, right)           # both roots cached outright
+    assert checker.encodings_reused == 3
+
+
 def test_fixpoint_checker_reuses_accumulated_encodings():
     """The R-accumulation pattern: each check re-encodes only the new cone."""
     from repro.aig import Aig

@@ -76,7 +76,10 @@ def test_pdr_trajectory(solver_totals, name, expected):
 def test_bmc_trajectory(solver_totals):
     result = BmcEngine(get_instance("cnt08").build()).run(max_depth=10)
     assert (result.status, result.depth) == ("fail", 8)
+    # The searcher assumes S₀ and every frame's group on each solve, so
+    # their units propagate at assumption levels: 1159 propagations when
+    # S₀ and the frames were permanent clauses.
     assert solver_totals == {"solve_calls": 9, "decisions": 15,
-                             "propagations": 1159, "conflicts": 15,
+                             "propagations": 1218, "conflicts": 15,
                              "clauses_added": 725}
     assert (result.conflicts, result.clause_additions) == (15, 725)
