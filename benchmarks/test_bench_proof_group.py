@@ -23,12 +23,11 @@ regenerate identically on any machine):
 * total SAT calls never increase.
 
 Verdicts are identical across the toggle on the whole quick suite, and
-so are convergence depths except on the cells pinned in ``_PINNED`` to
-their exact on and off pairs: with the toggle off, every serial step
+so are convergence depths except on the cells pinned to their exact on
+and off pairs in ``PINNED`` (``tests/core/test_group_proof_identity.py``,
+the one table for both files): with the toggle off, every serial step
 solves on a fresh check instead of the searcher, and itpseq's stripped
-refutations are stronger proofs, so the interpolants differ.  The
-redundant-suite cells are pinned in
-``tests/core/test_group_proof_identity.py``.
+refutations are stronger proofs, so the interpolants differ.
 """
 
 import pytest
@@ -37,23 +36,11 @@ from budgets import CLAUSE_BUDGET, PROP_BUDGET
 from repro.circuits import quick_suite
 from repro.core import EngineOptions, run_engine
 from repro.harness import format_table
+from tests.core.test_group_proof_identity import PINNED
 
 pytestmark = pytest.mark.benchmark(group="proof_group")
 
 _SEQ_ENGINES = ("itpseq", "sitpseq", "itpseqcba")
-
-#: The quick-suite cells whose convergence depths differ across the
-#: toggle, pinned exactly: (instance, engine) -> ((on k_fp, j_fp),
-#: (off k_fp, j_fp)).  The off path solves every serial step on a fresh
-#: check, and itpseq's stripped refutation is a stronger proof.
-_PINNED = {
-    ("traffic1", "itpseq"): ((11, 9), (11, 10)),
-    ("traffic1", "sitpseq"): ((3, 3), (4, 4)),
-    ("mutex", "sitpseq"): ((5, 5), (6, 6)),
-    ("modcnt06", "sitpseq"): ((6, 5), (7, 6)),
-    ("modcnt06", "itpseqcba"): ((6, 5), (7, 6)),
-}
-
 
 def _options(group_proof):
     return EngineOptions(max_bound=30, time_limit=None,
@@ -72,7 +59,7 @@ def test_proof_group_quick_artifact(benchmark, save_artifact):
                 off = run_engine(engine, instance.build(), _options(False))
                 assert on.verdict == off.verdict, (instance.name, engine)
                 depths = ((on.k_fp, on.j_fp), (off.k_fp, off.j_fp))
-                pinned = _PINNED.get((instance.name, engine))
+                pinned = PINNED.get((instance.name, engine))
                 if pinned is None:
                     assert depths[0] == depths[1], (instance.name, engine)
                 else:

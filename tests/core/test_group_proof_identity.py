@@ -17,7 +17,8 @@ there closes one bound later.  The serial and image steps solve on the
 searcher with the toggle on and on a fresh check each with it off, so
 their interpolants differ as well.  Those cells are pinned exactly
 rather than exempted, so any *drift* in either configuration still
-fails loudly.
+fails loudly.  On two ITP FAIL cells the depths agree but the image
+steps do not, so their SAT-call counts are pinned the same way.
 
 CBA's abstract searcher serves its bounds the same way: on ring04 every
 refuted bound is a saved solve, and a strip forced to fail on that
@@ -54,7 +55,8 @@ _INSTANCES = quick_suite() + redundant_suite()
 #: interpolants: the searcher's stripped refutations (strictly stronger
 #: for itpseq: smaller reached sets, later containment), and the serial
 #: and image steps, which the off path solves on a fresh check each.
-_PINNED = {
+#: ``benchmarks/test_bench_proof_group.py`` reads this table too.
+PINNED = {
     ("traffic1", "itpseq"): ((11, 9), (11, 10)),
     ("traffic1", "sitpseq"): ((3, 3), (4, 4)),
     ("mutex", "itp"): ((1, 3), (1, 4)),
@@ -76,40 +78,31 @@ _PINNED = {
     ("red_dup10", "itpseqcba"): ((3, 3), (17, 11)),
 }
 
+#: The cells that walk the same bounds on and off but not the same image
+#: steps, pinned exactly: (instance, engine) -> (on sat_calls, off
+#: sat_calls).  ITP refines each bound below the failure depth until its
+#: interpolants reach a fixpoint or turn spurious, and those interpolants
+#: differ across the toggle.
+_PINNED_CALLS = {
+    ("cnt08", "itp"): (41, 50),
+    ("red_dup10bug", "itp"): (47, 54),
+}
+
 
 def _options(group_proof: bool) -> EngineOptions:
     return EngineOptions(max_bound=20, time_limit=120.0,
                          group_proof=group_proof)
 
 
-def _run_counting_steps(monkeypatch, engine_name, instance, group_proof):
-    """Run one cell; return its result and the steps it refuted (serial
-    steps, remainders and image steps: one solve each, on either path)."""
-    steps = []
-    step_refutation = UmcEngine._step_refutation
-
-    def counting(self, *args, **kwargs):
-        steps.append(args[1])
-        return step_refutation(self, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(UmcEngine, "_step_refutation", counting)
-        result = run_engine(engine_name, instance.build(),
-                            _options(group_proof))
-    return result, len(steps)
-
-
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_group_proof_on_off_identity(monkeypatch, engine_name):
+def test_group_proof_on_off_identity(engine_name):
     for instance in _INSTANCES:
-        on, on_steps = _run_counting_steps(monkeypatch, engine_name,
-                                           instance, True)
-        off, off_steps = _run_counting_steps(monkeypatch, engine_name,
-                                             instance, False)
+        on = run_engine(engine_name, instance.build(), _options(True))
+        off = run_engine(engine_name, instance.build(), _options(False))
         assert on.verdict.value == instance.expected, (instance.name,
                                                        on.message)
         assert on.verdict == off.verdict, instance.name
-        pinned = _PINNED.get((instance.name, engine_name))
+        pinned = PINNED.get((instance.name, engine_name))
         if pinned is not None:
             assert ((on.k_fp, on.j_fp), (off.k_fp, off.j_fp)) == pinned, \
                 instance.name
@@ -120,17 +113,15 @@ def test_group_proof_on_off_identity(monkeypatch, engine_name):
             assert on.trace is not None
             assert on.trace.check(instance.build()), instance.name
         # The counter accounts exactly for the solves that disappeared
-        # (only meaningful where both runs walked the same bounds).  ITP's
-        # image steps and containment checks follow its interpolants,
-        # which differ across the toggle, so both are taken out first.
+        # (only meaningful where both runs walked the same bounds).
         assert off.stats.proof_group_solves_saved == 0
         assert on.stats.proof_group_fallbacks == 0
-        if on.stats.proof_group_solves_saved and pinned is None:
-            off_calls = (off.stats.sat_calls - off_steps
-                         - off.stats.containment_checks)
-            on_calls = (on.stats.sat_calls - on_steps
-                        - on.stats.containment_checks)
-            assert off_calls - on_calls == \
+        pinned_calls = _PINNED_CALLS.get((instance.name, engine_name))
+        if pinned_calls is not None:
+            assert (on.stats.sat_calls, off.stats.sat_calls) == \
+                pinned_calls, instance.name
+        elif on.stats.proof_group_solves_saved and pinned is None:
+            assert off.stats.sat_calls - on.stats.sat_calls == \
                 on.stats.proof_group_solves_saved, instance.name
 
 
