@@ -11,10 +11,15 @@ the committed artefact regenerates byte-for-byte on any machine
 What the numbers show (and the committed table records honestly):
 
 * On counterexample instances the cooperative race is a large win
-  (>= 25% fewer total clause additions): the UMC engines' "no
-  counterexample up to depth d" facts let BMC skip every depth a peer
-  already refuted, so the whole portfolio converges on the failure depth
-  with far less duplicated search.
+  (>= 25% fewer total clause additions), and the saving is in the
+  losers.  The UMC engines' "no counterexample up to depth d" facts let
+  BMC skip the solves at every depth a peer already refuted.  BMC's own
+  clause count does not move (``extend_to`` encodes every skipped frame
+  at the next uncovered depth: 172 in both races on mutexbug, 586 on
+  ctrldp08bug), but it reaches the failure in fewer turns, so the race
+  stops the other engines earlier: itp, itpseq and sitpseq add 93
+  clauses instead of 178 on mutexbug, and itpseqcba, which imports
+  nothing, 227 instead of 884 on ctrldp08bug.
 * On deep PASS cells (the ring/arb family) the gains are real but small
   (single digits).  The winner there is standard interpolation at k=1,
   and no answer-sound import can shorten its fixpoint argument: lemmas
@@ -38,8 +43,9 @@ from repro.share import cooperative_race
 pytestmark = pytest.mark.benchmark(group="race_sharing")
 
 #: Cells whose cooperative run must beat blind by at least this much —
-#: the counterexample instances, where cross-engine depth facts let BMC
-#: skip peer-refuted depths (measured: +27% and +31%).
+#: the counterexample instances, where BMC skips the solves at
+#: peer-refuted depths and so ends the race before the losers spend as
+#: much (measured: +27.0% and +43.0%).
 _GAIN_CELLS = {"mutexbug": 25.0, "indF4_ctrldp08bug": 25.0}
 
 #: The full bench family: deep PASS cells first, then the
@@ -108,8 +114,11 @@ notes:
   * Both columns come from the deterministic in-process runner
     (repro.share.cooperative_race); blind = same turnstile schedule over
     a non-delivering bus, so the deltas isolate the lemmas themselves.
-  * Counterexample cells that BMC wins gain >= 25%: foreign "no cex up
-    to d" facts let BMC skip peer-refuted depths.
+  * Counterexample cells that BMC wins gain >= 25%, all of it in the
+    losers.  Foreign "no cex up to d" facts let BMC skip the solves at
+    peer-refuted depths; its clauses do not move (extend_to encodes the
+    skipped frames at the next uncovered depth), but it reaches the
+    failure in fewer turns and the race stops the losers earlier.
   * Cells that PDR wins end when PDR's work clock does.  Skipped
     counterexample-search solves (the searcher never extends its
     unrolling past an imported depth fact) advance the losers' clocks

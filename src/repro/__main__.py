@@ -120,12 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         action="store_false", default=True,
                         help="extract interpolants from the raw resolution "
                              "trace instead of the trimmed refutation")
-    parser.add_argument("--no-group-proof", dest="group_proof",
-                        action="store_false", default=True,
-                        help="re-solve each refuted bound on a fresh "
-                             "proof-logged solver instead of reusing the "
-                             "incremental search's refutation (stripped of "
-                             "activation literals) for interpolation")
     parser.add_argument("--stats", action="store_true",
                         help="print the engine's statistics counters, "
                              "grouped by subsystem (groups that are "
@@ -300,8 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 validate_traces=not args.no_validate,
                                 preprocess=args.preprocess,
                                 preprocess_passes=preprocess_passes,
-                                proof_reduce=args.proof_reduce,
-                                group_proof=args.group_proof)
+                                proof_reduce=args.proof_reduce)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

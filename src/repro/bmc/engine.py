@@ -112,15 +112,18 @@ class BmcEngine(UmcEngine):
                  preprocess: bool = True,
                  preprocess_passes: Optional[tuple] = None,
                  tracer=None, share=None) -> None:
-        # Without group proof the persistent searcher stays proof-free.
         options = EngineOptions(bmc_check=check_kind,
                                 validate_traces=validate_traces,
                                 preprocess=preprocess,
-                                preprocess_passes=preprocess_passes,
-                                group_proof=False)
+                                preprocess_passes=preprocess_passes)
         super().__init__(model, options, tracer=tracer, share=share)
         self.incremental = incremental
         self._max_depth = 0
+
+    def _group_proof_active(self) -> bool:
+        """Never: BMC extracts no interpolant, so its searcher logs no
+        proof."""
+        return False
 
     def run(self, max_depth: int, time_limit: Optional[float] = None,
             conflict_limit: Optional[int] = None) -> BmcResult:

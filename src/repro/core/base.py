@@ -45,10 +45,10 @@ engines paid **two SAT solves per bound**: the cheap incremental search
 answered SAT-or-UNSAT, then a fresh proof-logging solver re-derived the
 same UNSAT purely for the labelled refutation.
 
-With ``EngineOptions.group_proof`` (the default) the split is gone.  The
-persistent searcher runs with proof logging on and real Γ-partition
-labels (:class:`~repro.bmc.incremental.IncrementalUnroller` labels its
-frames exactly as the monolithic builders do), and on UNSAT
+On a solo run the split is gone.  The persistent searcher runs with
+proof logging on and real Γ-partition labels
+(:class:`~repro.bmc.incremental.IncrementalUnroller` labels its frames
+exactly as the monolithic builders do), and on UNSAT
 :func:`repro.sat.proof.strip_activations` deletes the activation
 literals from the recorded trace — sound because activation variables
 are never resolution pivots, so stripping commutes with every recorded
@@ -64,12 +64,9 @@ two roles:
 * **fallback** — a stripped chain can depend on a group the check must
   not use; the strip then returns ``None`` (counted in
   ``proof_group_fallbacks``) and the caller builds the fresh check;
-* **reference** — ``--no-group-proof`` solves every bound and step on a
-  fresh check; the identity tests pin verdicts and FAIL depths
-  on-vs-off, and k_fp/j_fp where they differ.
-
-Group proof is suspended while a share port is attached
-(:meth:`UmcEngine._group_proof_active` says why).
+* **share-attached runs** — while a share port is attached the searchers
+  log no proof, and every bound and step is solved on a fresh check
+  (:meth:`UmcEngine._group_proof_active` says why).
 """
 
 from __future__ import annotations
@@ -400,18 +397,22 @@ class UmcEngine:
     # Incremental counterexample search (shared by every engine)
     # ------------------------------------------------------------------ #
     def _group_proof_active(self) -> bool:
-        """Whether this run's searcher doubles as the refutation check.
+        """Whether this run's searchers double as its refutation checks.
 
-        Suspended for share-attached runs, which use the fresh-solver
-        refutation pipeline instead.  Soundness does not need this (foreign
-        depth facts only skip solves and never enter a solver); the cost
-        does.  With group proof the search *is* the bound's refutation, so
-        a search a depth fact skips comes back as a fresh proof-logged
-        solve.  Measured with the suspension lifted, the cooperative race
-        on indA1_ring12 adds 54,044 clauses, past the ``race_sharing``
-        no-harm bound of 51,153 × 1.05 + 150.
+        The one place the choice is made: true unless a share port is
+        attached; searchers built while it is false log no proof, and every
+        refutation then runs on a fresh check.  Soundness does not need the
+        suspension (foreign depth facts only skip solves and never enter a
+        solver); the race benchmark does.  With group proof the search *is*
+        the bound's refutation, so a search a depth fact skips comes back
+        as a fresh proof-logged solve.  Measured with the suspension
+        lifted, the cooperative race on indA1_ring12 adds 54,044 clauses,
+        past the ``race_sharing`` no-harm bound of 51,153 × 1.05 + 150;
+        lifted together with imports into the interpolation engines, the
+        16-cell race costs about a tenth of its clauses but misses the
+        benchmark's 25% gain floors on mutexbug and ctrldp08bug.
         """
-        return self.options.group_proof and self.share is None
+        return self.share is None
 
     def _cex_check_kind(self) -> BmcCheckKind:
         """The check formulation the persistent searcher unrolls."""
@@ -458,17 +459,17 @@ class UmcEngine:
         """The trimmed refutation of ``bound`` from a searcher's own trace.
 
         Valid right after ``searcher`` (the engine's, or CBA's abstract
-        one) answered UNSAT at ``bound`` on a group-proof run: that answer
+        one) answered UNSAT at ``bound`` with its proof logged: that answer
         is the UNSAT the bound's refutation check would re-derive, so its
         stripped trace *is* the labelled refutation of the monolithic
         S₀ ∧ Tᵏ ∧ B, and the fresh-solver solve is skipped
         (``proof_group_solves_saved``).
 
-        Returns ``None`` when the group path is off, the searcher did not
-        refute ``bound``, or the strip rejected the trace — the caller then
-        falls back to the fresh monolithic proof-logged check.
+        Returns ``None`` when the searcher logs no proof, did not refute
+        ``bound``, or the strip rejected the trace — the caller then falls
+        back to the fresh monolithic proof-logged check.
         """
-        if not self._group_proof_active() or searcher.depth != bound:
+        if not searcher.proof_logging or searcher.depth != bound:
             return None
         proof = self._strip_refutation(searcher.solver, searcher.assumptions(),
                                        bound)

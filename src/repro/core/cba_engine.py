@@ -7,8 +7,8 @@ The engine interleaves, at every bound ``k``:
    genuine failures or used to re-introduce latches (REFINE);
 2. once the abstract depth-``k`` check is unsatisfiable, a *serial*
    interpolation sequence (Fig. 4) computed on the **abstract** model from
-   that refutation — on a group-proof run, the persistent abstract
-   searcher's own UNSAT trace, stripped of its activation literals (see
+   that refutation — on a solo run, the persistent abstract searcher's
+   own UNSAT trace, stripped of its activation literals (see
    :mod:`repro.core.base`), so the bound is solved once;
 3. the usual matrix-column / fixed-point bookkeeping of Fig. 2, performed on
    the concrete state space (the abstract interpolants are predicates over
@@ -110,8 +110,8 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         whenever the abstraction object changes; within one abstraction it
         carries learned clauses across spurious-counterexample iterations
         and across bounds (the paper never re-proves smaller bounds after a
-        refinement, so deepening stays strictly monotonic).  On group-proof
-        runs it logs its proof, so each UNSAT answer is also the bound's
+        refinement, so deepening stays strictly monotonic).  On solo runs
+        it logs its proof, so each UNSAT answer is also the bound's
         refutation.
         """
         if self._abstract_searcher_key is not abstraction:
@@ -138,10 +138,9 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         its UNSAT answer is also the bound's refutation
         (:meth:`_group_refutation`).  A fresh proof-logged abstract check is
         built only when the searcher's trace cannot serve: a strip that
-        hits a released group, ``--no-group-proof``, or a share-attached
-        run.  EXTEND queries go through the run's SAT account
-        (:meth:`_try_solve`), so they count against the clause and
-        propagation budgets.
+        hits a released group, or a share-attached run.  EXTEND queries go
+        through the run's SAT account (:meth:`_try_solve`), so they count
+        against the clause and propagation budgets.
         """
         while True:
             self._check_budget()

@@ -14,11 +14,11 @@ The engine follows the paper's Fig. 1 pseudo-code literally:
 The counterexample returned on failure always comes from the first inner
 iteration (initial states = S₀), so it is a genuine concrete trace.
 
-On a group-proof run every check of a bound runs on the bound-k
-unrolling the searcher already holds: each image step seeds the
-interpolant at frame 0 in place of S₀
-(:meth:`~repro.bmc.incremental.IncrementalUnroller.step`).  A fresh
-bound-k check (:meth:`ItpEngine._build_check`) is only the fallback.
+On a solo run every check of a bound runs on the bound-k unrolling the
+searcher already holds: each image step seeds the interpolant at frame 0
+in place of S₀ (:meth:`~repro.bmc.incremental.IncrementalUnroller.step`).
+A fresh bound-k check (:meth:`ItpEngine._build_check`) serves a rejected
+strip and share-attached runs, whose searcher logs no proof.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class ItpEngine(UmcEngine):
 
     def _cex_check_kind(self) -> BmcCheckKind:
         """Fig. 1 requires bound-k checks; when the searcher doubles as the
-        refutation check (group proof) it must unroll that formulation —
+        refutation check (a solo run) it must unroll that formulation —
         otherwise it keeps the cheaper configured search kind, since its
         answer is then only SAT-or-UNSAT."""
         if self._group_proof_active():
@@ -128,8 +128,9 @@ class ItpEngine(UmcEngine):
 
     def _build_check(self, k: int, init_formula: Optional[int]) -> Unroller:
         """A fresh proof-logged bound-k check from S₀, or from
-        ``init_formula`` at frame 0: the base refutation's and the image
-        steps' fallback."""
+        ``init_formula`` at frame 0: the base refutation and the image
+        steps of a share-attached run, and the fallback of a rejected
+        strip."""
         if init_formula is None:
             initial = None
         else:

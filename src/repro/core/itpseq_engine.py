@@ -85,7 +85,7 @@ class ItpSeqEngine(UmcEngine):
     def _bound_elements(self, k: int) -> Union[List[int], VerificationResult]:
         """The sequence I^k_0..k+1 of bound ``k``, or its FAIL result."""
         # Counterexample search on the persistent incremental solver; on a
-        # group-proof run its UNSAT trace, stripped, *is* the refutation.
+        # solo run its UNSAT trace, stripped, *is* the refutation.
         trace = self._search_counterexample(k)
         if trace is not None:
             return self._fail(k, trace)

@@ -21,6 +21,10 @@ __all__ = ["EngineOptions"]
 class EngineOptions:
     """Knobs shared by all engines (engine-specific ones are ignored by others).
 
+    None of them selects how a refutation is obtained: a solo run refutes
+    every bound and step on its one proof-logged unrolling, and a
+    share-attached run on fresh checks (``UmcEngine._group_proof_active``).
+
     Attributes
     ----------
     max_bound:
@@ -31,7 +35,9 @@ class EngineOptions:
         it yields an ``OVERFLOW`` verdict, mirroring the paper's *ovf*.
         Must be non-negative; ``0.0`` overflows at the first budgeted call.
     conflict_limit:
-        Per-SAT-call conflict budget; ``None`` disables it.
+        Per-SAT-call conflict budget; ``None`` disables it.  Must be
+        non-negative; ``0`` allows no conflict above decision level 0, so
+        the first SAT call that needs one overflows.
     max_clauses:
         Deterministic resource budget: total clause additions across every
         SAT call of the run (the counter behind ``EngineStats.clauses_added``).
@@ -82,20 +88,6 @@ class EngineOptions:
         smaller derivation DAG, which yields smaller interpolant cones.
         On by default; disable to extract from the raw solver trace as the
         seed implementation did.
-    group_proof:
-        Solve every proof-logged check on the run's one incremental
-        unrolling: the counterexample searcher logs its proof, and
-        :func:`repro.sat.proof.strip_activations` turns its trace into an
-        activation-free refutation of the monolithic S₀ ∧ Tᵏ ∧ B — no
-        fresh re-solve per bound.  CBA's abstract searcher serves its
-        bounds the same way, and serial steps, the parallel remainder and
-        ITP's image steps re-seed the same unrolling
-        (:meth:`repro.bmc.incremental.IncrementalUnroller.step`).  A fresh
-        check remains as automatic fallback for a rejected strip.
-        Suspended while a share port is attached, for cost: a search a
-        foreign depth fact skips would come back as a fresh proof-logged
-        solve (see ``UmcEngine._group_proof_active``).  On by default;
-        ``--no-group-proof`` solves every refutation on a fresh check.
     """
 
     max_bound: int = 30
@@ -110,7 +102,6 @@ class EngineOptions:
     preprocess: bool = True
     preprocess_passes: Optional[Tuple[str, ...]] = None
     proof_reduce: bool = True
-    group_proof: bool = True
 
     def with_changes(self, **kwargs) -> "EngineOptions":
         """Return a copy with some fields replaced."""
@@ -123,6 +114,8 @@ class EngineOptions:
             raise ValueError("max_bound must be at least 1")
         if self.time_limit is not None and self.time_limit < 0:
             raise ValueError("time_limit must be non-negative (or None)")
+        if self.conflict_limit is not None and self.conflict_limit < 0:
+            raise ValueError("conflict_limit must be non-negative (or None)")
         if self.itp_system not in ("mcmillan", "pudlak"):
             raise ValueError(f"unknown interpolation system {self.itp_system!r}")
         if self.max_clauses is not None and self.max_clauses < 1:

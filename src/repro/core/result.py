@@ -102,8 +102,8 @@ class EngineStats:
     ``proof_nodes_trimmed`` stays 0 with ``EngineOptions.proof_reduce``
     off, and all of them stay 0 for the PDR/BMC engines.
 
-    The group-proof counters measure the one-solve-per-bound path
-    (``EngineOptions.group_proof``): ``proof_group_solves_saved`` — bounds
+    The group-proof counters measure the one-solve-per-bound path that
+    every solo run takes: ``proof_group_solves_saved`` — bounds
     whose refutation came from the incremental searcher's stripped trace
     instead of a fresh monolithic re-solve (each one is a whole SAT solve
     that never happened); ``proof_chains_stripped`` — derived chains an
@@ -112,7 +112,8 @@ class EngineStats:
     ITP's image steps; :func:`repro.sat.proof.strip_activations`); and
     ``proof_group_fallbacks`` — bounds, or steps, where stripping was
     rejected (a chain depended on a group the check must not use) and the
-    engine fell back to a fresh solver.
+    engine fell back to a fresh solver.  Share-attached runs refute on
+    fresh checks, so both stay 0 there.
     """
 
     sat_calls: int = 0

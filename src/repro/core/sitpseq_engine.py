@@ -27,10 +27,10 @@ groups, and every clause learned from them, carries their activation
 literal, so :func:`~repro.sat.proof.strip_activations` either turns the
 UNSAT answer into a refutation of exactly Eq. (3)'s A ∧ B (plus
 definitions of gates below frame j−1, which only join the A side) or
-rejects it.  A rejected step, and every step of a run whose searcher
-logs no proof (``--no-group-proof``, a share port), is solved on a fresh
-suffix check instead (:func:`_build_suffix_check`; a rejection counts
-in ``proof_group_fallbacks``).
+rejects it.  A rejected step, and every step of a share-attached run
+(whose searcher logs no proof), is solved on a fresh suffix check
+instead (:func:`_build_suffix_check`; a rejection counts in
+``proof_group_fallbacks``).
 
 The verification loop around the sequence is identical to Fig. 2 and is
 inherited from :class:`ItpSeqEngine`; only the extraction step differs.
@@ -162,7 +162,8 @@ def _build_suffix_check(engine: UmcEngine, model: Model, init_formula: int,
                         depth: int) -> Unroller:
     """Build the BMC check for a suffix Γ, with frame 0 constrained to a predicate.
 
-    The fallback of :func:`_suffix_refutation`, on a fresh solver.  Under
+    The fallback of :func:`_suffix_refutation`, and every step of a
+    share-attached run, on a fresh solver.  Under
     the assume-k formulation the original partition A_j also carries the
     p(V^{j-1}) constraint (Section III); the re-indexed frame 0 of the
     suffix plays the role of frame j-1, so that constraint is re-asserted

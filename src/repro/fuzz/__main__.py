@@ -67,13 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         action="store_false", default=True,
                         help="skip the preprocessing-off runs (halves the "
                              "matrix; drops the on/off identity check)")
-    parser.add_argument("--check-no-group-proof", action="store_true",
-                        default=False,
-                        help="also run every UMC engine with group-aware "
-                             "proof logging off (fresh refutation solver "
-                             "per bound) and assert the verdict — and FAIL "
-                             "depth — is identical (PASS convergence "
-                             "bounds may legitimately differ)")
     parser.add_argument("--share-race-every", type=int, default=0,
                         metavar="N",
                         help="every Nth seed also runs the cooperative "
@@ -121,7 +114,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         max_bound=args.max_bound, bmc_depth=args.bmc_depth,
                         shrink=args.shrink,
                         check_no_preprocess=args.check_no_preprocess,
-                        check_no_group_proof=args.check_no_group_proof,
                         bundle_dir=args.bundle_dir,
                         share_race_every=args.share_race_every)
     report = run_fuzz(config)

@@ -13,10 +13,6 @@ contracts:
   configuration, and BMC reports the same failing depth;
 * preprocessing on-vs-off yields identical verdicts (and depths on FAIL)
   per engine;
-* optionally (``--check-no-group-proof``) group-aware proof logging
-  on-vs-off yields identical verdicts (and depths on FAIL) per UMC engine
-  — PASS convergence bounds may legitimately differ, so they are not
-  compared;
 * FAIL traces replay on the raw model: engines already validate their
   own lifted traces (``validate_traces``), and mutant traces are lowered
   through the mutation's variable maps and replayed on the *base* model.
@@ -88,14 +84,6 @@ class FuzzConfig:
     max_propagations: Optional[int] = 50_000_000
     #: Also run every engine with preprocessing off and assert identity.
     check_no_preprocess: bool = True
-    #: Also run every UMC engine with group-aware proof logging off
-    #: (``--no-group-proof``: fresh refutation solver per bound) and assert
-    #: the verdict — and, on FAIL, the depth — is identical.  PASS
-    #: convergence bounds (``k_fp``/``j_fp``) are *not* compared: the
-    #: stripped refutation is a different (stronger) proof of the same
-    #: fact, and interpolants from it may legitimately close the fixpoint
-    #: at a neighbouring bound (see tests/core/test_group_proof_identity).
-    check_no_group_proof: bool = False
     shrink: bool = True
     shrink_checks: int = 48
     #: Where repro bundles are written (``None`` disables bundles).
@@ -118,7 +106,6 @@ class RunRecord:
     preprocess: bool
     verdict: str
     depth: Optional[int]
-    group_proof: bool = True
 
 
 @dataclass(frozen=True)
@@ -175,8 +162,7 @@ class FuzzReport:
 # --------------------------------------------------------------------- #
 # Single engine runs and expectation checks
 # --------------------------------------------------------------------- #
-def _run_one(engine: str, model: Model, pre: bool,
-             config: FuzzConfig, group_proof: bool = True
+def _run_one(engine: str, model: Model, pre: bool, config: FuzzConfig
              ) -> Tuple[RunRecord, Optional[Trace], Optional[str]]:
     """Run one engine; never raise — errors become a record + detail."""
     try:
@@ -187,14 +173,12 @@ def _run_one(engine: str, model: Model, pre: bool,
                     result.trace, None)
         options = EngineOptions(max_bound=config.max_bound, preprocess=pre,
                                 max_clauses=config.max_clauses,
-                                max_propagations=config.max_propagations,
-                                group_proof=group_proof)
+                                max_propagations=config.max_propagations)
         result = run_engine(engine, model, options)
-        return (RunRecord(engine, pre, result.verdict.value, result.k_fp,
-                          group_proof),
+        return (RunRecord(engine, pre, result.verdict.value, result.k_fp),
                 result.trace, None)
     except Exception as exc:  # noqa: BLE001 - a crash is a finding, not an abort
-        return (RunRecord(engine, pre, "error", None, group_proof), None,
+        return (RunRecord(engine, pre, "error", None), None,
                 f"{type(exc).__name__}: {exc}")
 
 
@@ -208,8 +192,6 @@ def _check_record(record: RunRecord, error: Optional[str],
                   problems: List[Problem]) -> None:
     seed = params.seed
     where = f"{record.engine}/pre={'on' if record.preprocess else 'off'}"
-    if not record.group_proof:
-        where += "/gp=off"
     if record.verdict == "error":
         problems.append(Problem(seed, variant, record.engine, "error",
                                 f"{where}: {error}"))
@@ -256,8 +238,6 @@ def _check_identity(records: Sequence[RunRecord], seed: int, variant: str,
     """Preprocessing on-vs-off: identical verdict, identical FAIL depth."""
     by_engine = {}
     for record in records:
-        if not record.group_proof:
-            continue                     # the gp axis has its own check
         by_engine.setdefault(record.engine, {})[record.preprocess] = record
     for engine, pair in by_engine.items():
         if True not in pair or False not in pair:
@@ -271,34 +251,6 @@ def _check_identity(records: Sequence[RunRecord], seed: int, variant: str,
             problems.append(Problem(
                 seed, variant, engine, "identity",
                 f"preprocess on fails at {on.depth} vs off at {off.depth}"))
-
-
-def _check_group_proof_identity(records: Sequence[RunRecord], seed: int,
-                                variant: str,
-                                problems: List[Problem]) -> None:
-    """Group proof on-vs-off: identical verdict, identical FAIL depth.
-
-    PASS convergence bounds are deliberately *not* compared — the
-    stripped refutation can yield stronger interpolants that close the
-    fixpoint at a neighbouring bound (see FuzzConfig.check_no_group_proof).
-    """
-    by_engine = {}
-    for record in records:
-        if not record.preprocess:
-            continue                     # gp axis runs with preprocess on
-        by_engine.setdefault(record.engine, {})[record.group_proof] = record
-    for engine, pair in by_engine.items():
-        if True not in pair or False not in pair:
-            continue
-        on, off = pair[True], pair[False]
-        if on.verdict != off.verdict:
-            problems.append(Problem(
-                seed, variant, engine, "identity",
-                f"group proof on={on.verdict} vs off={off.verdict}"))
-        elif on.verdict == "fail" and on.depth != off.depth:
-            problems.append(Problem(
-                seed, variant, engine, "identity",
-                f"group proof on fails at {on.depth} vs off at {off.depth}"))
 
 
 def _run_share_race(base: Model, params: FuzzParams, config: FuzzConfig,
@@ -361,18 +313,16 @@ def _records_conflict(records: Sequence[Tuple[RunRecord, Optional[str]]]) -> boo
 
 
 def _implicated_runs(problems: Sequence[Problem],
-                     config: FuzzConfig) -> Tuple[Tuple[str, bool, bool], ...]:
-    """The (engine, preprocess, group_proof) runs to repeat while shrinking."""
+                     config: FuzzConfig) -> Tuple[Tuple[str, bool], ...]:
+    """The (engine, preprocess) runs to repeat while shrinking."""
     runs = set()
     for problem in problems:
         for pre in (True, False) if config.check_no_preprocess else (True,):
-            runs.add((problem.engine, pre, True))
-        if config.check_no_group_proof and problem.engine != "bmc":
-            runs.add((problem.engine, True, False))
+            runs.add((problem.engine, pre))
     # Two reference engines keep single-engine problems observable as a
     # cross-engine conflict on the shrunk candidates.
-    runs.add(("bmc", True, True))
-    runs.add(("pdr", True, True))
+    runs.add(("bmc", True))
+    runs.add(("pdr", True))
     return tuple(sorted(runs))
 
 
@@ -382,8 +332,8 @@ def _shrink_failing_variant(model: Model, problems: Sequence[Problem],
 
     def still_failing(candidate: Model) -> bool:
         observed = [(rec, err) for rec, _, err in
-                    (_run_one(engine, candidate, pre, config, group_proof)
-                     for engine, pre, group_proof in runs)]
+                    (_run_one(engine, candidate, pre, config)
+                     for engine, pre in runs)]
         return _records_conflict(observed)
 
     return shrink_model(model, still_failing, max_checks=config.shrink_checks)
@@ -440,15 +390,7 @@ def _fuzz_one_seed(task: Tuple[int, FuzzConfig]) -> SeedReport:
                 records.append(record)
                 _check_record(record, error, trace, params, variant,
                               base, mutation, problems)
-            if config.check_no_group_proof and engine != "bmc":
-                record, trace, error = _run_one(engine, model, True, config,
-                                                group_proof=False)
-                records.append(record)
-                _check_record(record, error, trace, params, variant,
-                              base, mutation, problems)
         _check_identity(records, seed, variant, problems)
-        if config.check_no_group_proof:
-            _check_group_proof_identity(records, seed, variant, problems)
         reports.append(VariantReport(variant, tuple(records)))
 
     if config.share_race_every and seed % config.share_race_every == 0:

@@ -75,9 +75,8 @@ def fig6_summary(records: Iterable[InstanceRecord],
     the cone-gate encodings the persistent fixpoint checker served from
     its cache, the clause groups it shed as superseded (0 for engines
     without containment checks or with the lifecycle off), and the fresh
-    per-bound refutation solves group-aware proof logging deleted (0 with
-    ``--no-group-proof`` or for engines that never reuse the searcher's
-    refutation).
+    per-bound refutation solves group-aware proof logging deleted (0 for
+    engines that never reuse the searcher's refutation).
     """
     records = list(records)
     rows: List[List[object]] = []

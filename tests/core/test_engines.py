@@ -31,6 +31,7 @@ from repro.itp.sequence import extract_sequence
 from repro.itp.verify import check_sequence_conditions
 from repro.sat import check_proof
 from repro.sat.solver import CdclSolver
+from repro.share.bus import LocalShareBus
 
 ALL_ENGINES = list(ENGINES)
 
@@ -111,10 +112,11 @@ def test_sequence_engines_reject_bound_checks(monkeypatch, engine_cls):
 
 
 def test_itp_engine_keeps_bound_checks():
-    for group_proof in (True, False):
-        options = _options(bmc_check=BmcCheckKind.BOUND,
-                           group_proof=group_proof)
-        assert ItpEngine(token_ring(4), options).run().verdict is Verdict.PASS
+    # Solo, and on a share port with no peer (fresh bound-k checks).
+    options = _options(bmc_check=BmcCheckKind.BOUND)
+    for share in (None, LocalShareBus().port("itp")):
+        engine = ItpEngine(token_ring(4), options, share=share)
+        assert engine.run().verdict is Verdict.PASS
 
 
 def test_itpseq_engine_with_pudlak_system():

@@ -1,29 +1,18 @@
-"""Group-aware proof logging must never change an answer — only its cost.
+"""Group-aware proof logging: one oracle for the solo path.
 
-Acceptance property of the one-solve-per-bound overhaul
-(``EngineOptions.group_proof``): with the incremental search's stripped
-refutation feeding interpolation (the default) vs. the historical fresh
-proof-logged re-solve per bound, every engine reports the same verdict on
-the quick + redundant suites, FAIL cells land on the same depth with a
-replayable trace, and the refutation-solve counter accounts exactly for
-the SAT calls that disappeared.
+A solo run refutes every bound on its one incremental unrolling: the
+counterexample searcher logs its proof, and its UNSAT answer, stripped
+of activation literals, is the bound's labelled refutation.  On the
+quick and redundant suites every interpolating engine must report the
+suite's verdict, land a FAIL on the planted depth with a replayable
+trace, never fall back to a fresh check, and save exactly one solve per
+refuted bound: ``k_fp`` of them on PASS, ``k_fp - 1`` on FAIL.  PDR keeps
+the verdict check.
 
-Fixpoint depth pairs are bit-identical *except* on the pinned cells.
-The stripped refutation is a different proof of the same
-unsatisfiability — for itpseq a strictly stronger one: its interpolant
-implies the fresh solve's at every cut, never conversely, and stronger
-sequence columns shrink the accumulated reached set, so containment
-there closes one bound later.  The serial and image steps solve on the
-searcher with the toggle on and on a fresh check each with it off, so
-their interpolants differ as well.  Those cells are pinned exactly
-rather than exempted, so any *drift* in either configuration still
-fails loudly.  On two ITP FAIL cells the depths agree but the image
-steps do not, so their SAT-call counts are pinned the same way.
-
-CBA's abstract searcher serves its bounds the same way: on ring04 every
-refuted bound is a saved solve, and a strip forced to fail on that
-searcher falls back to the fresh abstract check on every bound with the
-``group_proof=False`` answer.
+The fresh checks serve a rejected strip (and share-attached runs,
+covered in ``tests/share``).  A strip forced to fail on every bound
+falls back on every bound, for ITP, ITPSEQ and CBA's abstract searcher,
+and still answers with the suite's verdict.
 
 The strip itself is verified semantically at the bottom: the refutation
 the engines consume passes the independent proof checker, and the
@@ -49,115 +38,71 @@ from repro.sat.types import SatResult
 
 _INSTANCES = quick_suite() + redundant_suite()
 
-#: The cells whose convergence depths differ across the toggle, pinned
-#: exactly: (instance, engine) -> ((on k_fp, j_fp), (off k_fp, j_fp)).
-#: Different proofs of the same unsatisfiability give different
-#: interpolants: the searcher's stripped refutations (strictly stronger
-#: for itpseq: smaller reached sets, later containment), and the serial
-#: and image steps, which the off path solves on a fresh check each.
-#: ``benchmarks/test_bench_proof_group.py`` reads this table too.
-PINNED = {
-    ("traffic1", "itpseq"): ((11, 9), (11, 10)),
-    ("traffic1", "sitpseq"): ((3, 3), (4, 4)),
-    ("mutex", "itp"): ((1, 3), (1, 4)),
-    ("mutex", "sitpseq"): ((5, 5), (6, 6)),
-    ("modcnt06", "sitpseq"): ((6, 5), (7, 6)),
-    ("modcnt06", "itpseqcba"): ((6, 5), (7, 6)),
-    ("red_dead08", "itpseq"): ((8, 8), (7, 7)),
-    ("red_dead08", "sitpseq"): ((8, 8), (7, 7)),
-    ("red_dead08", "itpseqcba"): ((8, 8), (7, 7)),
-    ("red_stuck04", "itpseq"): ((8, 8), (7, 7)),
-    ("red_stuck04", "sitpseq"): ((8, 8), (7, 7)),
-    ("red_stuck04", "itpseqcba"): ((8, 8), (7, 7)),
-    ("red_dup06", "itp"): ((1, 3), (1, 6)),
-    ("red_dup06", "sitpseq"): ((3, 3), (11, 7)),
-    ("red_dup06", "itpseqcba"): ((3, 3), (11, 7)),
-    ("red_dup10", "itp"): ((1, 3), (1, 10)),
-    ("red_dup10", "itpseq"): ((18, 12), (17, 11)),
-    ("red_dup10", "sitpseq"): ((3, 3), (17, 11)),
-    ("red_dup10", "itpseqcba"): ((3, 3), (17, 11)),
-}
 
-#: The cells that walk the same bounds on and off but not the same image
-#: steps, pinned exactly: (instance, engine) -> (on sat_calls, off
-#: sat_calls).  ITP refines each bound below the failure depth until its
-#: interpolants reach a fixpoint or turn spurious, and those interpolants
-#: differ across the toggle.
-_PINNED_CALLS = {
-    ("cnt08", "itp"): (41, 50),
-    ("red_dup10bug", "itp"): (47, 54),
-}
-
-
-def _options(group_proof: bool) -> EngineOptions:
-    return EngineOptions(max_bound=20, time_limit=120.0,
-                         group_proof=group_proof)
+def _options() -> EngineOptions:
+    return EngineOptions(max_bound=20, time_limit=120.0)
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_group_proof_on_off_identity(engine_name):
+def test_group_proof_oracle(engine_name):
     for instance in _INSTANCES:
-        on = run_engine(engine_name, instance.build(), _options(True))
-        off = run_engine(engine_name, instance.build(), _options(False))
-        assert on.verdict.value == instance.expected, (instance.name,
-                                                       on.message)
-        assert on.verdict == off.verdict, instance.name
-        pinned = PINNED.get((instance.name, engine_name))
-        if pinned is not None:
-            assert ((on.k_fp, on.j_fp), (off.k_fp, off.j_fp)) == pinned, \
-                instance.name
-        else:
-            assert (on.k_fp, on.j_fp) == (off.k_fp, off.j_fp), instance.name
+        result = run_engine(engine_name, instance.build(), _options())
+        assert result.verdict.value == instance.expected, (instance.name,
+                                                           result.message)
         if instance.expected == "fail":
-            assert on.k_fp == off.k_fp == instance.expected_depth
-            assert on.trace is not None
-            assert on.trace.check(instance.build()), instance.name
-        # The counter accounts exactly for the solves that disappeared
-        # (only meaningful where both runs walked the same bounds).
-        assert off.stats.proof_group_solves_saved == 0
-        assert on.stats.proof_group_fallbacks == 0
-        pinned_calls = _PINNED_CALLS.get((instance.name, engine_name))
-        if pinned_calls is not None:
-            assert (on.stats.sat_calls, off.stats.sat_calls) == \
-                pinned_calls, instance.name
-        elif on.stats.proof_group_solves_saved and pinned is None:
-            assert off.stats.sat_calls - on.stats.sat_calls == \
-                on.stats.proof_group_solves_saved, instance.name
+            assert result.k_fp == instance.expected_depth, instance.name
+            assert result.trace is not None
+            assert result.trace.check(instance.build()), instance.name
+        if engine_name == "pdr":
+            continue
+        # One saved solve per refuted bound: all bounds up to k_fp on PASS,
+        # those below the failure depth on FAIL.
+        refuted = result.k_fp - (instance.expected == "fail")
+        assert result.stats.proof_group_fallbacks == 0, instance.name
+        assert result.stats.proof_group_solves_saved == refuted, \
+            instance.name
 
 
-def test_group_proof_counters_gate_on_toggle():
-    ring = get_instance("ring04")
-    on = run_engine("itpseq", ring.build(), _options(True))
-    off = run_engine("itpseq", ring.build(), _options(False))
-    assert on.stats.proof_group_solves_saved > 0
-    assert on.stats.sat_calls < off.stats.sat_calls
-    assert on.stats.clauses_added < off.stats.clauses_added
-    assert off.stats.proof_group_solves_saved == 0
-    assert off.stats.proof_chains_stripped == 0
-    assert off.stats.proof_group_fallbacks == 0
-
-
-def _count_refuted_bounds(monkeypatch):
-    """Count the bounds CBA's refinement loop refutes (one entry each)."""
+def _count_refuted_bounds(monkeypatch, engine_cls, method):
+    """Count the bounds ``engine_cls.method`` refutes (one entry each)."""
     refuted = []
-    loop = ItpSeqCbaEngine._refinement_loop
+    wrapped = getattr(engine_cls, method)
 
-    def refinement_loop(self, abstraction, k):
-        outcome = loop(self, abstraction, k)
+    def counting(self, *args):
+        outcome = wrapped(self, *args)
         if not isinstance(outcome, VerificationResult):
-            refuted.append(k)
+            refuted.append(args[-1])
         return outcome
 
-    monkeypatch.setattr(ItpSeqCbaEngine, "_refinement_loop", refinement_loop)
+    monkeypatch.setattr(engine_cls, method, counting)
     return refuted
+
+
+def _reject_bound_strips(monkeypatch):
+    """Make every bound's strip fail; steps (which carry their step
+    number in ``fields``) still strip."""
+    strip = UmcEngine._strip_refutation
+
+    def rejecting(solver, active):
+        raise ActivationDependencyError("forced for the test")
+
+    def strip_refutation(self, solver, assumptions, bound, **fields):
+        if not fields:
+            with monkeypatch.context() as patch:
+                patch.setattr(base, "grouped_refutation", rejecting)
+                return strip(self, solver, assumptions, bound, **fields)
+        return strip(self, solver, assumptions, bound, **fields)
+
+    monkeypatch.setattr(UmcEngine, "_strip_refutation", strip_refutation)
 
 
 def test_cba_engine_refutes_on_its_abstract_searcher(monkeypatch):
     # Every bound's refutation comes from the abstract searcher's own
     # trace: no fresh abstract check is built.
-    refuted = _count_refuted_bounds(monkeypatch)
+    refuted = _count_refuted_bounds(monkeypatch, ItpSeqCbaEngine,
+                                    "_refinement_loop")
     result = run_engine("itpseqcba", get_instance("ring04").build(),
-                        _options(True))
+                        _options())
     assert result.verdict.value == "pass"
     assert refuted
     assert result.stats.proof_group_solves_saved == len(refuted)
@@ -166,30 +111,34 @@ def test_cba_engine_refutes_on_its_abstract_searcher(monkeypatch):
 
 def test_cba_forced_strip_failure_falls_back_on_every_bound(monkeypatch):
     # A strip the abstract searcher's trace cannot pass leaves CBA on its
-    # fresh proof-logged check, which answers exactly like --no-group-proof.
+    # fresh proof-logged check, which converges where the default run does.
     instance = get_instance("ring04")
-    off = run_engine("itpseqcba", instance.build(), _options(False))
-    refuted = _count_refuted_bounds(monkeypatch)
-    strip = UmcEngine._strip_refutation
-
-    def rejecting(solver, active):
-        raise ActivationDependencyError("forced for the test")
-
-    def strip_refutation(self, solver, assumptions, bound, **fields):
-        if not fields:
-            # A bound's refutation (serial steps carry their step number).
-            with monkeypatch.context() as patch:
-                patch.setattr(base, "grouped_refutation", rejecting)
-                return strip(self, solver, assumptions, bound, **fields)
-        return strip(self, solver, assumptions, bound, **fields)
-
-    monkeypatch.setattr(UmcEngine, "_strip_refutation", strip_refutation)
-    forced = run_engine("itpseqcba", instance.build(), _options(True))
+    default = run_engine("itpseqcba", instance.build(), _options())
+    refuted = _count_refuted_bounds(monkeypatch, ItpSeqCbaEngine,
+                                    "_refinement_loop")
+    _reject_bound_strips(monkeypatch)
+    forced = run_engine("itpseqcba", instance.build(), _options())
     assert refuted
     assert forced.stats.proof_group_fallbacks == len(refuted)
     assert forced.stats.proof_group_solves_saved == 0
     assert (forced.verdict, forced.k_fp, forced.j_fp) == \
-        (off.verdict, off.k_fp, off.j_fp)
+        (default.verdict, default.k_fp, default.j_fp)
+
+
+@pytest.mark.parametrize("engine_name", ["itpseq", "itp"])
+def test_forced_strip_failure_refutes_every_bound_fresh(monkeypatch,
+                                                        engine_name):
+    # _bound_refutation's fresh branch: a rejected strip builds the bound's
+    # monolithic proof-logged check and answers from it.
+    instance = get_instance("ring04")
+    refuted = _count_refuted_bounds(monkeypatch, UmcEngine,
+                                    "_bound_refutation")
+    _reject_bound_strips(monkeypatch)
+    forced = run_engine(engine_name, instance.build(), _options())
+    assert forced.verdict.value == instance.expected
+    assert refuted
+    assert forced.stats.proof_group_fallbacks == len(refuted)
+    assert forced.stats.proof_group_solves_saved == 0
 
 
 # --------------------------------------------------------------------- #

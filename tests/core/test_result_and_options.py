@@ -6,6 +6,7 @@ import pytest
 
 from repro.aig import Aig, lit_negate
 from repro.bmc import BmcCheckKind
+from repro.bmc.engine import BmcEngine
 from repro.circuits import counter, token_ring
 from repro.core import (
     EngineOptions,
@@ -36,6 +37,12 @@ def test_options_validation():
         EngineOptions(time_limit=-1.0)
     # A zero limit is valid: it forces an immediate overflow.
     assert EngineOptions(time_limit=0.0).time_limit == 0.0
+    with pytest.raises(ValueError):
+        EngineOptions(conflict_limit=-1)
+    with pytest.raises(ValueError):
+        BmcEngine(token_ring(4)).run(max_depth=3, conflict_limit=-5)
+    # Zero is valid: no conflict above decision level 0 is allowed.
+    assert EngineOptions(conflict_limit=0).conflict_limit == 0
 
 
 def test_options_with_changes_returns_copy():

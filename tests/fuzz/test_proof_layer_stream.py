@@ -2,12 +2,13 @@
 
 The long variant of ``tests/sat/test_proof_layer_oracle.py``: each
 interpolating engine runs every quick-suite instance under both sequence
-check formulations (``ASSUME`` and ``EXACT``), with group proofs on
-(group-proof bounds, serial suffix steps, CBA abstract bounds) and off
-(fresh refutations, the fallback path).  Each refutation is checked
-against that module's reference once the run is over: partition spans,
-every cut's AIG literal under both interpolation systems, core order,
-materialised originals, and the strip and trim counters.
+check formulations (``ASSUME`` and ``EXACT``), solo (group-proof
+bounds, serial suffix steps, CBA abstract bounds) and on a share port
+with no peer (fresh refutations, the path of share-attached runs and of
+a rejected strip).  Each refutation is checked against that module's
+reference once the run is over: partition spans, every cut's AIG literal
+under both interpolation systems, core order, materialised originals,
+and the strip and trim counters.
 """
 
 import importlib.util
@@ -30,18 +31,18 @@ def _oracle():
     return oracle
 
 
-@pytest.mark.parametrize("group_proof", [True, False],
+@pytest.mark.parametrize("peerless", [False, True],
                          ids=["group", "fresh"])
 @pytest.mark.parametrize("kind", [BmcCheckKind.ASSUME, BmcCheckKind.EXACT],
                          ids=lambda k: k.name.lower())
 @pytest.mark.parametrize("engine", ["itp", "itpseq", "sitpseq", "itpseqcba"])
 def test_quick_suite_refutations_match_the_reference(monkeypatch, engine,
-                                                     kind, group_proof):
+                                                     kind, peerless):
     oracle = _oracle()
     recorder = oracle.Recorder(monkeypatch)
     checked = 0
     for instance in quick_suite():
         oracle.run_recorded(recorder, engine, instance.name,
-                            bmc_check=kind, group_proof=group_proof)
+                            peerless=peerless, bmc_check=kind)
         checked += recorder.check(systems=("mcmillan", "pudlak"))
     assert checked > 0

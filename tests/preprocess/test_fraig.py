@@ -156,9 +156,9 @@ def test_fraig_reduces_itpseq_clause_additions_on_dup10():
     The original acceptance claim was >= 40%, measured when every bound
     paid a monolithic proof-logged re-encode — the very clauses fraig's
     node merges shrink.  Group-aware proof logging deleted that re-solve
-    (EngineOptions.group_proof), so a large share of fraig's former
-    savings no longer exists to be saved; the reduction on the remaining
-    encoding work is ~34%.
+    (the searcher's own refutation serves each bound), so a large share
+    of fraig's former savings no longer exists to be saved; the reduction
+    on the remaining encoding work is ~34%.
     """
     on = run_engine("itpseq", get_instance("red_dup10").build(),
                     EngineOptions(max_bound=20))

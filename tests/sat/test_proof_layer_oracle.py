@@ -35,6 +35,7 @@ from repro.itp.sequence import extract_sequence
 from repro.sat import (ActivationDependencyError, CdclSolver, ProofError,
                        ResolutionProof, SatResult)
 from repro.sat.proof import reduce_proof, strip_activations
+from repro.share.bus import LocalShareBus
 
 #: The engines that extract interpolants from refutations.
 ITP_ENGINES = ("itp", "itpseq", "sitpseq", "itpseqcba")
@@ -274,13 +275,18 @@ class Recorder:
         return checked
 
 
-def run_recorded(recorder, engine, instance_name, **options):
+def run_recorded(recorder, engine, instance_name, peerless=False,
+                 **options):
     """Run one engine on one instance under ``recorder``; return its
-    result, whose verdict must be the suite's."""
-    recorder.label = f"{engine}/{instance_name}/{options}"
+    result, whose verdict must be the suite's.  ``peerless`` attaches a
+    share port with no peer, which puts every refutation on a fresh
+    check."""
+    recorder.label = f"{engine}/{instance_name}/{options}" + (
+        "/peerless" if peerless else "")
     options.setdefault("max_bound", 20)
+    share = LocalShareBus().port(engine) if peerless else None
     result = run_engine(engine, get_instance(instance_name).build(),
-                        EngineOptions(**options))
+                        EngineOptions(**options), share=share)
     assert result.verdict.value == get_instance(instance_name).expected
     return result
 
@@ -293,7 +299,7 @@ def test_engine_refutations_match_the_reference(monkeypatch, engine):
     recorder = Recorder(monkeypatch)
     stripped = fresh = 0
     for name, options in (("ring04", {}), ("cnt08", {}),
-                          ("traffic1", {"group_proof": False})):
+                          ("traffic1", {"peerless": True})):
         result = run_recorded(recorder, engine, name, **options)
         stripped += sum(1 for c in recorder.cases if c.stripped is not None)
         fresh += sum(1 for c in recorder.cases if c.stripped is None)

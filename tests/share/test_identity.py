@@ -2,7 +2,8 @@
 
 Three legs per instance, for every engine in the portfolio plus bmc:
 
-* **solo** — the engine runs exactly as before sharing existed;
+* **solo** — the engine runs alone on a share port with no peer
+  (``LocalShareBus().port(name)``), so it imports nothing;
 * **cooperative** — a run-all race, where foreign lemmas may skip
   proof-free counterexample searches but never touch a proof-logged
   solve;
@@ -13,14 +14,13 @@ Verdict, ``k_fp`` and ``j_fp`` must be identical across all three on the
 quick and redundant suites.  This is the test that pins "sharing defaults
 to free speedup, never a different answer".
 
-All three legs run with ``group_proof=False``: attaching a share port
-*suspends* group-aware proof logging (see
-:meth:`repro.core.base.UmcEngine._group_proof_active`), so the
-share-compatible configuration is the fresh-solver pipeline, and
-identity is guaranteed relative to it.  Solo *defaults* (group proof on)
-may legitimately converge at a neighbouring bound on a few instances —
-that on-vs-off relationship is pinned separately in
-``tests/core/test_group_proof_identity.py``.
+Attaching a share port *suspends* group-aware proof logging (see
+:meth:`repro.core.base.UmcEngine._group_proof_active`): every leg
+refutes on fresh checks, so identity is stated against a peerless port.
+A run with no port at all refutes on its one proof-logged unrolling and
+may converge at a neighbouring bound; its verdict must still be the
+same, and ``tests/core/test_group_proof_identity.py`` holds its own
+oracle.
 """
 
 import pytest
@@ -44,8 +44,7 @@ _INSTANCES = {inst.name: inst for inst in quick_suite() + redundant_suite()}
 def _options():
     return EngineOptions(max_bound=MAX_BOUND, time_limit=None,
                          max_clauses=2_000_000,
-                         max_propagations=50_000_000,
-                         group_proof=False)
+                         max_propagations=50_000_000)
 
 
 def _bmc_outcome(raw):
@@ -53,20 +52,16 @@ def _bmc_outcome(raw):
             else raw.checked_depth)
 
 
-def _solo(name, model):
-    if name == "bmc":
-        return _bmc_outcome(BmcEngine(model).run(max_depth=MAX_BOUND))
-    result = run_engine(name, model, options=_options())
-    return (result.verdict.value, result.k_fp, result.j_fp)
-
-
-def _replayed(name, model, bus):
-    port = bus.port(name)
+def _outcome(name, model, port=None):
     if name == "bmc":
         return _bmc_outcome(BmcEngine(model, share=port)
                             .run(max_depth=MAX_BOUND))
     result = run_engine(name, model, options=_options(), share=port)
     return (result.verdict.value, result.k_fp, result.j_fp)
+
+
+def _solo(name, model):
+    return _outcome(name, model, LocalShareBus().port(name))
 
 
 def _from_race(name, result):
@@ -86,9 +81,11 @@ def test_share_identity(name, tmp_path):
     for engine in ALL_ENGINES:
         solo = _solo(engine, instance.build())
         raced = _from_race(engine, outcome.results[engine])
-        replayed = _replayed(engine, instance.build(), bus)
+        replayed = _outcome(engine, instance.build(), bus.port(engine))
         assert raced == solo, (name, engine, raced, solo)
         assert replayed == solo, (name, engine, replayed, solo)
+        default = _outcome(engine, instance.build())
+        assert default[0] == solo[0], (name, engine, default, solo)
         # The suite's planted ground truth holds wherever the engine solved.
         if engine != "bmc" and solo[0] in ("pass", "fail"):
             assert solo[0] == instance.expected, (name, engine)
@@ -97,12 +94,11 @@ def test_share_identity(name, tmp_path):
 def test_honest_depth_lemma_skips_searcher_solves_without_changing_answer():
     # The base import path: an accepted DepthLemma answers every search at
     # a bound it covers, so those solves are skipped.  The searcher runs
-    # without proof logging while a port is attached, even with group
-    # proof requested, and the answer is the solo run's.
+    # without proof logging while a port is attached, and the answer is
+    # the peerless run's.
     instance = _INSTANCES["ring04"]
     bus = LocalShareBus()
-    engine = ENGINES["itpseq"](instance.build(),
-                               options=_options().with_changes(group_proof=True),
+    engine = ENGINES["itpseq"](instance.build(), options=_options(),
                                share=bus.port("itpseq"))
     # ring04 is safe, so "no counterexample up to depth 3" is honest.
     bus.port("peer").publish(DepthLemma(depth=3))
