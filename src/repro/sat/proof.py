@@ -57,8 +57,10 @@ dropped or rejected with the group's own clauses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import itertools
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cnf.cnf import Clause
@@ -85,6 +87,9 @@ class ActivationDependencyError(ProofError):
     monolithic proof-logged solve.
     """
 
+
+#: A chain step's antecedent id.
+_ANTECEDENT = itemgetter(1)
 
 #: The chain of every original node: one shared immutable empty tuple.
 _NO_CHAIN: Tuple[Tuple[Optional[int], int], ...] = ()
@@ -520,18 +525,9 @@ class ProofReductionStats:
         return self.nodes_before - self.nodes_after
 
 
-def _chain_pivot_literal(pivot: int, antecedent: Clause) -> Optional[int]:
-    """The pivot literal as it occurs in the antecedent clause (or ``None``)."""
-    if pivot in antecedent.literals:
-        return pivot
-    if -pivot in antecedent.literals:
-        return -pivot
-    return None
-
-
 def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
-                     refcount: Dict[int, int]
-                     ) -> Tuple[Dict[int, int], Dict[int, Set[int]]]:
+                     refcount: Counter
+                     ) -> Tuple[Set[int], Dict[int, Tuple[int, Set[int]]]]:
     """RecyclePivots marking pass over the core's chains.
 
     Walks the derivation DAG from the empty clause towards the leaves,
@@ -544,25 +540,27 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
     set (the paths below them diverge), the classic single-child
     restriction of RecyclePivots.
 
-    Returns ``(start_at, dropped)``: for each chain, the step index the
-    reconstruction should start from (0 = the recorded start clause) and
-    the set of step indices to drop.
+    Returns ``(live, marks)``: the chains some surviving reference still
+    reaches, and for each *marked* chain the step index its reconstruction
+    starts from (0 = the recorded start clause) and the step indices it
+    drops.  A chain with a step whose pivot its antecedent lacks is marked
+    too, with no drop, so that reconstruction replays it, and so is a
+    chain with no step at all, which reconstruction aliases to its start.
     """
     nodes = proof._nodes
     rl: Dict[int, Set[int]] = {}
-    live: Set[int] = set()
-    start_at: Dict[int, int] = {}
-    dropped: Dict[int, Set[int]] = {}
     root_id = proof.empty_clause_id
     assert root_id is not None
-    live.add(root_id)
-    rl[root_id] = set()
+    live: Set[int] = {root_id}
+    marks: Dict[int, Tuple[int, Set[int]]] = {}
 
-    def note_antecedent(antecedent_id: int, contribution: Set[int]) -> None:
-        if not nodes[antecedent_id].is_original:
+    def note_antecedent(antecedent: ProofNode, contribution: Set[int]) -> None:
+        # A shared antecedent gets no entry: it starts from an empty set.
+        if antecedent.chain:
+            antecedent_id = antecedent.clause_id
             live.add(antecedent_id)
-            rl[antecedent_id] = (contribution if refcount.get(antecedent_id, 0) == 1
-                                 else set())
+            if refcount[antecedent_id] == 1:
+                rl[antecedent_id] = contribution
 
     for node in reversed(derived_core):
         cid = node.clause_id
@@ -571,19 +569,26 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
         # ``safe`` is this chain's own set (rl entries are never shared), so
         # it grows in place; a derived antecedent met midway gets a snapshot,
         # the one the walk ends on gets the set itself.
-        inherited = rl.pop(cid, None)
-        safe = (inherited if inherited is not None and refcount.get(cid, 0) <= 1
-                else set())
+        safe = rl.pop(cid, None)
+        if safe is None:
+            safe = set()
         start = 0
         drops: Set[int] = set()
+        malformed = False
         chain = node.chain
         for index in range(len(chain) - 1, 0, -1):
             pivot, antecedent_id = chain[index]
             assert pivot is not None
-            lit = _chain_pivot_literal(pivot, nodes[antecedent_id].clause)
-            if lit is None:
+            antecedent = nodes[antecedent_id]
+            literals = antecedent.clause.literals
+            if pivot in literals:
+                lit = pivot
+            elif -pivot in literals:
+                lit = -pivot
+            else:
                 # Defensive: a malformed step; keep it, stop propagating.
                 safe = set()
+                malformed = True
                 continue
             if -lit in safe:
                 # The prefix side's pivot literal survives harmlessly:
@@ -595,16 +600,18 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
                 # whole prefix (steps 1..index) is bypassed and the chain
                 # restarts at this antecedent.
                 start = index
-                note_antecedent(antecedent_id, safe)
+                note_antecedent(antecedent, safe)
                 break
-            if not nodes[antecedent_id].is_original:
-                note_antecedent(antecedent_id, safe | {lit})
+            if antecedent.chain:
+                live.add(antecedent_id)
+                if refcount[antecedent_id] == 1:
+                    rl[antecedent_id] = safe | {lit}
             safe.add(-lit)
         if start == 0:
-            note_antecedent(chain[0][1], safe)
-        start_at[cid] = start
-        dropped[cid] = drops
-    return start_at, dropped
+            note_antecedent(nodes[chain[0][1]], safe)
+        if start or drops or malformed or len(chain) == 1:
+            marks[cid] = (start, drops)
+    return live, marks
 
 
 def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
@@ -625,6 +632,23 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
       antecedent that lost its pivot literal subsumes the resolvent and
       replaces it).
 
+    Reconstruction replays only the chains whose result can differ from
+    what was recorded: a chain the marking pass marked, and a chain one of
+    whose antecedents was replayed or collapsed into an alias.  Every
+    other chain is kept exactly as recorded, and when the marking pass
+    leaves no mark at all the reduced proof is the core itself.  This is
+    exact because the solver records every derived clause as the exact
+    resolvent of its chain, each step resolving a pivot that occurs with
+    opposite signs in the intermediate clause and the antecedent: an
+    unmarked chain over unchanged antecedents replays to its own clause
+    and chain, drops no step and strengthens nothing.
+    ``tests/sat/test_refutation_chains.py`` pins that invariant on solver
+    streams; ``tests/sat/test_proof_layer_oracle.py`` compares every
+    engine refutation with a reconstruction that replays every chain, and
+    ``tests/sat/test_proof_reduce.py`` has a consumer that must be
+    rebuilt.  A hand-built chain that records a weaker clause than its
+    resolvent is kept weak unless reconstruction reaches it.
+
     Every *original* clause is kept, with its partition label, even when it
     falls outside the core: interpolation classifies variable locality over
     the full (A, B) clause sets (see :mod:`repro.itp.labeling`), so keeping
@@ -632,8 +656,8 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     class — only the derivation DAG above the leaves shrinks.  The originals
     are not copied: the reduced proof shares ``proof``'s original layer
     (:meth:`ResolutionProof.shared_view`) and holds only its core nodes, so
-    the work is the core's.  ``proof`` is left unchanged.  The reduced
-    proof replays exactly (reconstruction *is* a replay), so it satisfies
+    the work is the core's.  ``proof`` is left unchanged.  Every kept and
+    replayed chain is a valid derivation, so the reduced proof satisfies
     :func:`check_proof`, and any interpolant extracted from it is a valid
     interpolant for the original (A, B) split.
     """
@@ -641,27 +665,58 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
         raise ProofError("only refutations can be reduced")
     root_id = proof.empty_clause_id
     assert root_id is not None
-    core = [proof.node(cid) for cid in proof.core_ids()]
+    nodes = proof._nodes
+    core = [nodes[cid] for cid in proof.core_ids()]
     derived_core = [node for node in core if node.chain]
-
-    refcount: Dict[int, int] = {}
-    for node in derived_core:
-        for _, antecedent_id in node.chain:
-            refcount[antecedent_id] = refcount.get(antecedent_id, 0) + 1
 
     stats = ProofReductionStats(nodes_before=len(proof))
     if recycle_pivots:
-        start_at, dropped = _mark_recyclable(proof, derived_core, refcount)
+        refcount = Counter(map(_ANTECEDENT, itertools.chain.from_iterable(
+            node.chain for node in derived_core)))
+        live, marks = _mark_recyclable(proof, derived_core, refcount)
     else:
-        start_at = {n.clause_id: 0 for n in derived_core}
-        dropped = {n.clause_id: set() for n in derived_core}
+        live = {node.clause_id for node in derived_core}
+        marks = {node.clause_id: (0, set()) for node in derived_core
+                 if len(node.chain) == 1}
 
-    # Reconstruction: replay every surviving chain front to back, applying
-    # the marks and propagating clause strengthenings.  ``alias`` redirects
-    # references to chains that collapsed into a single premise.
+    reduced = ResolutionProof(proof.shared_view())
+    reduced._originals_first = True
+    if marks:
+        _reconstruct(proof, derived_core, live, marks, reduced, stats)
+    else:
+        # Every chain replays to itself: the reduced proof is the core.
+        kept = reduced._nodes
+        for node in core:
+            if not node.chain:
+                kept[node.clause_id] = node
+        for node in derived_core:
+            reduced.add_derived(node.clause_id, node.clause, node.chain)
+    if not reduced.is_refutation():
+        raise ProofError("proof reduction failed to preserve the refutation")
+    reduced._core = list(reduced._nodes)
+    stats.nodes_after = len(reduced)
+    return reduced, stats
+
+
+def _reconstruct(proof: ResolutionProof, derived_core: List[ProofNode],
+                 live: Set[int], marks: Dict[int, Tuple[int, Set[int]]],
+                 reduced: ResolutionProof, stats: ProofReductionStats) -> None:
+    """Apply RecyclePivots' marks and add the reduced core to ``reduced``.
+
+    Replays front to back the marked chains and the chains that consume a
+    changed clause, propagating clause strengthenings; every other chain
+    is kept as recorded.  Counts dropped steps and strengthened clauses
+    into ``stats``.
+    """
+    nodes = proof._nodes
+    root_id = proof.empty_clause_id
+    # ``chains`` holds every surviving chain, kept or rebuilt;
+    # ``new_clauses`` the replayed clauses that differ from the recorded
+    # ones; ``alias`` redirects references to chains that collapsed into a
+    # single premise.
     alias: Dict[int, int] = {}
     new_clauses: Dict[int, Clause] = {}
-    new_chains: Dict[int, List[Tuple[Optional[int], int]]] = {}
+    chains: Dict[int, Sequence[Tuple[Optional[int], int]]] = {}
 
     def resolve_id(cid: int) -> int:
         while cid in alias:
@@ -671,22 +726,28 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     def clause_of(cid: int) -> Clause:
         if cid in new_clauses:
             return new_clauses[cid]
-        return proof.node(cid).clause
+        return nodes[cid].clause
 
+    no_mark: Tuple[int, Set[int]] = (0, set())
     for node in derived_core:
         cid = node.clause_id
-        if cid not in start_at:
+        if cid not in live:
             continue  # recycled away entirely (never referenced any more)
         chain = node.chain
-        start = start_at[cid]
-        drops = dropped[cid]
-        if start == 0:
-            begin_id = resolve_id(chain[0][1])
-        else:
-            begin_id = resolve_id(chain[start][1])
+        mark = marks.get(cid)
+        if mark is None:
+            for _, antecedent_id in chain:
+                if antecedent_id in alias or antecedent_id in new_clauses:
+                    break
+            else:
+                chains[cid] = chain  # replays to itself
+                continue
+            mark = no_mark
+        start, drops = mark
+        begin_id = resolve_id(chain[start][1])
         current = set(clause_of(begin_id).literals)
         rebuilt: List[Tuple[Optional[int], int]] = [(None, begin_id)]
-        for index in range(start + 1 if start else 1, len(chain)):
+        for index in range(start + 1, len(chain)):
             if index in drops:
                 stats.steps_dropped += 1
                 continue
@@ -724,10 +785,11 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
             alias[cid] = rebuilt[0][1]
             continue
         replayed = Clause(sorted(current))
-        if len(replayed) < len(node.clause):
-            stats.clauses_strengthened += 1
-        new_clauses[cid] = replayed
-        new_chains[cid] = rebuilt
+        if replayed != node.clause:
+            if len(replayed) < len(node.clause):
+                stats.clauses_strengthened += 1
+            new_clauses[cid] = replayed
+        chains[cid] = rebuilt
 
     # Garbage-collect: only chains reachable from the root survive; the
     # leaves they reach are the reduced core's originals.
@@ -738,27 +800,21 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
         cid = stack.pop()
         if cid in needed or cid in leaves:
             continue
-        if cid not in new_chains:
+        if cid not in chains:
             leaves.add(cid)
             continue
         needed.add(cid)
-        stack.extend(aid for _, aid in new_chains[cid])
+        stack.extend(map(_ANTECEDENT, chains[cid]))
 
-    reduced = ResolutionProof(proof.shared_view())
-    reduced._originals_first = True
     for cid in sorted(leaves):
-        node = reduced._nodes[cid] = proof.node(cid)
+        node = reduced._nodes[cid] = nodes[cid]
         if node.chain:
             raise ProofError(f"reduced chains reference dropped clause {cid}")
     for node in derived_core:
         cid = node.clause_id
         if cid in needed:
-            reduced.add_derived(cid, new_clauses[cid], new_chains[cid])
-    if not reduced.is_refutation():
-        raise ProofError("proof reduction failed to preserve the refutation")
-    reduced._core = list(reduced._nodes)
-    stats.nodes_after = len(reduced)
-    return reduced, stats
+            reduced.add_derived(cid, new_clauses.get(cid, node.clause),
+                                chains[cid])
 
 
 # --------------------------------------------------------------------- #

@@ -1,19 +1,21 @@
 """Oracle for the shared original-clause layer: core-only strip and trim.
 
 ``strip_activations`` walks only the root's core and shares the trace's
-originals through a view, ``reduce_proof`` shares its input's view, and
-``PartitionSpans`` reads variable sets from the layer's per-key index.  The
-reference kept here does it the old way: the strip visits every node of
-the trace and copies every kept original into a standalone proof, the
-spans visit every original clause, and core order comes from filtering
-the full node list.
+originals through a view, ``reduce_proof`` shares its input's view and
+replays only the chains RecyclePivots changes, and ``PartitionSpans`` reads
+variable sets from the layer's per-key index.  The reference kept here
+does it the old way: the strip visits every node of the trace and copies
+every kept original into a standalone proof, the reduction replays every
+core chain, the spans visit every original clause, and core order comes
+from filtering the full node list.
 
 :class:`Recorder` wraps the strip and trim bindings the engines call, so
 every group-proof bound, serial suffix step, CBA abstract bound and fresh
 (fallback) refutation of a run becomes a case.  A case is checked when the
 run is over, after the traces it was cut from have grown: partition spans,
 the interpolant's AIG literal at every cut, the core order, the
-materialised originals and the strip and trim counters must all equal the
+materialised originals, every node of the reduced core (clause, chain,
+partition), the root and the strip and trim counters must all equal the
 reference's.  ``tests/fuzz/test_proof_layer_stream.py`` runs the same
 recorder over the whole quick suite.
 """
@@ -34,7 +36,7 @@ from repro.itp.labeling import PartitionSpans
 from repro.itp.sequence import extract_sequence
 from repro.sat import (ActivationDependencyError, CdclSolver, ProofError,
                        ResolutionProof, SatResult)
-from repro.sat.proof import reduce_proof, strip_activations
+from repro.sat.proof import ProofNode, reduce_proof, strip_activations
 from repro.share.bus import LocalShareBus
 
 #: The engines that extract interpolants from refutations.
@@ -109,6 +111,120 @@ def reference_strip(proof, active_groups, other_groups, root_id):
     if not out.is_refutation():
         raise ProofError("no refutation")
     return out, counts
+
+
+def reference_reduce(proof, recycle_pivots=True):
+    """Trim and RecyclePivots with every core chain replayed.
+
+    Returns the reduced derived nodes in core order, the root id and the
+    four ``ProofReductionStats`` fields; ``nodes_after`` counts every
+    original of ``proof``, as a reduced proof keeps them all."""
+    root_id = proof.empty_clause_id
+    core = old_core_ids(proof.nodes_in_order(), root_id)
+    derived_core = [proof.node(cid) for cid in core
+                    if proof.node(cid).chain]
+    refcount = {}
+    for node in derived_core:
+        for _, aid in node.chain:
+            refcount[aid] = refcount.get(aid, 0) + 1
+    start_at = {n.clause_id: 0 for n in derived_core}
+    dropped = {n.clause_id: set() for n in derived_core}
+    if recycle_pivots:
+        # Marking: a step whose pivot literal is safe below is redundant.
+        start_at, dropped = {}, {}
+        rl, live = {root_id: set()}, {root_id}
+
+        def note(aid, contribution):
+            if proof.node(aid).chain:
+                live.add(aid)
+                rl[aid] = contribution if refcount.get(aid, 0) == 1 else set()
+
+        for node in reversed(derived_core):
+            cid = node.clause_id
+            if cid not in live:
+                continue
+            inherited = rl.pop(cid, None)
+            safe = (set(inherited) if inherited is not None
+                    and refcount.get(cid, 0) <= 1 else set())
+            start, drops = 0, set()
+            for index in range(len(node.chain) - 1, 0, -1):
+                pivot, aid = node.chain[index]
+                literals = proof.node(aid).clause.literals
+                lit = (pivot if pivot in literals
+                       else -pivot if -pivot in literals else None)
+                if lit is None:
+                    safe = set()
+                elif -lit in safe:
+                    drops.add(index)
+                elif lit in safe:
+                    start = index
+                    note(aid, set(safe))
+                    break
+                else:
+                    note(aid, safe | {lit})
+                    safe.add(-lit)
+            if start == 0:
+                note(node.chain[0][1], set(safe))
+            start_at[cid], dropped[cid] = start, drops
+    # Reconstruction: every surviving chain is replayed.
+    stats = {"steps_dropped": 0, "clauses_strengthened": 0}
+    alias, clauses, chains = {}, {}, {}
+
+    def resolved(cid):
+        while cid in alias:
+            cid = alias[cid]
+        return cid
+
+    def clause_of(cid):
+        return clauses[cid] if cid in clauses else proof.node(cid).clause
+
+    for node in derived_core:
+        cid = node.clause_id
+        if cid not in start_at:
+            continue
+        start, drops = start_at[cid], dropped[cid]
+        begin = resolved(node.chain[start][1])
+        current = set(clause_of(begin).literals)
+        rebuilt = [(None, begin)]
+        for index in range(start + 1, len(node.chain)):
+            pivot, aid = node.chain[index]
+            aid = resolved(aid)
+            antecedent = clause_of(aid).literals
+            if index in drops or (pivot not in current
+                                  and -pivot not in current):
+                stats["steps_dropped"] += 1
+            elif pivot not in antecedent and -pivot not in antecedent:
+                current, rebuilt = set(antecedent), [(None, aid)]
+                stats["steps_dropped"] += 1
+            elif -pivot in current and pivot in antecedent:
+                current.discard(-pivot)
+                current.update(l for l in antecedent if l != pivot)
+                rebuilt.append((pivot, aid))
+            elif pivot in current and -pivot in antecedent:
+                current.discard(pivot)
+                current.update(l for l in antecedent if l != -pivot)
+                rebuilt.append((pivot, aid))
+            else:
+                stats["steps_dropped"] += 1
+        if len(rebuilt) == 1 and cid != root_id:
+            alias[cid] = rebuilt[0][1]
+            continue
+        clauses[cid] = Clause(current)
+        if len(clauses[cid]) < len(node.clause):
+            stats["clauses_strengthened"] += 1
+        chains[cid] = rebuilt
+    # Only the chains the root still reaches survive.
+    needed, stack = set(), [root_id]
+    while stack:
+        cid = stack.pop()
+        if cid in chains and cid not in needed:
+            needed.add(cid)
+            stack.extend(aid for _, aid in chains[cid])
+    derived = [ProofNode(cid, clauses[cid], chains[cid])
+               for cid in sorted(needed)]
+    stats["nodes_before"] = len(proof)
+    stats["nodes_after"] = len(proof.original_nodes()) + len(derived)
+    return derived, root_id, stats
 
 
 def copy_trace(proof):
@@ -203,7 +319,13 @@ def check_case(case: Case, systems=("mcmillan",)) -> None:
     assert spans.lo == ref_spans.lo, what
     assert spans.hi == ref_spans.hi, what
     listed = ListedProof(case.ref_order, case.root)
+    assert case.proof.empty_clause_id == case.root, what
     assert case.proof.core_ids() == listed.core_ids(), what
+    for cid in case.proof.core_ids():
+        got, want = case.proof.node(cid), listed.node(cid)
+        assert (got.clause.literals, list(got.chain), got.partition) == \
+            (want.clause.literals, list(want.chain), want.partition), \
+            (what, cid)
     max_var = max(ref_spans.lo)
     for system in systems:
         new = _interpolants(case.proof, None, n, system, max_var)
@@ -254,16 +376,17 @@ class Recorder:
         if pending is None:             # a fresh solver's trace
             pending = (None, copy_trace(proof), {}, {})
         stripped, ref, counts, ref_counts = pending
-        ref_reduced, _ = reduce_proof(ref, recycle_pivots)
+        ref_derived, ref_root, ref_stats = reference_reduce(ref,
+                                                            recycle_pivots)
         ref_originals = ref.original_nodes()
-        ref_derived = ref_reduced.derived_nodes()
-        counts = dict(counts, nodes_trimmed=stats.nodes_trimmed)
+        counts = dict(counts, nodes_trimmed=stats.nodes_trimmed,
+                      **{field: getattr(stats, field) for field in ref_stats})
         ref_counts = dict(ref_counts, nodes_trimmed=(
-            len(ref) - len(ref_originals) - len(ref_derived)))
+            len(ref) - len(ref_originals) - len(ref_derived)), **ref_stats)
         self.cases.append(Case(
             f"{self.label} #{len(self.cases)}", reduced, stripped,
-            ref_originals, ref_originals + ref_derived,
-            reduced.empty_clause_id, counts, ref_counts))
+            ref_originals, ref_originals + ref_derived, ref_root,
+            counts, ref_counts))
         return reduced, stats
 
     def check(self, systems=("mcmillan",)) -> int:
@@ -334,9 +457,9 @@ def test_a_kept_stripped_proof_ignores_later_clauses():
     grown, _ = strip_activations(solver.proof(), {later}, {group},
                                  solver.last_refutation_root())
     assert PartitionSpans.prefix(grown, 4).labels == {1, 2, 3, 4}
+    ref_derived, ref_root, _ = reference_reduce(ref)
     case = Case("kept", reduced, stripped, ref.original_nodes(),
-                ref.original_nodes() + reduced.derived_nodes(),
-                reduced.empty_clause_id, {}, {})
+                ref.original_nodes() + ref_derived, ref_root, {}, {})
     check_case(case, systems=("mcmillan", "pudlak"))
     assert len(stripped) == len(ref)
 

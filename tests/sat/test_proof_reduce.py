@@ -1,12 +1,13 @@
 """Tests for resolution-proof post-processing (trimming + RecyclePivots)."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.cnf.cnf import Clause
-from repro.sat.proof import (ProofError, ResolutionProof, check_proof,
-                             reduce_proof)
+from repro.sat.proof import (ProofError, ResolutionProof, _mark_recyclable,
+                             check_proof, reduce_proof)
 from repro.sat.solver import CdclSolver
 from repro.sat.types import SatResult
 
@@ -49,9 +50,8 @@ def test_all_original_clauses_survive_with_their_partitions():
     assert {n.clause_id for n in reduced.original_nodes()} == {0, 1, 2, 3, 7}
 
 
-def test_recycle_pivots_drops_redundant_resolution():
-    """A chain resolving on a pivot that is resolved again below loses the
-    redundant upper step."""
+def _recyclable_proof():
+    """Chains 5 and 6 carry redundant steps; the root 7 consumes 6."""
     proof = ResolutionProof()
     proof.add_original(0, Clause([1, 2]), partition=1)      # a | b
     proof.add_original(1, Clause([-2, 3]), partition=1)     # !b | c
@@ -64,7 +64,13 @@ def test_recycle_pivots_drops_redundant_resolution():
     # (1): resolve with 4 on pivot 2; (2): with 3 on 1; (): with 4 on 2.
     proof.add_derived(6, Clause([1]), [(None, 5), (2, 4)])
     proof.add_derived(7, Clause([]), [(None, 6), (1, 3), (2, 4)])
-    reduced, stats = reduce_proof(proof)
+    return proof
+
+
+def test_recycle_pivots_drops_redundant_resolution():
+    """A chain resolving on a pivot that is resolved again below loses the
+    redundant upper step."""
+    reduced, stats = reduce_proof(_recyclable_proof())
     check_proof(reduced)
     assert reduced.is_refutation()
     # Node 5's detour through pivot 3 (steps on clauses 1 and 2) is
@@ -72,6 +78,79 @@ def test_recycle_pivots_drops_redundant_resolution():
     assert stats.steps_dropped >= 1
     total_steps = sum(len(n.chain) - 1 for n in reduced.derived_nodes())
     assert total_steps < 5
+
+
+def _marks(proof):
+    """The marking pass's ``(live, marks)`` on a refutation's core."""
+    derived = [proof.node(cid) for cid in proof.core_ids()
+               if proof.node(cid).chain]
+    refcount = Counter(aid for node in derived for _, aid in node.chain)
+    return _mark_recyclable(proof, derived, refcount)
+
+
+def _shape(node):
+    return node.clause.literals, [tuple(step) for step in node.chain]
+
+
+def _strengthened_antecedent_proof():
+    """A marked chain X that RecyclePivots strengthens, consumed by an
+    unmarked chain Y, consumed by the root."""
+    p, q, r, s, t = 1, 2, 3, 4, 5
+    proof = ResolutionProof()
+    proof.add_original(0, Clause([p, t]), partition=1)
+    proof.add_original(1, Clause([-t, q]), partition=1)
+    proof.add_original(2, Clause([-p, r, s]), partition=1)
+    proof.add_original(3, Clause([-q, p, r]), partition=2)
+    proof.add_original(4, Clause([-p]), partition=2)
+    proof.add_original(5, Clause([-r]), partition=2)
+    proof.add_original(6, Clause([-s]), partition=2)
+    # X = (q r s); its step on p is redundant, since Y resolves p below.
+    proof.add_derived(7, Clause([q, r, s]), [(None, 0), (t, 1), (p, 2)])
+    # Y = (r s): (-q p r) x X on q, then x (-p) on p.
+    proof.add_derived(8, Clause([r, s]), [(None, 3), (q, 7), (p, 4)])
+    proof.add_derived(9, Clause([]), [(None, 8), (r, 5), (s, 6)])
+    return proof
+
+
+def test_an_unmarked_consumer_of_a_strengthened_chain_is_rebuilt():
+    proof = _strengthened_antecedent_proof()
+    live, marks = _marks(proof)
+    assert set(marks) == {7} and {8, 9} <= live
+    reduced, stats = reduce_proof(proof)
+    check_proof(reduced)
+    # X loses its redundant step and shrinks to (q p) ...
+    assert _shape(reduced.node(7)) == ((1, 2), [(None, 0), (5, 1)])
+    # ... so Y, unmarked, replays over it to (r) on its recorded chain ...
+    assert _shape(reduced.node(8)) == ((3,), [(None, 3), (2, 7), (1, 4)])
+    # ... and the root no longer needs its step on s.
+    assert _shape(reduced.node(9)) == ((), [(None, 8), (3, 5)])
+    assert reduced.core_ids() == [0, 1, 3, 4, 5, 7, 8, 9]
+    assert (stats.steps_dropped, stats.clauses_strengthened) == (2, 2)
+    assert (stats.nodes_before, stats.nodes_after) == (10, 10)
+
+
+def test_an_unmarked_consumer_of_an_aliased_chain_is_rebuilt():
+    # Chains 5 and 6 collapse into their start clause 0, and the unmarked
+    # root consumes 6.
+    proof = _recyclable_proof()
+    _, marks = _marks(proof)
+    assert set(marks) == {5, 6}
+    reduced, stats = reduce_proof(proof)
+    check_proof(reduced)
+    assert _shape(reduced.node(7)) == ((), [(None, 0), (1, 3), (2, 4)])
+    assert reduced.core_ids() == [0, 3, 4, 7]
+    assert stats.nodes_trimmed == 2
+
+
+def test_without_marks_the_reduced_proof_is_the_core():
+    proof = _hand_proof_with_dead_chain()
+    assert _marks(proof)[1] == {}
+    reduced, stats = reduce_proof(proof)
+    core = [proof.node(cid) for cid in proof.core_ids()]
+    assert [(n.clause_id, _shape(n)) for n in reduced.derived_nodes()] == \
+        [(n.clause_id, _shape(n)) for n in core if n.chain]
+    assert reduced.core_ids() == [0, 1, 2, 5, 6]
+    assert (stats.steps_dropped, stats.clauses_strengthened) == (0, 0)
 
 
 def test_reduction_requires_a_refutation():
@@ -119,6 +198,7 @@ def test_solver_refutations_reduce_and_replay(holes):
 def test_random_unsat_instances_round_trip():
     random.seed(11)
     reduced_any = False
+    unmarked = 0
     for _ in range(120):
         solver = CdclSolver(proof_logging=True)
         for _ in range(10):
@@ -130,8 +210,16 @@ def test_random_unsat_instances_round_trip():
                               partition=random.randint(1, 3))
         if solver.solve() is not SatResult.UNSAT:
             continue
-        reduced, stats = reduce_proof(solver.proof())
+        proof = solver.proof()
+        reduced, stats = reduce_proof(proof)
         check_proof(reduced)
         if stats.nodes_trimmed or stats.steps_dropped:
             reduced_any = True
+        if not _marks(proof)[1]:
+            # No mark: every core chain comes out as recorded.
+            unmarked += 1
+            core = [proof.node(cid) for cid in proof.core_ids()]
+            assert [_shape(n) for n in reduced.derived_nodes()] == \
+                [_shape(n) for n in core if n.chain]
     assert reduced_any, "reduction never fired on any random refutation"
+    assert unmarked, "every random refutation had a mark"
