@@ -29,8 +29,8 @@ The package provides, in pure Python:
   single persistent solver, with no unrolling at all;
 * a model-preprocessing pipeline (:mod:`repro.preprocess`): composable
   passes — cone-of-influence reduction, ternary-simulation stuck-latch
-  sweeping, structural rewriting, CNF-level bounded variable elimination —
-  run by every engine before any encoding, with counterexample lift-back
+  sweeping, structural rewriting, SAT sweeping (fraiging) — run by every
+  engine before any encoding, with counterexample lift-back
   to the original variables;
 * a BDD engine for exact reachability and circuit diameters
   (:mod:`repro.bdd`);

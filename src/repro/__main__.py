@@ -115,11 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated preprocessing pass names to run "
                              "instead of the default pipeline (e.g. "
                              "'coi,fraig'; an empty string selects no "
-                             "passes); unknown names exit with status 2")
-    parser.add_argument("--no-proof-reduce", dest="proof_reduce",
-                        action="store_false", default=True,
-                        help="extract interpolants from the raw resolution "
-                             "trace instead of the trimmed refutation")
+                             "passes); unknown names exit with status 3")
     parser.add_argument("--stats", action="store_true",
                         help="print the engine's statistics counters, "
                              "grouped by subsystem (groups that are "
@@ -277,24 +273,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: --passes conflicts with --no-preprocess",
                   file=sys.stderr)
             return 3
-        from .preprocess.passes import validate_pass_names
-
-        names = tuple(n for n in args.passes.split(",") if n)
-        try:
-            preprocess_passes = validate_pass_names(names)
-        except ValueError as exc:
-            # Unknown pass names leave the run unanswered, not misused:
-            # the documented "no answer" status (2), not the usage one.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        preprocess_passes = tuple(n for n in args.passes.split(",") if n)
 
     try:
         options = EngineOptions(max_bound=args.max_bound,
                                 time_limit=args.time_limit,
                                 validate_traces=not args.no_validate,
                                 preprocess=args.preprocess,
-                                preprocess_passes=preprocess_passes,
-                                proof_reduce=args.proof_reduce)
+                                preprocess_passes=preprocess_passes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -186,16 +186,6 @@ class Aig:
         old = self._latches[var]
         self._latches[var] = Latch(var=var, next=next_lit, init=old.init, name=old.name)
 
-    def set_latch_init(self, latch_lit: int, init: Optional[int]) -> None:
-        """Set the initial value of a latch (0, 1 or None)."""
-        var = lit_var(latch_lit)
-        if var not in self._latches:
-            raise KeyError(f"variable {var} is not a latch")
-        if init not in (0, 1, None):
-            raise ValueError(f"latch init must be 0, 1 or None, got {init!r}")
-        old = self._latches[var]
-        self._latches[var] = Latch(var=var, next=old.next, init=init, name=old.name)
-
     def add_and(self, a: int, b: int) -> int:
         """Return a literal for ``a & b`` with structural hashing.
 

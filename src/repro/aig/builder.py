@@ -210,22 +210,6 @@ class AigBuilder:
                 out = self.aig.add_and(out, lit_negate(self.aig.add_and(x, y)))
         return out
 
-    def popcount_at_most(self, bits: Sequence[int], bound: int) -> int:
-        """Return a literal true iff at most ``bound`` of ``bits`` are asserted.
-
-        Uses a small unary counter; intended for the handful of control bits
-        found in the benchmark circuits, not for wide datapaths.
-        """
-        # counter[i] is true iff at least i+1 bits seen so far are asserted.
-        counter: List[int] = [FALSE] * (bound + 1)
-        for bit in bits:
-            new_counter = list(counter)
-            for i in range(bound, -1, -1):
-                below = counter[i - 1] if i > 0 else TRUE
-                new_counter[i] = self.aig.op_or(counter[i], self.aig.add_and(below, bit))
-            counter = new_counter
-        return lit_negate(counter[bound])
-
     def _check_widths(self, a: Word, b: Word) -> None:
         if len(a) != len(b):
             raise ValueError(f"word width mismatch: {len(a)} vs {len(b)}")

@@ -15,7 +15,7 @@ evaluating the property on a concrete state, and enumerating initial states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .aig import Aig, Latch, lit_negate
 from .ops import coi_reduce
@@ -42,12 +42,6 @@ class StateCube:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def restrict_to(self, latch_vars: Iterable[int]) -> "StateCube":
-        """Project the cube onto a subset of latch variables."""
-        allowed = set(latch_vars)
-        return StateCube(tuple((v, b) for v, b in self.values if v in allowed))
-
 
 class Model:
     """An AIG together with one safety property under verification."""

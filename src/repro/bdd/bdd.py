@@ -140,18 +140,6 @@ class BddManager:
     def bdd_implies(self, f: int, g: int) -> int:
         return self.ite(f, g, self.TRUE)
 
-    def and_many(self, nodes: Iterable[int]) -> int:
-        out = self.TRUE
-        for node in nodes:
-            out = self.bdd_and(out, node)
-        return out
-
-    def or_many(self, nodes: Iterable[int]) -> int:
-        out = self.FALSE
-        for node in nodes:
-            out = self.bdd_or(out, node)
-        return out
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

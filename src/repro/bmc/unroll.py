@@ -145,13 +145,6 @@ class Unroller:
             cnf_var = self.latch_cnf_var(frame, latch_var)
             self._add_clause([cnf_var if value else -cnf_var], partition)
 
-    def assert_input_values(self, values: Mapping[int, bool], frame: int,
-                            partition: Optional[int]) -> None:
-        """Constrain a frame's primary inputs to concrete values."""
-        for input_var, value in values.items():
-            cnf_var = self.input_cnf_var(frame, input_var)
-            self._add_clause([cnf_var if value else -cnf_var], partition)
-
     def add_transition(self, from_frame: int, partition: Optional[int],
                        include_constraints: bool = True,
                        group: Optional[int] = None) -> None:

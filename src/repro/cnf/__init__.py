@@ -1,9 +1,6 @@
 """CNF substrate: clause containers, DIMACS I/O, Tseitin encoding.
 
-CNF *simplification* (unit propagation, subsumption, bounded variable
-elimination) lives in :mod:`repro.preprocess.cnfsimp`, behind the
-preprocessing pipeline's reporting-only ``cnf`` pass; no encoding made
-here is simplified before a solver sees it.
+No encoding made here is simplified before a solver sees it.
 """
 
 from .cnf import Clause, Cnf, neg, var_of

@@ -360,14 +360,11 @@ class UmcEngine:
     def _trim_proof(self, proof: ResolutionProof) -> ResolutionProof:
         """Post-process a refutation before interpolant extraction.
 
-        With ``options.proof_reduce`` (the default) the trace gets core
-        trimming plus the RecyclePivots redundant-pivot pass
-        (:func:`repro.sat.proof.reduce_proof`), so every extraction
-        replays a smaller derivation DAG.  The node reduction accumulates
-        in ``stats.proof_nodes_trimmed``.
+        Every refutation gets core trimming plus the RecyclePivots
+        redundant-pivot pass (:func:`repro.sat.proof.reduce_proof`), so
+        every extraction replays a smaller derivation DAG.  The node
+        reduction accumulates in ``stats.proof_nodes_trimmed``.
         """
-        if not self.options.proof_reduce:
-            return proof
         with self.tracer.span("proof_trim"):
             reduced, reduction = reduce_proof(proof)
         self.stats.proof_nodes_trimmed += reduction.nodes_trimmed

@@ -21,9 +21,11 @@ __all__ = ["EngineOptions"]
 class EngineOptions:
     """Knobs shared by all engines (engine-specific ones are ignored by others).
 
-    None of them selects how a refutation is obtained: a solo run refutes
-    every bound and step on its one proof-logged unrolling, and a
-    share-attached run on fresh checks (``UmcEngine._group_proof_active``).
+    None of them selects how a refutation is obtained or post-processed: a
+    solo run refutes every bound and step on its one proof-logged
+    unrolling, and a share-attached run on fresh checks
+    (``UmcEngine._group_proof_active``); every refutation is trimmed
+    before extraction (``UmcEngine._trim_proof``).
 
     Attributes
     ----------
@@ -81,13 +83,6 @@ class EngineOptions:
         Pass names (in order) for the pipeline; ``None`` selects the
         default ``('coi', 'sweep', 'coi', 'rewrite', 'fraig', 'cnf')``.
         Ignored when ``preprocess`` is off.
-    proof_reduce:
-        Post-process every refutation before interpolant extraction: core
-        trimming plus the RecyclePivots redundant-pivot pass
-        (:func:`repro.sat.proof.reduce_proof`).  Extraction then replays a
-        smaller derivation DAG, which yields smaller interpolant cones.
-        On by default; disable to extract from the raw solver trace as the
-        seed implementation did.
     """
 
     max_bound: int = 30
@@ -101,7 +96,6 @@ class EngineOptions:
     validate_traces: bool = True
     preprocess: bool = True
     preprocess_passes: Optional[Tuple[str, ...]] = None
-    proof_reduce: bool = True
 
     def with_changes(self, **kwargs) -> "EngineOptions":
         """Return a copy with some fields replaced."""

@@ -86,7 +86,8 @@ class EngineStats:
 
     The interpolant-lifecycle counters measure what the post-extraction
     machinery saved: ``proof_nodes_trimmed`` — proof nodes removed from
-    refutations before extraction (core trimming + RecyclePivots);
+    refutations before extraction (core trimming + RecyclePivots, which
+    every refutation goes through);
     ``itp_ands_compacted`` — AND gates removed from freshly extracted
     interpolant cones by structural compaction; and
     ``fixpoint_encodings_reused`` — cached AND gates the persistent
@@ -98,9 +99,8 @@ class EngineStats:
     are not walked).  ``fixpoint_groups_shed`` counts the checker's clause
     groups released because column strengthening superseded their cones
     (:meth:`repro.core.fixpoint.FixpointChecker.shed_superseded`); only
-    the sequence engines shed, so it stays 0 elsewhere.
-    ``proof_nodes_trimmed`` stays 0 with ``EngineOptions.proof_reduce``
-    off, and all of them stay 0 for the PDR/BMC engines.
+    the sequence engines shed, so it stays 0 elsewhere.  All of them
+    stay 0 for the PDR/BMC engines.
 
     The group-proof counters measure the one-solve-per-bound path that
     every solo run takes: ``proof_group_solves_saved`` — bounds

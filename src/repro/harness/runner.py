@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.checker import BddVerdict, check_with_bdds
-from ..circuits.suite import SuiteInstance, full_suite, get_instance, quick_suite
+from ..circuits.suite import SuiteInstance, full_suite, get_instance
 from ..core.options import EngineOptions
 from ..core.portfolio import ENGINES, run_engine
 from ..parallel import parallel_map
@@ -302,7 +302,3 @@ class ExperimentRunner:
                 progress(instance.name, elapsed, record)
         return records
 
-    def run_quick(self, progress: Optional[ProgressCallback] = None,
-                  jobs: Optional[int] = None) -> List[InstanceRecord]:
-        """Run the fast subset of the suite."""
-        return self.run_suite(quick_suite(), progress=progress, jobs=jobs)

@@ -3,19 +3,13 @@
 The package provides a composable pass pipeline over
 :class:`~repro.aig.model.Model` objects — cone-of-influence reduction,
 ternary-simulation stuck-latch sweeping, structural rewriting, SAT
-sweeping (fraiging) and a reporting-only CNF elimination pass — plus the
-:class:`~repro.preprocess.modelmap.ModelMap` machinery that lifts
-counterexample traces found on the reduced model back to the original
-inputs and latches, so preprocessing never weakens trace validation.
+sweeping (fraiging) and the ``cnf`` pass, which leaves the model as it
+is — plus the :class:`~repro.preprocess.modelmap.ModelMap` machinery
+that lifts counterexample traces found on the reduced model back to the
+original inputs and latches, so preprocessing never weakens trace
+validation.
 """
 
-from .cnfsimp import (
-    CnfReduction,
-    CnfSimplifyConfig,
-    CnfSimplifyStats,
-    simplify_cnf,
-    unit_propagate,
-)
 from .coi import CoiPass
 from .fraig import FraigConfig, FraigPass, FraigResult, find_equivalences
 from .modelmap import ModelMap
@@ -35,11 +29,6 @@ from .rewrite import RewritePass, rewrite_and
 from .sweep import SweepPass, ternary_latch_fixpoint
 
 __all__ = [
-    "CnfReduction",
-    "CnfSimplifyConfig",
-    "CnfSimplifyStats",
-    "simplify_cnf",
-    "unit_propagate",
     "CoiPass",
     "FraigConfig",
     "FraigPass",

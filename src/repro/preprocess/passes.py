@@ -21,18 +21,16 @@ Registered passes (see :data:`PASSES`):
     SAT confirmation merges functionally equivalent nodes structural
     passes cannot see (:class:`~repro.preprocess.fraig.FraigPass`).
 ``cnf``
-    CNF-level bounded variable elimination + subsumption
-    (:class:`CnfEliminationPass`).  AIG surgery cannot express clause-level
-    elimination, so the pass leaves the model untouched (identity map); on
-    request it measures the reduction on the model's transition-relation
-    CNF for the pipeline report.  No engine query runs through it.
+    Leaves the model untouched: identity map, no pass-specific counters
+    (:class:`CnfEliminationPass`).  No engine query is CNF-simplified.
 
 The default order ``coi, sweep, coi, rewrite, fraig, cnf`` runs COI twice
 on purpose: sweeping substitutes constants, which routinely disconnects
 more latches from the property cone; the second COI harvests them.
 Fraiging runs after rewriting so its SAT effort is spent only on the
 equivalences the cheap structural normalisation could not expose.  The
-trailing ``cnf`` pass leaves the model as it is.
+trailing ``cnf`` pass leaves the model as it is, so the default pipeline
+reduces exactly as ``coi, sweep, coi, rewrite, fraig`` does.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..aig.model import Model
 from ..bmc.cex import Trace
-from ..cnf.tseitin import encode_combinational
-from .cnfsimp import CnfSimplifyConfig, simplify_cnf
 from .modelmap import ModelMap
 
 __all__ = ["PassStats", "PassResult", "Pass", "CnfEliminationPass",
@@ -65,7 +61,7 @@ class PassStats:
     latches_after: int = 0
     ands_before: int = 0
     ands_after: int = 0
-    #: Pass-specific counters (the CNF pass reports clause numbers here).
+    #: Pass-specific counters (the fraig pass reports its merges here).
     extra: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -113,41 +109,17 @@ class Pass:
 
 
 class CnfEliminationPass(Pass):
-    """Bounded variable elimination + subsumption at the CNF level.
+    """The ``cnf`` pass: the model passes through unchanged.
 
-    See the module docstring: the model passes through unchanged.  With
-    ``measure=True`` the pass runs the simplifier over the model's
-    transition-relation CNF (latch next-state cones, the property,
-    the constraints — with the model-boundary variables frozen, since an
-    unrolling constrains them externally) and reports the clause reduction
-    in its :class:`PassStats`.  Measurement is off by default: inside an
-    engine construction the numbers would be computed and thrown away, so
-    only report-producing callers should ask for them.
+    It returns the model itself with the identity map and no
+    pass-specific counters, so it changes no pipeline result.
     """
 
     name = "cnf"
 
-    def __init__(self, config: Optional[CnfSimplifyConfig] = None,
-                 measure: bool = False) -> None:
-        self.config = config or CnfSimplifyConfig()
-        self.measure = measure
-
     def apply(self, model: Model) -> PassResult:
-        stats = self._stats(model, model)
-        if self.measure:
-            roots = ([latch.next for latch in model.latches]
-                     + [model.bad_literal] + list(model.constraints))
-            cnf, root_lits, var_map = encode_combinational(model.aig, roots)
-            frozen = {var_map[v] for v in model.input_vars if v in var_map}
-            frozen |= {var_map[v] for v in model.latch_vars if v in var_map}
-            frozen |= {abs(lit) for lit in root_lits}
-            reduction = simplify_cnf(cnf, frozen=frozen, config=self.config)
-            stats.extra = {
-                "cnf_clauses_before": reduction.stats.clauses_before,
-                "cnf_clauses_after": reduction.stats.clauses_after,
-                "cnf_vars_eliminated": reduction.stats.eliminated_vars,
-            }
-        return PassResult(model, ModelMap.identity(model), stats)
+        return PassResult(model, ModelMap.identity(model),
+                          self._stats(model, model))
 
 
 @dataclass

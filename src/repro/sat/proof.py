@@ -614,7 +614,7 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
     return live, marks
 
 
-def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
+def reduce_proof(proof: ResolutionProof
                  ) -> Tuple[ResolutionProof, ProofReductionStats]:
     """Return a reduced copy of a refutation, plus what the reduction did.
 
@@ -623,14 +623,13 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     * **core trimming** — derived clauses whose chains never feed the empty
       clause are dropped (the solver records every learned clause, but a
       typical refutation uses a fraction of them);
-    * **RecyclePivots** (``recycle_pivots=True``) — redundant-pivot
-      elimination in the style of Bar-Ilan et al. (HVC'08): a resolution
-      step whose pivot literal is resolved away again on every path below
-      is bypassed, and a reconstruction replay propagates the resulting
-      clause strengthenings through the remaining chains (a step whose
-      pivot no longer occurs in the intermediate clause is skipped; an
-      antecedent that lost its pivot literal subsumes the resolvent and
-      replaces it).
+    * **RecyclePivots** — redundant-pivot elimination in the style of
+      Bar-Ilan et al. (HVC'08): a resolution step whose pivot literal is
+      resolved away again on every path below is bypassed, and a
+      reconstruction replay propagates the resulting clause
+      strengthenings through the remaining chains (a step whose pivot no
+      longer occurs in the intermediate clause is skipped; an antecedent
+      that lost its pivot literal subsumes the resolvent and replaces it).
 
     Reconstruction replays only the chains whose result can differ from
     what was recorded: a chain the marking pass marked, and a chain one of
@@ -670,14 +669,9 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     derived_core = [node for node in core if node.chain]
 
     stats = ProofReductionStats(nodes_before=len(proof))
-    if recycle_pivots:
-        refcount = Counter(map(_ANTECEDENT, itertools.chain.from_iterable(
-            node.chain for node in derived_core)))
-        live, marks = _mark_recyclable(proof, derived_core, refcount)
-    else:
-        live = {node.clause_id for node in derived_core}
-        marks = {node.clause_id: (0, set()) for node in derived_core
-                 if len(node.chain) == 1}
+    refcount = Counter(map(_ANTECEDENT, itertools.chain.from_iterable(
+        node.chain for node in derived_core)))
+    live, marks = _mark_recyclable(proof, derived_core, refcount)
 
     reduced = ResolutionProof(proof.shared_view())
     reduced._originals_first = True

@@ -1,11 +1,4 @@
-"""Tests for the Tseitin encoder and the CNF simplifier.
-
-The simplifier itself lives in :mod:`repro.preprocess.cnfsimp` (it is the
-pipeline's CNF pass); the encoder-level behaviour it must respect is
-covered here next to the Tseitin tests, while the pass-level behaviour
-(variable elimination, reconstruction) is covered in
-``tests/preprocess/test_cnfsimp.py``.
-"""
+"""Tests for the Tseitin encoder."""
 
 import itertools
 
@@ -13,8 +6,7 @@ import pytest
 
 from repro.aig import Aig, lit_negate, lit_var, lit_value, simulate_comb
 from repro.cnf import Cnf, TseitinEncoder, encode_combinational
-from repro.preprocess import simplify_cnf, unit_propagate
-from repro.sat import CdclSolver, SatResult, brute_force_sat
+from repro.sat import CdclSolver, SatResult
 
 
 def _build_example_aig():
@@ -112,54 +104,3 @@ def test_negated_root_encoding():
     cnf, roots, var_map = encode_combinational(aig, [lit_negate(g)])
     assert roots[0] < 0
 
-
-def test_unit_propagation_finds_implied_assignment():
-    cnf = Cnf([[1], [-1, 2], [-2, 3], [3, 4]])
-    assignment, conflict = unit_propagate(cnf)
-    assert not conflict
-    assert assignment == {1: True, 2: True, 3: True}
-
-
-def test_unit_propagation_detects_conflict():
-    cnf = Cnf([[1], [-1, 2], [-2], [3, 4]])
-    _, conflict = unit_propagate(cnf)
-    assert conflict
-
-
-def test_simplify_cnf_removes_satisfied_clauses():
-    cnf = Cnf([[1], [1, 2, 3], [-1, 2], [2, -3]])
-    result = simplify_cnf(cnf)
-    assert not result.conflict
-    assert result.assignment[1] is True
-    # [1] and [1,2,3] disappear; [-1,2] becomes [2] -> propagated too.
-    assert result.assignment[2] is True
-    assert all(1 not in c.variables() for c in result.cnf.clauses)
-    assert result.stats.clauses_eliminated >= 3
-
-
-def test_simplify_cnf_conflict_returns_none_formula():
-    cnf = Cnf([[1], [-1]])
-    result = simplify_cnf(cnf)
-    assert result.conflict
-    assert result.cnf is None
-
-
-def test_simplify_preserves_satisfiability_on_random_formulas():
-    import random
-    rng = random.Random(3)
-    for _ in range(20):
-        clauses = []
-        for _ in range(18):
-            vs = rng.sample(range(1, 7), rng.randint(1, 3))
-            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-        cnf = Cnf(clauses)
-        original_sat, _ = brute_force_sat(cnf)
-        result = simplify_cnf(cnf)
-        if result.conflict:
-            assert original_sat is False
-        else:
-            simplified_sat, model = brute_force_sat(result.cnf) if len(result.cnf) else (True, {})
-            assert simplified_sat == original_sat
-            if simplified_sat:
-                # The reconstructed assignment must satisfy the original.
-                assert cnf.is_satisfied_by(result.extend_assignment(model or {}))

@@ -10,19 +10,21 @@ from repro.circuits import (
     dead_cone_counter,
     duplicated_pattern,
     full_suite,
-    mutual_exclusion,
     stuck_gate_counter,
     token_ring,
 )
 from repro.preprocess import (
+    DEFAULT_PASSES,
     CnfEliminationPass,
     CoiPass,
+    ModelMap,
     Pipeline,
     RewritePass,
     SweepPass,
     build_pipeline,
     ternary_latch_fixpoint,
 )
+from repro.share import model_fingerprint
 
 
 def assert_property_equivalent(original: Model, reduced: Model, model_map,
@@ -97,14 +99,18 @@ def test_rewrite_pass_never_grows_the_model():
         assert result.model.aig.num_ands <= model.aig.num_ands, instance.name
 
 
-def test_cnf_pass_is_model_identity_but_reports_reduction():
-    model = mutual_exclusion()
-    result = CnfEliminationPass(measure=True).apply(model)
-    assert result.model is model
-    assert result.stats.extra["cnf_clauses_after"] \
-        < result.stats.extra["cnf_clauses_before"]
-    # Without measurement (the engine-construction path) no CNF work runs.
-    assert CnfEliminationPass().apply(model).stats.extra == {}
+def test_cnf_pass_is_model_identity():
+    for instance in full_suite():
+        model = instance.build()
+        result = CnfEliminationPass().apply(model)
+        assert result.model is model, instance.name
+        assert result.model_map == ModelMap.identity(model), instance.name
+        assert result.stats.extra == {}, instance.name
+        # Dropping the trailing ``cnf`` pass reduces to the same model.
+        with_cnf = build_pipeline().run(model).model
+        without_cnf = build_pipeline(DEFAULT_PASSES[:-1]).run(model).model
+        assert model_fingerprint(with_cnf) == model_fingerprint(without_cnf), \
+            instance.name
 
 
 def test_default_pipeline_semantics_preserved_across_suite():

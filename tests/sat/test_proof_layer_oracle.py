@@ -113,7 +113,7 @@ def reference_strip(proof, active_groups, other_groups, root_id):
     return out, counts
 
 
-def reference_reduce(proof, recycle_pivots=True):
+def reference_reduce(proof):
     """Trim and RecyclePivots with every core chain replayed.
 
     Returns the reduced derived nodes in core order, the root id and the
@@ -127,45 +127,42 @@ def reference_reduce(proof, recycle_pivots=True):
     for node in derived_core:
         for _, aid in node.chain:
             refcount[aid] = refcount.get(aid, 0) + 1
-    start_at = {n.clause_id: 0 for n in derived_core}
-    dropped = {n.clause_id: set() for n in derived_core}
-    if recycle_pivots:
-        # Marking: a step whose pivot literal is safe below is redundant.
-        start_at, dropped = {}, {}
-        rl, live = {root_id: set()}, {root_id}
+    # Marking: a step whose pivot literal is safe below is redundant.
+    start_at, dropped = {}, {}
+    rl, live = {root_id: set()}, {root_id}
 
-        def note(aid, contribution):
-            if proof.node(aid).chain:
-                live.add(aid)
-                rl[aid] = contribution if refcount.get(aid, 0) == 1 else set()
+    def note(aid, contribution):
+        if proof.node(aid).chain:
+            live.add(aid)
+            rl[aid] = contribution if refcount.get(aid, 0) == 1 else set()
 
-        for node in reversed(derived_core):
-            cid = node.clause_id
-            if cid not in live:
-                continue
-            inherited = rl.pop(cid, None)
-            safe = (set(inherited) if inherited is not None
-                    and refcount.get(cid, 0) <= 1 else set())
-            start, drops = 0, set()
-            for index in range(len(node.chain) - 1, 0, -1):
-                pivot, aid = node.chain[index]
-                literals = proof.node(aid).clause.literals
-                lit = (pivot if pivot in literals
-                       else -pivot if -pivot in literals else None)
-                if lit is None:
-                    safe = set()
-                elif -lit in safe:
-                    drops.add(index)
-                elif lit in safe:
-                    start = index
-                    note(aid, set(safe))
-                    break
-                else:
-                    note(aid, safe | {lit})
-                    safe.add(-lit)
-            if start == 0:
-                note(node.chain[0][1], set(safe))
-            start_at[cid], dropped[cid] = start, drops
+    for node in reversed(derived_core):
+        cid = node.clause_id
+        if cid not in live:
+            continue
+        inherited = rl.pop(cid, None)
+        safe = (set(inherited) if inherited is not None
+                and refcount.get(cid, 0) <= 1 else set())
+        start, drops = 0, set()
+        for index in range(len(node.chain) - 1, 0, -1):
+            pivot, aid = node.chain[index]
+            literals = proof.node(aid).clause.literals
+            lit = (pivot if pivot in literals
+                   else -pivot if -pivot in literals else None)
+            if lit is None:
+                safe = set()
+            elif -lit in safe:
+                drops.add(index)
+            elif lit in safe:
+                start = index
+                note(aid, set(safe))
+                break
+            else:
+                note(aid, safe | {lit})
+                safe.add(-lit)
+        if start == 0:
+            note(node.chain[0][1], set(safe))
+        start_at[cid], dropped[cid] = start, drops
     # Reconstruction: every surviving chain is replayed.
     stats = {"steps_dropped": 0, "clauses_strengthened": 0}
     alias, clauses, chains = {}, {}, {}
@@ -370,14 +367,13 @@ class Recorder:
         self._pending[id(stripped)] = (stripped, ref, counts, ref_counts)
         return stripped, stats
 
-    def _reduce(self, proof, recycle_pivots=True):
-        reduced, stats = reduce_proof(proof, recycle_pivots)
+    def _reduce(self, proof):
+        reduced, stats = reduce_proof(proof)
         pending = self._pending.pop(id(proof), None)
         if pending is None:             # a fresh solver's trace
             pending = (None, copy_trace(proof), {}, {})
         stripped, ref, counts, ref_counts = pending
-        ref_derived, ref_root, ref_stats = reference_reduce(ref,
-                                                            recycle_pivots)
+        ref_derived, ref_root, ref_stats = reference_reduce(ref)
         ref_originals = ref.original_nodes()
         counts = dict(counts, nodes_trimmed=stats.nodes_trimmed,
                       **{field: getattr(stats, field) for field in ref_stats})

@@ -29,7 +29,7 @@ def _hand_proof_with_dead_chain():
 
 def test_core_trimming_drops_dead_derived_nodes():
     proof = _hand_proof_with_dead_chain()
-    reduced, stats = reduce_proof(proof, recycle_pivots=False)
+    reduced, stats = reduce_proof(proof)
     check_proof(reduced)
     assert reduced.is_refutation()
     assert 4 not in reduced

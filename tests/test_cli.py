@@ -30,14 +30,17 @@ def test_version_flag_prints_package_version(capsys):
     assert f"repro {__version__}" in capsys.readouterr().out
 
 
-def test_no_proof_reduce_flag_disables_trimming(safe_aag, capsys):
-    assert main([safe_aag, "--engine", "itpseq", "--stats",
-                 "--no-proof-reduce"]) == 0
+def test_no_proof_reduce_flag_is_a_usage_error(safe_aag, capsys):
+    # Proof trimming is always on: the retired flag is an unknown option.
+    with pytest.raises(SystemExit) as info:
+        main([safe_aag, "--engine", "itpseq", "--no-proof-reduce"])
+    assert info.value.code == 3
+    assert "--no-proof-reduce" in capsys.readouterr().err
+    assert main([safe_aag, "--engine", "itpseq", "--stats"]) == 0
     out = capsys.readouterr().out
-    assert "pass" in out
-    assert "proof_nodes_trimmed: 0" in out
-    # The persistent fixpoint checker, the only containment path, still
-    # reuses encodings on this model.
+    assert "proof_nodes_trimmed:" in out
+    # The persistent fixpoint checker, the only containment path, reuses
+    # encodings on this model.
     assert "fixpoint_encodings_reused: 0" not in out
 
 
@@ -170,10 +173,10 @@ def test_passes_flag_selects_the_pipeline(safe_aag, capsys):
     assert main([safe_aag, "--engine", "itpseq", "--passes", ""]) == 0
 
 
-def test_unknown_pass_name_exits_two(safe_aag, capsys):
-    # Unknown names leave the run unanswered — the documented "no answer"
-    # status (2), not the usage error (3).
-    assert main([safe_aag, "--passes", "coi,fraigg"]) == 2
+def test_unknown_pass_name_exits_three(safe_aag, capsys):
+    # An unknown name is a usage error (3), like every option EngineOptions
+    # rejects — never the "no answer" status (2).
+    assert main([safe_aag, "--passes", "coi,fraigg"]) == 3
     err = capsys.readouterr().err
     assert "unknown preprocessing passes" in err
     assert "fraig" in err                    # the known-pass list is printed
