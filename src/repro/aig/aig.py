@@ -21,7 +21,7 @@ fails), matching the convention of hardware model-checking competitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = [
     "FALSE",

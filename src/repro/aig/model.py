@@ -14,8 +14,8 @@ evaluating the property on a concrete state, and enumerating initial states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .aig import Aig, Latch, lit_negate
 from .ops import coi_reduce

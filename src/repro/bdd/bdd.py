@@ -24,7 +24,7 @@ used here).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["BddManager", "BddError"]
 

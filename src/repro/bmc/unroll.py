@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..aig.aig import lit_from_var, lit_negate
+from ..aig.aig import lit_from_var
 from ..aig.model import Model
 from ..cnf.tseitin import TseitinEncoder
 from ..sat.solver import CdclSolver

@@ -80,6 +80,10 @@ class TseitinEncoder:
         #: retractable clause group owns, so the group can later be shed
         #: together with its :meth:`forget` of exactly those variables.
         self.on_gate: Optional[Callable[[int], None]] = None
+        #: Optional observer invoked with ``(aig_var, cnf_var)`` each time an
+        #: undeclared leaf is allocated its CNF variable (the fixpoint
+        #: checker reads its witness models over exactly these leaves).
+        self.on_leaf: Optional[Callable[[int, int], None]] = None
 
     # ------------------------------------------------------------------ #
     # Variable mapping
@@ -133,6 +137,8 @@ class TseitinEncoder:
             raise KeyError(
                 f"leaf variable {aig_var} ({kind}) has no CNF variable assigned")
         cnf_var = self._var_map[aig_var] = self._new_var()
+        if self.on_leaf is not None:
+            self.on_leaf(aig_var, cnf_var)
         return cnf_var
 
     # ------------------------------------------------------------------ #

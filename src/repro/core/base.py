@@ -13,7 +13,9 @@ The base gives them, as each one needs it:
 * the initial-state predicate S₀ as an AIG cone over latch variables;
 * SAT-based containment checks between AIG predicates, all on one
   *persistent* per-run :class:`~repro.core.fixpoint.FixpointChecker`
-  whose incremental Tseitin encoding pays for each accumulated cone once;
+  whose incremental Tseitin encoding pays for each accumulated cone once,
+  and whose witness filter answers most "not contained" checks from its
+  earlier SAT models without solving;
 * the shared *interpolant lifecycle*: refutations are post-processed
   (core trimming + RecyclePivots, :meth:`UmcEngine._trim_proof`) before
   extraction — the stripped and the trimmed proof share the solver
@@ -308,6 +310,10 @@ class UmcEngine:
         interpolant cones is a real — on interpolant-heavy runs dominant —
         cost, and the deterministic budgets must see it or a blowing-up
         run would never trip them.
+
+        A check the checker's witness filter answers ran no solve: it
+        counts in ``fixpoint_witness_hits`` only, since the solver's
+        ``last_call_stats`` still describe the previous solve.
         """
         self._check_budget()
         self.stats.containment_checks += 1
@@ -316,13 +322,21 @@ class UmcEngine:
                 self._fixpoint_checker = FixpointChecker(self.aig)
             checker = self._fixpoint_checker
             reused_before = checker.encodings_reused
+            hits_before = checker.witness_hits
             started = time.monotonic()
             try:
                 result = checker.implies(antecedent, consequent,
                                          budget=self._sat_budget())
             finally:
-                self.stats.sat_time += time.monotonic() - started
-                self.stats.sat_calls += 1
+                hit = checker.witness_hits != hits_before
+                if not hit:
+                    self.stats.sat_time += time.monotonic() - started
+                    self.stats.sat_calls += 1
+            if hit:
+                self.stats.fixpoint_witness_hits += 1
+                if self.tracer.enabled:
+                    self.tracer.point("witness_hit")
+                return False
             self._account_call(checker.solver.last_call_stats)
             self.stats.fixpoint_encodings_reused += (checker.encodings_reused
                                                      - reused_before)

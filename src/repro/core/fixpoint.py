@@ -49,18 +49,50 @@ constant first.  Live cones never reference a shed gate's CNF variable —
 a live gate's whole fanin cone is live by definition, so every group
 containing one of its fanins is kept; clauses of *dead* gates inside kept
 groups are conservative definitional extensions and cannot flip a verdict.
+
+Witness filter
+--------------
+Most checks answer SAT (not contained), and one satisfying assignment of
+the cones' leaves settles such a check.  The checker's own earlier SAT
+models are such assignments far more often than not, so before encoding
+anything :meth:`FixpointChecker.implies` evaluates both cones on a *pool*
+of them — the bit-parallel candidate filtering of SAT sweeping (Kuehlmann
+2004; Mishchenko et al., "FRAIGs", 2005) that :mod:`repro.preprocess.fraig`
+also uses.
+
+* **The pool** keeps the last :data:`WITNESS_POOL` SAT models as one word
+  per leaf AIG variable, bit *i* being witness *i*; a new model replaces
+  the oldest slot.  A model is read with ``solver.model_value`` over the
+  encoder's leaf variables, and a leaf encoded later reads 0 in every
+  older witness.
+* **The memo** holds the word of every AIG variable evaluated since the
+  last witness was recorded, and is cleared when one is.  Between
+  witnesses it stays valid because the AIG is append-only — a variable's
+  gate and fanins never change once created — and shedding touches only
+  CNF (clause groups and the encoder's map), never the AIG.
+* **A hit** is a witness bit set in ``antecedent ∧ ¬consequent``.  The
+  words are exact AIG evaluation of a full leaf assignment, and every
+  leaf assignment is admissible (the leaves are free), so a hit proves
+  the implication fails: the check answers SAT without encoding or
+  solving, and its gates are encoded on the next miss that needs them.
+  A hit can only say "not contained" — it may delay a fixpoint, never
+  produce one; every UNSAT answer still comes from the solver, and every
+  SAT answer the solver gives records a witness.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..aig.aig import Aig
 from ..cnf.tseitin import TseitinEncoder
 from ..sat.solver import CdclSolver
 from ..sat.types import Budget, SatResult
 
-__all__ = ["FixpointChecker"]
+__all__ = ["FixpointChecker", "WITNESS_POOL"]
+
+#: SAT models the witness filter keeps (one bit of every pool word each).
+WITNESS_POOL = 64
 
 
 class FixpointChecker:
@@ -95,6 +127,19 @@ class FixpointChecker:
         self.checks = 0
         #: Clause groups released by :meth:`shed_superseded`.
         self.groups_shed = 0
+        #: Checks the witness filter answered without solving.
+        self.witness_hits = 0
+        #: The encoder's leaves as (AIG variable, CNF variable) pairs, and
+        #: each leaf's pool word (bit i = its value in witness i).
+        self._leaves: List[Tuple[int, int]] = []
+        self._leaf_words: Dict[int, int] = {}
+        #: SAT models recorded so far; slot ``recorded % WITNESS_POOL`` is
+        #: the oldest, and ``_mask`` covers the filled slots.
+        self._recorded = 0
+        self._mask = 0
+        #: AIG variable -> pool word, valid until the next witness.
+        self._words: Dict[int, int] = {}
+        self._encoder.on_leaf = self._on_leaf
         # Pin the constant node *permanently* (outside any group): a check
         # that merely referenced it would otherwise own its unit clause and
         # shedding that check's group would unpin the constant under every
@@ -109,15 +154,28 @@ class FixpointChecker:
         if self._group is not None:
             self._group_vars[self._group].append(aig_var)
 
+    def _on_leaf(self, aig_var: int, cnf_var: int) -> None:
+        self._leaves.append((aig_var, cnf_var))
+        self._leaf_words[aig_var] = 0
+
     def implies(self, antecedent: int, consequent: int,
                 budget: Optional[Budget] = None) -> SatResult:
-        """Encode what is new, then decide ``antecedent ⇒ consequent``.
+        """Decide ``antecedent ⇒ consequent`` on the witness pool, or else
+        encode what is new and solve.
 
         Returns :data:`SatResult.UNSAT` when the implication holds,
         :data:`SatResult.SAT` when it does not, and
         :data:`SatResult.UNKNOWN` on budget exhaustion — the caller owns
-        the budget policy, mirroring :meth:`CdclSolver.solve`.
+        the budget policy, mirroring :meth:`CdclSolver.solve`.  A pooled
+        witness that refutes the implication answers SAT with no encoding
+        and no solve, and counts in :attr:`witness_hits`.
         """
+        if self._mask:
+            a_word = self._word(antecedent)
+            if a_word and a_word & ~self._word(consequent):
+                self.checks += 1
+                self.witness_hits += 1
+                return SatResult.SAT
         # Antecedent and consequent cones go into separate groups: the two
         # sides have independent lifetimes (a strengthened column's old
         # encoding dies while the R side it was checked against lives on),
@@ -130,7 +188,59 @@ class FixpointChecker:
         assumptions = list(self._groups) + [a_lit, -c_lit]
         result = self.solver.solve(assumptions=assumptions, budget=budget)
         self.checks += 1
+        if result is SatResult.SAT:
+            self._record_witness()
         return result
+
+    def _record_witness(self) -> None:
+        """Store the solver's model in the pool's oldest slot."""
+        bit = 1 << (self._recorded % WITNESS_POOL)
+        value = self.solver.model_value
+        words = self._leaf_words
+        for aig_var, cnf_var in self._leaves:
+            word = words[aig_var] & ~bit
+            words[aig_var] = word | bit if value(cnf_var) else word
+        self._recorded += 1
+        self._mask = (1 << min(self._recorded, WITNESS_POOL)) - 1
+        self._words = {}
+
+    def _word(self, lit: int) -> int:
+        """The pool word of an AIG literal (bit i: its value in witness i),
+        evaluating and memoising the not yet evaluated part of its cone."""
+        words = self._words
+        var = lit >> 1
+        word = words.get(var)
+        if word is None:
+            gates = self.aig.gate_table()
+            leaf_words = self._leaf_words
+            mask = self._mask
+            stack = [var]
+            while stack:
+                v = stack[-1]
+                if v in words:
+                    stack.pop()
+                    continue
+                gate = gates.get(v)
+                if gate is None:
+                    words[v] = leaf_words.get(v, 0)
+                    stack.pop()
+                    continue
+                left = words.get(gate.left >> 1)
+                right = words.get(gate.right >> 1)
+                if left is None or right is None:
+                    if left is None:
+                        stack.append(gate.left >> 1)
+                    if right is None:
+                        stack.append(gate.right >> 1)
+                    continue
+                if gate.left & 1:
+                    left ^= mask
+                if gate.right & 1:
+                    right ^= mask
+                words[v] = left & right
+                stack.pop()
+            word = words[var]
+        return word ^ self._mask if lit & 1 else word
 
     def _count_reused(self, roots, new_groups: List[int]) -> int:
         """The AND gates one check read from the cache, in O(new gates):

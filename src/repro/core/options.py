@@ -8,8 +8,8 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from ..bmc.checks import BmcCheckKind
 from ..preprocess.passes import validate_pass_names

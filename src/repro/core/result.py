@@ -36,8 +36,8 @@ STAT_GROUPS: Dict[str, tuple] = {
     "lifecycle": ("itp_extractions", "itp_nodes", "containment_checks",
                   "proof_nodes_trimmed", "itp_ands_compacted",
                   "fixpoint_encodings_reused", "fixpoint_groups_shed",
-                  "proof_group_solves_saved", "proof_chains_stripped",
-                  "proof_group_fallbacks"),
+                  "fixpoint_witness_hits", "proof_group_solves_saved",
+                  "proof_chains_stripped", "proof_group_fallbacks"),
     "pdr": ("blocked_cubes", "clauses_pushed"),
     "cba": ("refinements", "abstract_latches"),
     "share": ("lemmas_tx", "lemmas_rx", "lemmas_retracted",
@@ -99,8 +99,12 @@ class EngineStats:
     are not walked).  ``fixpoint_groups_shed`` counts the checker's clause
     groups released because column strengthening superseded their cones
     (:meth:`repro.core.fixpoint.FixpointChecker.shed_superseded`); only
-    the sequence engines shed, so it stays 0 elsewhere.  All of them
-    stay 0 for the PDR/BMC engines.
+    the sequence engines shed, so it stays 0 elsewhere.
+    ``fixpoint_witness_hits`` counts the containment checks the checker's
+    witness filter answered "not contained" from its pooled SAT models,
+    with no encoding and no solve (they add nothing to ``sat_calls``,
+    ``sat_time`` or the solver counters; see :mod:`repro.core.fixpoint`).
+    All of them stay 0 for the PDR/BMC engines.
 
     The group-proof counters measure the one-solve-per-bound path that
     every solo run takes: ``proof_group_solves_saved`` — bounds
@@ -139,6 +143,7 @@ class EngineStats:
     itp_ands_compacted: int = 0
     fixpoint_encodings_reused: int = 0
     fixpoint_groups_shed: int = 0
+    fixpoint_witness_hits: int = 0
     proof_group_solves_saved: int = 0
     proof_chains_stripped: int = 0
     proof_group_fallbacks: int = 0

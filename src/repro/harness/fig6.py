@@ -74,7 +74,8 @@ def fig6_summary(records: Iterable[InstanceRecord],
     (0 on preprocessing-off runs), the nodes the SAT-sweeping pass merged,
     the cone-gate encodings the persistent fixpoint checker served from
     its cache, the clause groups it shed as superseded (0 for engines
-    without containment checks or with the lifecycle off), and the fresh
+    without containment checks or with the lifecycle off), the checks its
+    witness filter answered without solving, and the fresh
     per-bound refutation solves group-aware proof logging deleted (0 for
     engines that never reuse the searcher's refutation).
     """
@@ -95,6 +96,7 @@ def fig6_summary(records: Iterable[InstanceRecord],
                      sum(r.stats.fraig_merges for r in engine_records),
                      sum(r.stats.fixpoint_encodings_reused for r in engine_records),
                      sum(r.stats.fixpoint_groups_shed for r in engine_records),
+                     sum(r.stats.fixpoint_witness_hits for r in engine_records),
                      sum(r.stats.proof_group_solves_saved for r in engine_records)])
     return rows
 
@@ -141,7 +143,7 @@ def render_fig6(records: Iterable[InstanceRecord],
                        "time(total)", "clauses_added", "max_call_conflicts",
                        "pre_ands_removed", "fraig_merges",
                        "fixpoint_reused", "fixpoint_shed",
-                       "group_solves_saved"]
+                       "witness_hits", "group_solves_saved"]
     summary_rows = fig6_summary(records, engines)
     if deterministic:
         summary_headers, summary_rows = drop_time_columns(summary_headers,

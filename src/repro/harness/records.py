@@ -20,7 +20,8 @@ RECORD_COLUMNS = (
     "pre_latches_removed", "pre_ands_removed", "fraig_classes",
     "fraig_merges", "fraig_sat_confirms",
     "proof_nodes_trimmed", "itp_ands_compacted", "fixpoint_encodings_reused",
-    "fixpoint_groups_shed", "proof_group_solves_saved",
+    "fixpoint_groups_shed", "fixpoint_witness_hits",
+    "proof_group_solves_saved",
     "proof_chains_stripped", "proof_group_fallbacks",
 )
 
