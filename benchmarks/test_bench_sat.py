@@ -171,13 +171,14 @@ def _queue_share(instance_name):
 def test_pdr_query_stream(benchmark, save_timing, monkeypatch):
     """PDR's query stream on one persistent solver: thousands of short,
     almost conflict-free assumption solves, where picking decisions is a
-    large part of the work.  Reports solves/s and decisions/s from a plain
-    run and the order queue's share of solve time from a profiled one.
+    large part of the work.  Reports solves/s, decisions/s and
+    propagations/s (the kernel's own rate) from a plain run and the order
+    queue's share of solve time from a profiled one.
 
     Wall clock only, so it goes to the untracked timing directory.
     """
     instance_name = "indB1_arb08"
-    totals = {"solves": 0, "decisions": 0, "seconds": 0.0}
+    totals = {"solves": 0, "decisions": 0, "propagations": 0, "seconds": 0.0}
     solve = CdclSolver.solve
 
     def timed(self, *args, **kwargs):
@@ -188,6 +189,7 @@ def test_pdr_query_stream(benchmark, save_timing, monkeypatch):
             totals["seconds"] += time.perf_counter() - started
             totals["solves"] += 1
             totals["decisions"] += self.last_call_stats.decisions
+            totals["propagations"] += self.last_call_stats.propagations
 
     def measure():
         with monkeypatch.context() as patch:
@@ -200,10 +202,13 @@ def test_pdr_query_stream(benchmark, save_timing, monkeypatch):
     assert totals["solves"] == 732
     seconds = totals["seconds"]
     rows = [[instance_name, totals["solves"], totals["decisions"],
-             round(seconds, 3), round(totals["solves"] / seconds),
-             round(totals["decisions"] / seconds), round(share, 3)]]
+             totals["propagations"], round(seconds, 3),
+             round(totals["solves"] / seconds),
+             round(totals["decisions"] / seconds),
+             round(totals["propagations"] / seconds), round(share, 3)]]
     save_timing(f"sat_pdr_queries_{instance_name}.txt", format_table(
-        ["instance", "solves", "decisions", "solve_s", "solves_per_s",
-         "decisions_per_s", "queue_share"], rows,
+        ["instance", "solves", "decisions", "propagations", "solve_s",
+         "solves_per_s", "decisions_per_s", "propagations_per_s",
+         "queue_share"], rows,
         title="PDR query stream: solve rate and order-queue share "
               "(profiled) of solve time"))

@@ -75,12 +75,11 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..aig.aig import Aig, lit_is_const, lit_negate
 from ..aig.model import Model
-from ..aig.ops import cone_size
 from ..bmc.cex import Trace
 from ..bmc.checks import BmcCheckKind
 from ..bmc.incremental import IncrementalUnroller, grouped_refutation
@@ -198,6 +197,10 @@ class UmcEngine:
         #: Persistent incremental containment checker over self.aig (the
         #: R-accumulation fixpoint tests; see repro.core.fixpoint).
         self._fixpoint_checker: Optional[FixpointChecker] = None
+        #: The AIG interpolants were last compacted into, and the rewrite
+        #: map kept for it (see _register_interpolant).
+        self._rewrite_aig: Optional[Aig] = None
+        self._rewrite_map: Dict[int, int] = {}
         #: Share-bus endpoint for cooperative portfolio runs (None = solo;
         #: see the "Cooperative lemma sharing" section below).
         self.share: Optional[SharePort] = share
@@ -364,9 +367,9 @@ class UmcEngine:
         if shed and self.tracer.enabled:
             self.tracer.point("group_shed", groups=shed)
 
-    def _note_interpolant(self, aig: Aig, itp_lit: int) -> None:
+    def _note_interpolant(self, itp_nodes: int) -> None:
         self.stats.itp_extractions += 1
-        self.stats.itp_nodes += cone_size(aig, itp_lit)
+        self.stats.itp_nodes += itp_nodes
 
     # ------------------------------------------------------------------ #
     # Interpolant lifecycle (proof trimming + cone compaction)
@@ -394,14 +397,22 @@ class UmcEngine:
         rebuilt through the rewriting rules
         (:func:`repro.itp.compact.compact_cone`) before it is disjoined
         into R — the one place structural sharing compounds, since every
-        later containment check reads R's cone.
+        later containment check reads R's cone.  The rewrite map is kept
+        per AIG across calls, keyed by the AIG object itself: CBA compacts
+        into an abstract AIG that refinement replaces, and a replaced AIG
+        starts a fresh map.
         """
+        itp_nodes = 0
         if not lit_is_const(itp_lit):
+            if self._rewrite_aig is not aig:
+                self._rewrite_aig = aig
+                self._rewrite_map = {}
             with self.tracer.span("compact"):
-                compaction = compact_cone(aig, itp_lit)
+                compaction = compact_cone(aig, itp_lit, self._rewrite_map)
             self.stats.itp_ands_compacted += compaction.saved
             itp_lit = compaction.lit
-        self._note_interpolant(aig, itp_lit)
+            itp_nodes = compaction.ands_after
+        self._note_interpolant(itp_nodes)
         return itp_lit
 
     # ------------------------------------------------------------------ #

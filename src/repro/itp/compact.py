@@ -26,6 +26,7 @@ cone, the original literal is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..aig.aig import Aig, lit_is_const
 from ..aig.ops import cone_size
@@ -48,7 +49,8 @@ class ConeCompaction:
         return self.ands_before - self.ands_after
 
 
-def compact_cone(aig: Aig, lit: int) -> ConeCompaction:
+def compact_cone(aig: Aig, lit: int,
+                 rewrite_map: Optional[Dict[int, int]] = None) -> ConeCompaction:
     """Rewrite the cone of ``lit`` in place; never returns a larger cone.
 
     Returns the (possibly unchanged) literal together with the cone sizes
@@ -56,11 +58,18 @@ def compact_cone(aig: Aig, lit: int) -> ConeCompaction:
     function over the same input/latch leaves, so callers may substitute
     it freely — containment checks, disjunction into R, trace extraction
     all see an equivalent predicate.
+
+    ``rewrite_map`` is the caller's rewrite map for ``aig``, kept across
+    calls (see :func:`~repro.preprocess.rewrite.rewrite_cone`): successive
+    interpolants share most of their cones, and with the map each gate is
+    rewritten once per AIG instead of once per call.  The result is the
+    same literal, and the AIG the same nodes in the same order, as with a
+    fresh map.
     """
     if lit_is_const(lit):
         return ConeCompaction(lit, 0, 0)
     before = cone_size(aig, lit)
-    rewritten = rewrite_cone(aig, [lit])[0]
+    rewritten = rewrite_cone(aig, [lit], rewrite_map=rewrite_map)[0]
     if rewritten == lit:
         return ConeCompaction(lit, before, before)
     after = cone_size(aig, rewritten)

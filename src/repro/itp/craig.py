@@ -122,6 +122,8 @@ class InterpolantBuilder:
         nodes created and their order, are exactly those of the rules in
         the module docstring; the partial interpolants are threaded through
         :meth:`Aig.add_and` directly, with ``a ∨ b`` as ``¬(¬a ∧ ¬b)``.
+        McMillan's resolution steps with an identity operand are taken
+        without the call (see :meth:`_mcmillan`); they would create no node.
         """
         if self.system == "mcmillan":
             return self._mcmillan(core, cut)
@@ -141,7 +143,13 @@ class InterpolantBuilder:
     def _mcmillan(self, core: RefutationCore, cut: int) -> int:
         """A-leaves give the disjunction of their global literals, B-leaves
         ⊤; A-local pivots disjoin, all others conjoin.  Nodes deriving only
-        from B clauses are ⊤ and are skipped (see :class:`RefutationCore`)."""
+        from B clauses are ⊤ and are skipped (see :class:`RefutationCore`).
+
+        Nearly every resolution step has a constant operand: a ⊤ premise
+        from the B side, or a ⊥ one from an A clause with no global literal.
+        A step whose operand is the identity of its connective (⊥ for ∨,
+        ⊤ for ∧) keeps the other operand, exactly what :meth:`Aig.add_and`
+        would return without creating a node, so it is taken inline."""
         add_and = self.aig.add_and
         hi = core.spans.hi
         beyond = core.spans.beyond
@@ -165,9 +173,17 @@ class InterpolantBuilder:
             for pivot, antecedent_id in chain[1:]:
                 other = partial.get(antecedent_id, TRUE)
                 if hi.get(pivot, beyond) <= cut:
-                    current = add_and(current ^ 1, other ^ 1) ^ 1
-                else:
-                    current = add_and(current, other)
+                    if other == FALSE:
+                        continue
+                    if current == FALSE:
+                        current = other
+                    else:
+                        current = add_and(current ^ 1, other ^ 1) ^ 1
+                elif other != TRUE:
+                    if current == TRUE:
+                        current = other
+                    else:
+                        current = add_and(current, other)
             partial[node.clause_id] = current
         return partial.get(core.root_id, TRUE)
 

@@ -134,7 +134,8 @@ def _map_lit(var_map: Dict[int, int], lit: int) -> int:
 
 
 def rewrite_cone(src: Aig, roots: Sequence[int], dst: Optional[Aig] = None,
-                 leaf_map: Optional[Mapping[int, int]] = None) -> List[int]:
+                 leaf_map: Optional[Mapping[int, int]] = None,
+                 rewrite_map: Optional[Dict[int, int]] = None) -> List[int]:
     """Rebuild the cones of ``roots`` through the rewriting rules.
 
     This is the cone-level form of the rewrite pass — the one-level Boolean
@@ -152,11 +153,16 @@ def rewrite_cone(src: Aig, roots: Sequence[int], dst: Optional[Aig] = None,
       how :class:`RewritePass` rebuilds a whole model into a scratch AIG.
 
     All roots share one rewrite map, so common subcones normalise once.
-    Returns the rewritten literal for each root, in order.
+    In place, a caller may also keep that map across calls on the same AIG
+    and pass it as ``rewrite_map``: the AIG is append-only, so a gate
+    rewritten once rewrites to the same literal every time, and a fresh
+    map would only re-find the gates the first rewrite created.  The map
+    is extended with every gate this call rewrites.  Returns the rewritten
+    literal for each root, in order.
     """
     target = src if dst is None else dst
     identity = dst is None
-    var_map: Dict[int, int] = {0: FALSE}
+    var_map: Dict[int, int] = {0: FALSE} if rewrite_map is None else rewrite_map
     if leaf_map is not None:
         var_map.update(leaf_map)
     return [_copy_rewritten(src, target, var_map, root, identity)

@@ -88,6 +88,23 @@ many queries list their stable assumptions first (see
 ``tests/sat/test_trajectory_pin.py`` record the trajectory, so a kernel
 change that moves it has to say so.
 
+Values and watch lists are indexed by the signed literal itself (the
+MiniSat layout of Eén and Sörensson, SAT 2003), through Python's negative
+indexing.  ``_assign[lit]`` is 1 when ``lit`` is true, 0 when it is false
+and -1 when its variable is unassigned, so ``_assign[v]`` is variable
+``v``'s value and ``_assign[-v]`` its complement; every assignment and
+unassignment writes both halves.  ``_watches[lit]`` lists the clauses
+watching ``lit``.  The two lists are laid out as
+``[unused, 1 .. capacity, -capacity .. -1]``: capacity grows *in place*
+(slice insertion at the midpoint, by a quarter), so local aliases of the
+lists stay valid when a batch of clauses allocates variables; a spare
+watch slot holds an empty tuple until its variable is created.  The one
+hazard of the layout is aliasing: a negative literal past the capacity
+indexes into the positive half without an error, so every entry point
+that receives literals ensures their variables first (:meth:`add_cnf` and
+:meth:`solve` do).  Everything else — levels, reasons, activities, phases —
+stays indexed by variable.
+
 Performance note: a pure-Python CDCL is roughly two to three orders of
 magnitude slower than MiniSAT.  The engines therefore run on down-scaled
 benchmark instances; the *relative* behaviour of the verification
@@ -110,6 +127,9 @@ _UNASSIGNED = -1
 #: The order queue is rebuilt when it holds more than this many entries per
 #: variable, so stale entries cannot grow it without bound.
 _QUEUE_SLACK = 2
+#: Variables the literal-indexed lists reserve beyond the requested one, at
+#: least: small solvers grow a few times, large ones by a quarter a time.
+_MIN_GROWTH = 16
 
 
 class SolverError(RuntimeError):
@@ -127,11 +147,6 @@ class _ClauseRec:
         self.learned = learned
         self.activity = 0.0
         self.deleted = False
-
-
-def _lit_index(lit: int) -> int:
-    """Map a DIMACS literal to a dense index (positive -> 2v, negative -> 2v+1)."""
-    return (abs(lit) << 1) | (lit < 0)
 
 
 class CdclSolver:
@@ -152,9 +167,11 @@ class CdclSolver:
         self.stats = SolverStats()
 
         self._num_vars = 0
+        #: Variables the literal-indexed lists have room for.
+        self._capacity = 0
         self._clauses: List[_ClauseRec] = []
-        self._watches: List[List[_ClauseRec]] = [[], []]  # indexed by _lit_index
-        self._assign: List[int] = [_UNASSIGNED]           # var -> 0/1/_UNASSIGNED
+        self._watches: List[List[_ClauseRec]] = [[]]  # literal -> watchers
+        self._assign: List[int] = [_UNASSIGNED]       # literal -> 1/0/_UNASSIGNED
         self._level: List[int] = [0]
         self._reason: List[Optional[_ClauseRec]] = [None]
         self._trail: List[int] = []
@@ -207,24 +224,42 @@ class CdclSolver:
     # ------------------------------------------------------------------ #
     def new_var(self) -> int:
         """Allocate and return a fresh variable (1-based)."""
-        self._num_vars += 1
-        self._assign.append(_UNASSIGNED)
+        var = self._num_vars + 1
+        if var > self._capacity:
+            self._grow(var)
+        self._num_vars = var
+        self._watches[var] = []
+        self._watches[-var] = []
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
-        self._watches.append([])
-        self._watches.append([])
         # A fresh variable has activity 0 and the highest index, and no
         # activity is negative, so it belongs at the end of the queue as is.
         self._queued.append(True)
-        self._heap.append((-0.0, self._num_vars))
-        return self._num_vars
+        self._heap.append((-0.0, var))
+        return var
 
     def ensure_var(self, var: int) -> None:
         """Make sure ``var`` exists (allocating intermediate variables)."""
+        if var > self._capacity:
+            self._grow(var)
         while self._num_vars < var:
             self.new_var()
+
+    def _grow(self, var: int) -> None:
+        """Make room in the literal-indexed lists for variables up to at
+        least ``var``, in place: the new positive and negative slots are
+        inserted together at the midpoint, between the two halves.  A spare
+        watch slot holds the shared empty tuple until :meth:`new_var` gives
+        it a list, so spare capacity costs no list objects, and a watch
+        added to a variable that does not exist fails loudly."""
+        capacity = self._capacity
+        extra = max(var - capacity, (capacity >> 2) + _MIN_GROWTH)
+        middle = capacity + 1
+        self._assign[middle:middle] = [_UNASSIGNED] * (2 * extra)
+        self._watches[middle:middle] = [()] * (2 * extra)
+        self._capacity = capacity + extra
 
     @property
     def num_vars(self) -> int:
@@ -315,19 +350,15 @@ class CdclSolver:
             if group_recs is not None:
                 group_recs.append(rec)
             if len(lits) > 1:
-                # Watch the first two literals that are not false under the
-                # current assignment: a literal is not false when its
-                # variable is unassigned or carries the literal's own
-                # polarity.
+                # Watch the first two literals when neither is false under
+                # the current assignment.  ``assign`` and ``watches`` grow in
+                # place, so the aliases survive ``ensure_var`` above.
                 first, second = lits[0], lits[1]
-                value = assign[abs(first)]
-                if value == _UNASSIGNED or value == (first > 0):
-                    value = assign[abs(second)]
-                    if value == _UNASSIGNED or value == (second > 0):
-                        clause_list.append(rec)
-                        watches[(abs(first) << 1) | (first < 0)].append(rec)
-                        watches[(abs(second) << 1) | (second < 0)].append(rec)
-                        continue
+                if assign[first] != 0 and assign[second] != 0:
+                    clause_list.append(rec)
+                    watches[first].append(rec)
+                    watches[second].append(rec)
+                    continue
                 self._add_assigned(rec)
             elif lits:
                 clause_list.append(rec)
@@ -366,7 +397,7 @@ class CdclSolver:
         if len(non_false) == 1:
             self._clauses.append(rec)
             only = lits[non_false[0]]
-            if self._assign[abs(only)] == _UNASSIGNED:
+            if self._assign[only] == _UNASSIGNED:
                 self._enqueue(only, rec)
             return
         i0, i1 = non_false
@@ -380,8 +411,7 @@ class CdclSolver:
         assign = self._assign
         non_false: List[int] = []
         for i, lit in enumerate(lits):
-            value = assign[abs(lit)]
-            if value == _UNASSIGNED or value == (lit > 0):
+            if assign[lit] != 0:
                 non_false.append(i)
                 if len(non_false) == 2:
                     break
@@ -457,6 +487,7 @@ class CdclSolver:
             # Nothing watches +group, so there is nothing to propagate.
             self._queue_head += 1
         self._assign[group] = 0
+        self._assign[-group] = 1
         self._level[group] = 0
         self._reason[group] = rec
         self._phase[group] = False
@@ -654,9 +685,10 @@ class CdclSolver:
                 continue
 
             # No conflict: extend assumptions, then decide.
-            if self._decision_level() < len(assumptions):
-                lit = assumptions[self._decision_level()]
-                value = self._value(lit)
+            level = len(self._trail_lim)
+            if level < len(assumptions):
+                lit = assumptions[level]
+                value = self._assign[lit]
                 if value == 1:
                     # Already satisfied; open an empty decision level to keep
                     # the level <-> assumption correspondence simple.
@@ -674,7 +706,8 @@ class CdclSolver:
 
             lit = self._pick_branch()
             if lit is None:
-                self._model = self._assign[:]
+                # The positive half: variable -> value.
+                self._model = self._assign[:self._num_vars + 1]
                 return SatResult.SAT
             self.stats.decisions += 1
             self._new_decision_level()
@@ -682,11 +715,13 @@ class CdclSolver:
 
     def _propagate(self) -> Optional[_ClauseRec]:
         """Unit propagation; return the conflicting clause or ``None``."""
-        # This is the hottest loop of the whole system, so _lit_index,
-        # _value and _enqueue are inlined (see benchmarks/test_bench_sat.py).
-        # A literal is true when its variable's value equals ``lit > 0`` and
-        # false when the variable is assigned to the other value.  Each watch
-        # list is compacted in place: surviving watchers keep their order.
+        # This is the hottest loop of the whole system, so _enqueue is
+        # inlined (see benchmarks/test_bench_sat.py).  Values and watch lists
+        # are indexed by the literal, so a watch visit reads
+        # ``assign[lit] == 1`` (true) or ``!= 0`` (not false) with no
+        # ``abs``; only an implied literal pays one, for its variable's level,
+        # reason and phase.  Each watch list is compacted in place:
+        # surviving watchers keep their order.
         watches = self._watches
         assign = self._assign
         levels = self._level
@@ -694,12 +729,12 @@ class CdclSolver:
         phases = self._phase
         trail = self._trail
         level = len(self._trail_lim)
-        head = self._queue_head
+        head = start = self._queue_head
         conflict: Optional[_ClauseRec] = None
         while head < len(trail) and conflict is None:
             false_lit = -trail[head]
             head += 1
-            watch_list = watches[(abs(false_lit) << 1) | (false_lit < 0)]
+            watch_list = watches[false_lit]
             end = len(watch_list)
             i = j = 0
             while i < end:
@@ -712,25 +747,23 @@ class CdclSolver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], false_lit
                 other = lits[0]
-                other_var = abs(other)
-                other_value = assign[other_var]
-                if other_value == (other > 0):
+                other_value = assign[other]
+                if other_value == 1:
                     watch_list[j] = rec
                     j += 1
                     continue
                 # Look for a replacement watch.
                 for k in range(2, len(lits)):
                     candidate = lits[k]
-                    value = assign[abs(candidate)]
-                    if value == _UNASSIGNED or value == (candidate > 0):
+                    if assign[candidate] != 0:
                         lits[1], lits[k] = candidate, false_lit
-                        watches[(abs(candidate) << 1) | (candidate < 0)].append(rec)
+                        watches[candidate].append(rec)
                         break
                 else:
                     # Clause is unit or conflicting.
                     watch_list[j] = rec
                     j += 1
-                    if other_value != _UNASSIGNED:
+                    if other_value == 0:
                         conflict = rec
                         # Keep the remaining watchers.
                         for k in range(i, end):
@@ -738,16 +771,19 @@ class CdclSolver:
                             if not rec.deleted:
                                 watch_list[j] = rec
                                 j += 1
-                        head = len(trail)
                         break
-                    assign[other_var] = 1 if other > 0 else 0
+                    assign[other] = 1
+                    assign[-other] = 0
+                    other_var = abs(other)
                     levels[other_var] = level
                     reasons[other_var] = rec
                     phases[other_var] = other > 0
                     trail.append(other)
             del watch_list[j:]
-            self.stats.propagations += 1
-        self._queue_head = head
+        # One propagation per trail literal visited; a conflict skips the
+        # rest of the queue.
+        self.stats.propagations += head - start
+        self._queue_head = len(trail) if conflict is not None else head
         return conflict
 
     def _analyze(self, conflict: _ClauseRec) -> Tuple[List[int], int,
@@ -951,21 +987,16 @@ class CdclSolver:
     # ------------------------------------------------------------------ #
     # Assignment management
     # ------------------------------------------------------------------ #
-    def _value(self, lit: int) -> int:
-        """Return 1 (true), 0 (false) or _UNASSIGNED for a literal."""
-        value = self._assign[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if lit > 0 else 1 - value
-
     def _enqueue(self, lit: int, reason: Optional[_ClauseRec]) -> bool:
         """Assign ``lit``; ``False`` when it is already false."""
-        var = abs(lit)
-        value = self._assign[var]
+        assign = self._assign
+        value = assign[lit]
         if value != _UNASSIGNED:
-            return value == (lit > 0)
-        self._assign[var] = 1 if lit > 0 else 0
-        self._level[var] = self._decision_level()
+            return value == 1
+        assign[lit] = 1
+        assign[-lit] = 0
+        var = abs(lit)
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._phase[var] = lit > 0
         self._trail.append(lit)
@@ -975,29 +1006,34 @@ class CdclSolver:
         return len(self._trail_lim)
 
     def _new_decision_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
-        self.stats.max_decision_level = max(self.stats.max_decision_level,
-                                            self._decision_level())
+        trail_lim = self._trail_lim
+        trail_lim.append(len(self._trail))
+        stats = self.stats
+        if len(trail_lim) > stats.max_decision_level:
+            stats.max_decision_level = len(trail_lim)
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
+        limit = trail_lim[level]
+        trail = self._trail
         assign = self._assign
         reason = self._reason
         activity = self._activity
         heap = self._heap
         queued = self._queued
-        for lit in reversed(self._trail[limit:]):
+        for lit in reversed(trail[limit:]):
+            assign[lit] = assign[-lit] = _UNASSIGNED
             var = abs(lit)
-            assign[var] = _UNASSIGNED
             reason[var] = None
             if not queued[var]:
                 queued[var] = True
                 heappush(heap, (-activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._queue_head = min(self._queue_head, len(self._trail))
+        del trail[limit:]
+        del trail_lim[level:]
+        if self._queue_head > limit:
+            self._queue_head = limit
 
     # ------------------------------------------------------------------ #
     # Heuristics and the order queue
@@ -1094,5 +1130,5 @@ class CdclSolver:
     # ------------------------------------------------------------------ #
     def _attach(self, rec: _ClauseRec) -> None:
         self._clauses.append(rec)
-        self._watches[_lit_index(rec.lits[0])].append(rec)
-        self._watches[_lit_index(rec.lits[1])].append(rec)
+        self._watches[rec.lits[0]].append(rec)
+        self._watches[rec.lits[1]].append(rec)

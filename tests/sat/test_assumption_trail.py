@@ -128,12 +128,16 @@ class _Stream:
 
 
 def _check_trail(solver):
-    """The trail lists each assigned variable once, with its value, and
-    decision levels never fall along it."""
+    """The trail lists each assigned variable once, with its value in both
+    halves of the literal-indexed assignment, and decision levels never
+    fall along it."""
     trail = solver._trail
+    assign = solver._assign
     assert len({abs(lit) for lit in trail}) == len(trail)
-    assert sum(value != -1 for value in solver._assign[1:]) == len(trail)
-    assert all(solver._assign[abs(lit)] == (lit > 0) for lit in trail)
+    variables = range(1, solver.num_vars + 1)
+    assert sum(assign[var] != -1 for var in variables) == len(trail)
+    assert sum(assign[-var] != -1 for var in variables) == len(trail)
+    assert all(assign[lit] == 1 and assign[-lit] == 0 for lit in trail)
     levels = [solver._level[abs(lit)] for lit in trail]
     assert levels == sorted(levels)
     starts = [0] + solver._trail_lim
