@@ -58,8 +58,8 @@ def test_growth_in_the_middle_of_one_batch():
     solver.add_clause([1])
     assert solver.solve([2]) is SatResult.SAT
     assign, watches, capacity = solver._assign, solver._watches, solver._capacity
-    # Each clause reaches further past the capacity; the first ones are
-    # watched before the lists grow under the batch.
+    # Each clause reaches further past the capacity, so the lists grow
+    # under the batch after its first clauses went in.
     far = [capacity + 1, 3 * capacity, 7 * capacity]
     batch = [[-1, 3], [-2, -3, far[0]], [-far[0], far[1]], [-far[1], -far[2]],
              [-3, far[2], far[1]], [far[2], 2]]
