@@ -20,15 +20,22 @@ Two acceptance claims are asserted here:
 
 Budgets are solver counters, never wall clock, so the committed bytes
 regenerate identically on any machine and at any ``--jobs`` fan-out.
+
+A second, untracked table (``timing/preprocess_passes.txt``) times each
+default-pipeline pass per model and lists the fraig stage's SAT refutes
+and the pairs its counterexamples answered by resimulation.
 """
+
+import time
 
 import pytest
 
 from budgets import CLAUSE_BUDGET, PROP_BUDGET
-from repro.circuits import get_instance, redundant_suite
+from repro.circuits import fuzz_instance, get_instance, redundant_suite
 from repro.core import EngineOptions, run_engine
 from repro.harness import format_table
-from repro.preprocess import DEFAULT_PASSES, FraigPass
+from repro.preprocess import (DEFAULT_PASSES, FraigPass, build_pipeline,
+                              find_equivalences)
 
 pytestmark = pytest.mark.benchmark(group="fraig")
 
@@ -86,3 +93,49 @@ def test_fraig_reduction_artifact(benchmark, save_artifact):
     for name, row in by_name.items():
         no_fraig, with_fraig = row[6], row[7]
         assert with_fraig <= 1.05 * no_fraig, (name, no_fraig, with_fraig)
+
+
+#: The timing table adds the deep itp_deep circuits and a few fuzz models.
+TIMED_CASES = CASES + ["indA1_ring12", "indB1_arb08", "modcnt12", "traffic2"]
+TIMED_FUZZ_SEEDS = range(5)
+#: Each pass time is the fastest of this many pipeline runs.
+TIMING_REPEATS = 3
+
+
+def _timed_pipeline(build):
+    """Per-pass milliseconds (fastest of the repeats), and the model the
+    fraig pass receives."""
+    best = None
+    fraig_input = None
+    for _ in range(TIMING_REPEATS):
+        current = build()
+        times = []
+        for stage in build_pipeline().passes:
+            if stage.name == "fraig":
+                fraig_input = current
+            started = time.perf_counter()
+            current = stage.apply(current).model
+            times.append(1000 * (time.perf_counter() - started))
+        best = times if best is None else [min(a, b)
+                                           for a, b in zip(best, times)]
+    return best, fraig_input
+
+
+def test_preprocess_pass_timing(save_timing):
+    builds = ([(name, get_instance(name).build) for name in TIMED_CASES]
+              + [(f"fuzz_s{seed}", fuzz_instance(seed).build)
+                 for seed in TIMED_FUZZ_SEEDS])
+    rows = []
+    for name, build in builds:
+        times, fraig_input = _timed_pipeline(build)
+        found = find_equivalences(fraig_input)
+        rows.append([name] + [f"{ms:.2f}" for ms in times]
+                    + [f"{sum(times):.2f}", found.sat_refutes,
+                       found.resim_answered])
+    headers = (["instance"] + [f"{name} ms" for name in DEFAULT_PASSES]
+               + ["total ms", "fraig SAT refutes", "resimulated pairs"])
+    save_timing("preprocess_passes.txt", format_table(
+        headers, rows,
+        title="Default preprocessing pipeline: per-pass wall clock "
+              f"(fastest of {TIMING_REPEATS} runs) and the fraig stage's "
+              "SAT refutes and resimulation-answered pairs"))

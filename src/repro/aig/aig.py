@@ -207,7 +207,7 @@ class Aig:
             return a
         if a == b:
             return a
-        if a == lit_negate(b):
+        if a == b ^ 1:
             return FALSE
         # Canonical order for hashing.
         if a > b:
@@ -216,11 +216,12 @@ class Aig:
         cached = self._strash.get(key)
         if cached is not None:
             return cached
-        var = self.new_var()
-        gate = AndGate(var=var, left=a, right=b)
-        self._ands[var] = gate
+        # new_var and lit_from_var, inlined.
+        var = limit
+        self._num_vars = var + 1
+        self._ands[var] = AndGate(var, a, b)
         self._and_order.append(var)
-        out = lit_from_var(var)
+        out = 2 * var
         self._strash[key] = out
         return out
 
@@ -365,7 +366,8 @@ class Aig:
 
     def gate_table(self) -> Mapping[int, AndGate]:
         """The live AND-gate table, variable -> gate, for hot loops that look
-        up many gates; it grows with the AIG and must not be modified."""
+        up many gates; it grows with the AIG and must not be modified.  Its
+        iteration order is creation order, which is topological."""
         return self._ands
 
     def node_kind(self, var: int) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .aig import FALSE, TRUE, Aig, lit_negate, lit_sign, lit_var
+from .aig import FALSE, Aig, lit_var
 
 __all__ = [
     "copy_cone",
@@ -20,6 +20,7 @@ __all__ = [
     "cone_of_influence",
     "coi_reduce",
     "structural_levels",
+    "cone_gates",
     "cone_size",
 ]
 
@@ -71,65 +72,62 @@ class LiteralMapper:
 
     def copy_lit(self, lit: int) -> int:
         """Copy (recursively) a source literal; return the destination literal."""
-        var = lit_var(lit)
-        mapped = self._copy_var(var)
-        return lit_negate(mapped) if lit_sign(lit) else mapped
+        mapped = self._copy_var(lit >> 1)
+        return mapped ^ 1 if lit & 1 else mapped
 
     def _copy_var(self, var: int) -> int:
-        cached = self._var_map.get(var)
+        var_map = self._var_map
+        cached = var_map.get(var)
         if cached is not None:
             return cached
-        if var not in self._redirects and self.src.node_kind(var) != "and":
-            raise KeyError(
-                f"leaf variable {var} ({self.src.node_kind(var)}) has no mapping "
-                "into the destination AIG")
+        redirects = self._redirects
+        gates = self.src.gate_table()
+        if var not in redirects and var not in gates:
+            self._missing_leaf(var)
         # Iterative post-order copy to avoid recursion limits on deep cones.
+        add_and = self.dst.add_and
         stack = [var]
         while stack:
             v = stack[-1]
-            if v in self._var_map:
+            if v in var_map:
                 stack.pop()
                 continue
-            redirect = self._redirects.get(v)
+            redirect = redirects.get(v)
             if redirect is not None:
-                target_var = lit_var(redirect)
-                if target_var in self._var_map:
-                    self._var_map[v] = self._map_lit_shallow(redirect)
+                target = var_map.get(redirect >> 1)
+                if target is not None:
+                    var_map[v] = target ^ 1 if redirect & 1 else target
                     stack.pop()
                 else:
-                    if (target_var not in self._redirects
-                            and self.src.node_kind(target_var) != "and"):
-                        raise KeyError(
-                            f"redirect target variable {target_var} "
-                            f"({self.src.node_kind(target_var)}) has no mapping "
-                            "into the destination AIG")
+                    target_var = redirect >> 1
+                    if target_var not in redirects and target_var not in gates:
+                        self._missing_leaf(target_var,
+                                           "redirect target variable")
                     stack.append(target_var)
                 continue
-            gate = self.src.and_gate(v)
-            left_var, right_var = lit_var(gate.left), lit_var(gate.right)
-            pending = []
-            for u in (left_var, right_var):
-                if u not in self._var_map:
-                    if u in self._redirects:
-                        pending.append(u)
-                    elif self.src.node_kind(u) != "and":
-                        raise KeyError(
-                            f"leaf variable {u} ({self.src.node_kind(u)}) has no mapping "
-                            "into the destination AIG")
-                    else:
-                        pending.append(u)
-            if pending:
-                stack.extend(pending)
+            gate = gates[v]
+            left, right = gate.left, gate.right
+            mapped_left = var_map.get(left >> 1)
+            mapped_right = var_map.get(right >> 1)
+            if mapped_left is None or mapped_right is None:
+                # Right fanin pushed last, so it is copied first.
+                for u in (left >> 1, right >> 1):
+                    if u not in var_map:
+                        if u not in redirects and u not in gates:
+                            self._missing_leaf(u)
+                        stack.append(u)
                 continue
-            left = self._map_lit_shallow(gate.left)
-            right = self._map_lit_shallow(gate.right)
-            self._var_map[v] = self.dst.add_and(left, right)
+            # An uncomplemented fanin passes its mapped int object on
+            # unchanged (``x ^ 0`` would allocate a copy the gate keeps).
+            var_map[v] = add_and(
+                mapped_left ^ 1 if left & 1 else mapped_left,
+                mapped_right ^ 1 if right & 1 else mapped_right)
             stack.pop()
-        return self._var_map[var]
+        return var_map[var]
 
-    def _map_lit_shallow(self, lit: int) -> int:
-        mapped = self._var_map[lit_var(lit)]
-        return lit_negate(mapped) if lit_sign(lit) else mapped
+    def _missing_leaf(self, var: int, what: str = "leaf variable") -> None:
+        raise KeyError(f"{what} {var} ({self.src.node_kind(var)}) has no "
+                       "mapping into the destination AIG")
 
 
 def copy_cone(
@@ -152,23 +150,31 @@ def cone_of_influence(aig: Aig, roots: Iterable[int]) -> Tuple[Set[int], Set[int
 
     Unlike :meth:`Aig.support`, latch next-state functions are followed
     transitively, so the result is the set of state variables that can ever
-    influence the root literals.
+    influence the root literals.  One walk with one visited set covers the
+    roots and every next-state function it reaches, so each node is
+    visited once.
     """
+    gates = aig.gate_table()
     inputs: Set[int] = set()
     latches: Set[int] = set()
-    frontier = list(roots)
-    visited_lits: Set[int] = set()
-    while frontier:
-        lit = frontier.pop()
-        if lit in visited_lits:
+    visited: Set[int] = {0}
+    stack = [lit >> 1 for lit in roots]
+    while stack:
+        var = stack.pop()
+        if var in visited:
             continue
-        visited_lits.add(lit)
-        ins, lats = aig.support([lit])
-        inputs.update(ins)
-        new_latches = [v for v in lats if v not in latches]
-        latches.update(lats)
-        for var in new_latches:
-            frontier.append(aig.latch(var).next)
+        visited.add(var)
+        gate = gates.get(var)
+        if gate is not None:
+            stack.append(gate.left >> 1)
+            stack.append(gate.right >> 1)
+        elif aig.is_latch(var):
+            latches.add(var)
+            stack.append(aig.latch(var).next >> 1)
+        elif aig.is_input(var):
+            inputs.add(var)
+        else:
+            raise KeyError(f"unknown variable {var}")
     return inputs, latches
 
 
@@ -222,6 +228,24 @@ def structural_levels(aig: Aig) -> Dict[int, int]:
     return levels
 
 
+def cone_gates(aig: Aig, roots: Iterable[int]) -> Set[int]:
+    """The AND variables in the combinational cones of ``roots``: one walk
+    of the gate table, in no particular order."""
+    gates = aig.gate_table()
+    seen: Set[int] = set()
+    stack = [lit >> 1 for lit in roots]
+    while stack:
+        var = stack.pop()
+        if var in seen:
+            continue
+        gate = gates.get(var)
+        if gate is not None:
+            seen.add(var)
+            stack.append(gate.left >> 1)
+            stack.append(gate.right >> 1)
+    return seen
+
+
 def cone_size(aig: Aig, root: int) -> int:
     """Number of AND gates in the combinational cone of a literal."""
-    return sum(1 for v in aig.fanin_cone([root]) if aig.is_and(v))
+    return len(cone_gates(aig, [root]))

@@ -16,6 +16,13 @@ pattern *i*).  The module also hosts the *ternary* lane-parallel kernel:
 each node carries two words ``(value, known)`` — lane *i* is 0/1 when bit
 *i* of ``known`` is set, X otherwise — which is what retires the old
 per-bit 0/1/X evaluation of the sweeping pass.
+
+The kernels (:func:`simulate_comb`, :func:`ternary_simulate_comb` and
+:meth:`SequentialSimulator.step`) walk the AIG's gate table in creation
+(topological) order and evaluate each fanin literal with bit operations:
+``lit >> 1`` is its variable and ``lit & 1`` selects the complement, which
+flips the word against the lane mask (or, ternary, against ``known``).  No
+helper is called per gate.
 """
 
 from __future__ import annotations
@@ -87,9 +94,13 @@ def simulate_comb(
         else:
             init = latch.init if latch.init is not None else 0
             values[latch.var] = mask if init else 0
-    for gate in aig.iter_and_gates():
-        values[gate.var] = (_lit_value(values, gate.left, mask)
-                            & _lit_value(values, gate.right, mask))
+    # A complemented fanin flips its word: ``flip[lit & 1]`` is 0 or mask.
+    flip = (0, mask)
+    for var, gate in aig.gate_table().items():
+        left = gate.left
+        right = gate.right
+        values[var] = ((values[left >> 1] ^ flip[left & 1])
+                       & (values[right >> 1] ^ flip[right & 1]))
     return values
 
 
@@ -118,11 +129,9 @@ class SequentialSimulator:
     def step(self, input_values: Mapping[int, int]) -> Dict[int, int]:
         """Apply one clock cycle; return the full value map *before* the tick."""
         values = simulate_comb(self.aig, input_values, self.state, self.width)
-        mask = _mask(self.width)
-        next_state: Dict[int, int] = {}
-        for latch in self.aig.latches:
-            next_state[latch.var] = _lit_value(values, latch.next, mask)
-        self.state = next_state
+        flip = (0, _mask(self.width))
+        self.state = {latch.var: values[latch.next >> 1] ^ flip[latch.next & 1]
+                      for latch in self.aig.latches}
         return values
 
     def run(self, input_sequence: Sequence[Mapping[int, int]]) -> List[Dict[int, int]]:
@@ -233,11 +242,17 @@ def ternary_simulate_comb(
             values[latch.var] = (0, 0)
         else:
             values[latch.var] = (mask if latch.init else 0, mask)
-    for gate in aig.iter_and_gates():
-        left_v, left_k = _ternary_lit(values, gate.left, mask)
-        right_v, right_k = _ternary_lit(values, gate.right, mask)
+    for var, gate in aig.gate_table().items():
+        left = gate.left
+        right = gate.right
+        left_v, left_k = values[left >> 1]
+        if left & 1:
+            left_v ^= left_k
+        right_v, right_k = values[right >> 1]
+        if right & 1:
+            right_v ^= right_k
         known = ((left_k & right_k)
                  | (left_k & ~left_v)
                  | (right_k & ~right_v)) & mask
-        values[gate.var] = (left_v & right_v & known, known)
+        values[var] = (left_v & right_v & known, known)
     return values

@@ -3,8 +3,8 @@
 A :class:`Trace` is the witness returned by a failing BMC or UMC run: the
 initial latch values plus one primary-input valuation per time frame.  The
 class can *replay* itself on a concrete :class:`~repro.aig.model.Model`
-through the sequential simulator, which is how the engines (and the
-test-suite) validate that a reported failure is real.
+through the combinational simulator, one call per frame, which is how the
+engines (and the test-suite) validate that a reported failure is real.
 """
 
 from __future__ import annotations
@@ -63,18 +63,31 @@ class Trace:
 
         The trace must start in a legal initial state, respect the model's
         invariant constraints at every frame and assert the bad literal at
-        frame ``depth``.
+        frame ``depth``.  Each frame is one :func:`simulate_comb` call: the
+        constraints, the next state and, at the last frame, the bad literal
+        are all read from its value map.
         """
         for latch in model.latches:
             if latch.init is None:
                 continue
             if self.initial_state.get(latch.var, False) != bool(latch.init):
                 return False
-        states = self.states(model)
-        for frame, state in enumerate(states):
-            if not model.constraints_hold(state, self.input_at(frame)):
+        aig = model.aig
+        latches = aig.latches
+        input_vars = aig.input_vars()
+        constraints = aig.constraints
+        state = {latch.var: int(bool(self.initial_state.get(latch.var, False)))
+                 for latch in latches}
+        for frame in range(self.depth + 1):
+            inputs = self.input_at(frame)
+            values = simulate_comb(
+                aig, {var: int(bool(inputs.get(var, False)))
+                      for var in input_vars}, state)
+            if not all(lit_value(values, c) for c in constraints):
                 return False
-        return model.is_bad_state(states[self.depth], self.input_at(self.depth))
+            state = {latch.var: lit_value(values, latch.next)
+                     for latch in latches}
+        return bool(lit_value(values, model.bad_literal))
 
     def __len__(self) -> int:
         return self.depth + 1

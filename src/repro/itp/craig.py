@@ -151,6 +151,8 @@ class InterpolantBuilder:
         ⊤ for ∧) keeps the other operand, exactly what :meth:`Aig.add_and`
         would return without creating a node, so it is taken inline."""
         add_and = self.aig.add_and
+        # Global literals map to variables that exist before extraction.
+        limit = self.aig.num_vars
         hi = core.spans.hi
         beyond = core.spans.beyond
         partial: Dict[int, int] = {}
@@ -161,12 +163,21 @@ class InterpolantBuilder:
             if not chain:
                 # An A clause: every variable has lo <= cut, so it is global
                 # exactly when it also occurs right of the cut.
-                out = TRUE
+                # The first global literal seeds the conjunction: it is
+                # what add_and(TRUE, x) returns, after the same range check.
+                out = -1
                 for lit in node.clause.literals:
                     var = lit if lit > 0 else -lit
                     if hi[var] > cut:
-                        out = add_and(out, self._aig_var(var) ^ (lit > 0))
-                partial[node.clause_id] = out ^ 1
+                        x = self._aig_var(var) ^ (lit > 0)
+                        if out >= 0:
+                            out = add_and(out, x)
+                        elif x >> 1 >= limit:
+                            raise ValueError(
+                                f"literal {x} references an unknown variable")
+                        else:
+                            out = x
+                partial[node.clause_id] = FALSE if out < 0 else out ^ 1
                 continue
             # Both rules are symmetric in the premises: no pivot polarity.
             current = partial.get(chain[0][1], TRUE)

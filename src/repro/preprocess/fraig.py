@@ -7,8 +7,8 @@ cone that is provably constant — survive every structural pass.  Fraiging
 closes that gap with the classic simulate↔SAT refinement loop:
 
 1. **Signature bucketing.**  Seeded 64-lane random simulation
-   (:mod:`repro.aig.simulate`) assigns every node a signature — the tuple
-   of its value words over all rounds.  Purely combinational rounds draw
+   (:mod:`repro.aig.simulate`) assigns every node a signature — its value
+   words over all rounds, side by side in one integer.  Purely combinational rounds draw
    inputs *and* latch words at random; a sequential random-stimulus pass
    (:func:`~repro.aig.simulate.random_stimulus_rounds`) adds
    reachable-biased rounds.  Nodes are bucketed by *phase-canonical*
@@ -16,16 +16,25 @@ closes that gap with the classic simulate↔SAT refinement loop:
    classes cover both ``a ≡ b`` and ``a ≡ ¬b``; the constant node is a
    class member like any other, which is how ``node ≡ FALSE/TRUE``
    conjectures arise.
-2. **Incremental SAT confirmation.**  One persistent
-   :class:`~repro.sat.solver.CdclSolver` carries the Tseitin encoding of
-   every cone ever examined; each candidate pair gets a two-clause miter
-   (``a ≠ b`` is satisfiable?) under a retractable activation-literal
-   clause group (:meth:`~repro.sat.solver.CdclSolver.new_group`), released
-   after the answer either way.  UNSAT proves the pair equivalent and
-   records a merge; SAT yields a counterexample leaf assignment that is
-   fed back as a new simulation lane, splitting every class it
-   distinguishes.  The loop re-buckets and re-sweeps until no candidate
-   pair is left (classes only ever split, so it terminates).
+2. **Incremental SAT confirmation, refined by each counterexample.**  One
+   persistent :class:`~repro.sat.solver.CdclSolver` carries the Tseitin
+   encoding of every cone ever examined; each candidate pair gets a
+   two-clause miter (``a ≠ b`` is satisfiable?) under a retractable
+   activation-literal clause group
+   (:meth:`~repro.sat.solver.CdclSolver.new_group`), released after the
+   answer either way.  UNSAT proves the pair equivalent and records a
+   merge.  SAT yields a counterexample leaf assignment, which is simulated
+   at once into one lane of the round's per-node words; every later pair
+   of the round that those words already tell apart (phase-adjusted) is
+   answered without a SAT call (``resim_answered``), as in the FRAIG
+   construction.  The round's words then become the next signature round,
+   splitting every class they distinguish; the loop re-buckets and
+   re-sweeps until no candidate pair is left (classes only ever split, so
+   it terminates).  ``sat_refutes`` counts only the miters that answered
+   SAT, one per counterexample lane.  A class holds every node equivalent
+   to its members, so each merge targets the earliest unmerged equivalent
+   node, whichever pairs the counterexamples answer (unless a miter
+   exceeds its conflict budget and its pair is abandoned).
 3. **Merged-model rebuild.**  Every SAT-proven node redirects to its class
    representative (the topologically earliest member, possibly
    complemented, possibly a constant); the observed cones are rewritten
@@ -55,10 +64,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..aig.aig import Aig, lit_from_var, lit_negate
 from ..aig.model import Model
+from ..aig.ops import cone_gates
 from ..aig.simulate import (random_leaf_words, random_stimulus_rounds,
                             simulate_comb)
 from ..cnf.tseitin import TseitinEncoder
@@ -101,7 +111,12 @@ class FraigResult:
     sat_confirms: int = 0
     #: Miter SAT answers (each one contributed a splitting pattern).
     sat_refutes: int = 0
-    #: Simulation rounds evaluated (initial + counterexample feedback).
+    #: Candidate pairs answered "not equivalent" by the current round's
+    #: counterexample patterns, with no SAT call.
+    resim_answered: int = 0
+    #: Miters that exceeded the conflict budget; their pairs were abandoned.
+    abandoned: int = 0
+    #: Simulation rounds evaluated (initial + one per refinement round).
     rounds: int = 0
 
 
@@ -113,7 +128,7 @@ def find_equivalences(model: Model,
     result = FraigResult()
     roots = ([latch.next for latch in aig.latches]
              + [aig.bad[model.property_index]] + list(aig.constraints))
-    gates = sorted(v for v in aig.fanin_cone(roots) if aig.is_and(v))
+    gates = sorted(cone_gates(aig, roots))
     if not gates:
         return result
     inputs = sorted(aig.input_vars())
@@ -125,13 +140,17 @@ def find_equivalences(model: Model,
     ordered = [0] + sorted(set(inputs) | set(latch_vars) | set(gates))
     gate_set = set(gates)
 
-    sigs: Dict[int, List[int]] = {var: [] for var in ordered}
-    masks: List[int] = []
+    # A node's signature is one int: its value words of all rounds side by
+    # side, the first round in the lowest bits.  ``width`` is their total.
+    sigs: Dict[int, int] = dict.fromkeys(ordered, 0)
+    width = 0
 
-    def append_round(values: Dict[int, int], width: int) -> None:
-        masks.append((1 << width) - 1)
+    def append_round(values: Union[Dict[int, int], List[int]],
+                     lanes: int) -> None:
+        nonlocal width
         for var in ordered:
-            sigs[var].append(values[var])
+            sigs[var] |= values[var] << width
+        width += lanes
         result.rounds += 1
 
     rng = random.Random(config.seed)
@@ -149,26 +168,33 @@ def find_equivalences(model: Model,
     encoder = TseitinEncoder(aig, solver.new_var, solver.add_cnf,
                              allocate_leaves=True)
     abandoned: Set[Tuple[int, int]] = set()
+    # The cone's gates as (var, left, right) rows in topological order: the
+    # per-counterexample simulation below walks them once per pattern.
+    table = aig.gate_table()
+    rows = [(var, table[var].left, table[var].right) for var in gates]
+    leaves = inputs + latch_vars
 
     while True:
-        # Bucket the unmerged nodes by phase-canonical signature.
-        classes: Dict[Tuple[int, ...], List[int]] = {}
+        # Bucket the unmerged nodes by phase-canonical signature: the
+        # phase is the node's value in the first lane.
+        classes: Dict[int, List[int]] = {}
         phases: Dict[int, int] = {}
+        mask = (1 << width) - 1
         for var in ordered:
             if var in result.merges:
                 continue
             signature = sigs[var]
-            phase = signature[0] & 1
-            if phase:
-                key = tuple(~word & mask
-                            for word, mask in zip(signature, masks))
-            else:
-                key = tuple(signature)
+            phase = signature & 1
             phases[var] = phase
-            classes.setdefault(key, []).append(var)
+            classes.setdefault(signature ^ mask if phase else signature,
+                               []).append(var)
 
-        # SAT-confirm every candidate pair (representative vs. member).
-        patterns: List[Dict[int, bool]] = []
+        # Confirm every candidate pair (representative vs. member).  Each
+        # SAT counterexample is simulated at once into this round's words,
+        # one lane per pattern; a later pair those words already tell apart
+        # needs no SAT call.
+        words = [0] * aig.num_vars
+        lanes = 0
         for members in classes.values():
             representative = members[0]
             mergeable = [m for m in members[1:]
@@ -179,8 +205,15 @@ def find_equivalences(model: Model,
             result.classes += 1
             rep_lit = lit_from_var(representative)
             for member in mergeable:
-                target = (rep_lit if phases[member] == phases[representative]
-                          else lit_negate(rep_lit))
+                same_phase = phases[member] == phases[representative]
+                if lanes:
+                    differ = words[member] ^ words[representative]
+                    if not same_phase:
+                        differ ^= (1 << lanes) - 1
+                    if differ:
+                        result.resim_answered += 1
+                        continue
+                target = rep_lit if same_phase else lit_negate(rep_lit)
                 member_cnf = encoder.literal(lit_from_var(member))
                 target_cnf = encoder.literal(target)
                 group = solver.new_group()
@@ -195,44 +228,49 @@ def find_equivalences(model: Model,
                     result.sat_confirms += 1
                 elif answer is SatResult.SAT:
                     result.sat_refutes += 1
-                    patterns.append(_leaf_pattern(solver, encoder,
-                                                  inputs, latch_vars))
+                    _simulate_pattern(
+                        _leaf_pattern(solver, encoder, leaves), rows, words,
+                        1 << lanes)
+                    lanes += 1
                 else:
+                    result.abandoned += 1
                     abandoned.add((representative, member))
-        if not patterns:
+        if not lanes:
             return result
 
-        # Feed the counterexamples back as fresh lanes: every refuted pair
-        # lands in different buckets next round, so the partition strictly
-        # refines and the loop terminates.
-        for start in range(0, len(patterns), config.width):
-            chunk = patterns[start:start + config.width]
-            input_words = {var: 0 for var in inputs}
-            state_words = {var: 0 for var in latch_vars}
-            for lane, pattern in enumerate(chunk):
-                for var, bit in pattern.items():
-                    if bit:
-                        if var in input_words:
-                            input_words[var] |= 1 << lane
-                        else:
-                            state_words[var] |= 1 << lane
-            append_round(simulate_comb(aig, input_words, state_words,
-                                       len(chunk)), len(chunk))
+        # The round's words are the next signature round: every refuted or
+        # resimulated pair lands in different buckets, so the partition
+        # strictly refines and the loop terminates.
+        append_round(words, lanes)
+
+
+def _simulate_pattern(pattern: Sequence[int], rows: Sequence[Tuple[int, int, int]],
+                      words: List[int], lane: int) -> None:
+    """Set bit ``lane`` of ``words`` on every node one leaf pattern makes 1.
+
+    ``pattern`` lists the leaf variables the pattern sets; every other leaf
+    is 0.  ``rows`` are the cone's gates in topological order.
+    """
+    bits = [0] * len(words)
+    for var in pattern:
+        bits[var] = 1
+        words[var] |= lane
+    for var, left, right in rows:
+        if bits[left >> 1] ^ (left & 1) and bits[right >> 1] ^ (right & 1):
+            bits[var] = 1
+            words[var] |= lane
 
 
 def _leaf_pattern(solver: CdclSolver, encoder: TseitinEncoder,
-                  inputs: Sequence[int],
-                  latch_vars: Sequence[int]) -> Dict[int, bool]:
-    """Read the miter model back as an AIG leaf assignment.
+                  leaves: Sequence[int]) -> List[int]:
+    """The leaf variables the miter model sets to 1.
 
-    Leaves outside the encoded cones have no CNF variable; they default to
-    0, which is deterministic and irrelevant to the pair the model refutes.
+    Leaves outside the encoded cones have no CNF variable; they are 0,
+    which is deterministic and irrelevant to the pair the model refutes.
     """
-    pattern: Dict[int, bool] = {}
-    for var in list(inputs) + list(latch_vars):
-        if encoder.has_var(var):
-            pattern[var] = solver.model_value(encoder.cnf_var(var))
-    return pattern
+    return [var for var in leaves
+            if encoder.has_var(var)
+            and solver.model_value(encoder.cnf_var(var))]
 
 
 class FraigPass(Pass):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
-from ..aig.aig import FALSE, TRUE, Aig, lit_from_var, lit_negate, lit_sign, lit_var
+from ..aig.aig import FALSE, TRUE, Aig, AndGate
 from ..aig.model import Model
 from .modelmap import ModelMap
 from .passes import Pass, PassResult
@@ -39,17 +39,18 @@ __all__ = ["RewritePass", "rewrite_and", "rewrite_cone"]
 _MAX_FLAT_WIDTH = 8
 
 
-def _flatten(aig: Aig, lit: int, acc: Set[int]) -> bool:
+def _flatten(gates: Mapping[int, AndGate], lit: int, acc: Set[int]) -> bool:
     """Collect the conjuncts of ``lit`` through positive AND edges.
 
-    Returns ``False`` (and stops descending) once the conjunction exceeds
-    :data:`_MAX_FLAT_WIDTH` — callers then keep the original structure.
+    ``gates`` is the AIG's gate table.  Returns ``False`` (and stops
+    descending) once the conjunction exceeds :data:`_MAX_FLAT_WIDTH` —
+    callers then keep the original structure.
     """
     stack = [lit]
     while stack:
         current = stack.pop()
-        if not lit_sign(current) and aig.is_and(lit_var(current)):
-            gate = aig.and_gate(lit_var(current))
+        gate = None if current & 1 else gates.get(current >> 1)
+        if gate is not None:
             stack.append(gate.left)
             stack.append(gate.right)
         else:
@@ -61,29 +62,30 @@ def _flatten(aig: Aig, lit: int, acc: Set[int]) -> bool:
 
 def rewrite_and(aig: Aig, a: int, b: int) -> int:
     """Build ``a & b`` in ``aig`` with two-level rewriting simplifications."""
+    gates = aig.gate_table()
     # One-level rules through a complemented AND child.
     for x, y in ((a, b), (b, a)):
-        if lit_sign(y) and aig.is_and(lit_var(y)):
-            gate = aig.and_gate(lit_var(y))
+        gate = gates.get(y >> 1) if y & 1 else None
+        if gate is not None:
             c, d = gate.left, gate.right
             # x & !(c & d) with x => !c (or x => !d): the negation is implied.
-            if x == lit_negate(c) or x == lit_negate(d):
+            if x == c ^ 1 or x == d ^ 1:
                 return x
             # x & !(c & d) with x == c: reduces to x & !d (and symmetrically).
             if x == c:
-                return aig.add_and(x, lit_negate(d))
+                return aig.add_and(x, d ^ 1)
             if x == d:
-                return aig.add_and(x, lit_negate(c))
+                return aig.add_and(x, c ^ 1)
 
     # Flatten both AND trees into one deduplicated, sorted conjunction.
     leaves: Set[int] = set()
-    if not (_flatten(aig, a, leaves) and _flatten(aig, b, leaves)):
+    if not (_flatten(gates, a, leaves) and _flatten(gates, b, leaves)):
         return aig.add_and(a, b)
     leaves.discard(TRUE)
     if FALSE in leaves:
         return FALSE
     for lit in leaves:
-        if lit_negate(lit) in leaves:
+        if lit ^ 1 in leaves:
             return FALSE
     out = TRUE
     for lit in sorted(leaves):
@@ -99,38 +101,42 @@ def _copy_rewritten(src: Aig, dst: Aig, var_map: Dict[int, int], lit: int,
     ``dst is src``) input/latch leaves missing from ``var_map`` map to
     themselves; otherwise every leaf must have been declared up front.
     """
-    root_var = lit_var(lit)
+    root_var = lit >> 1
     if root_var not in var_map:
+        gates = src.gate_table()
         stack: List[int] = [root_var]
         while stack:
             var = stack[-1]
             if var in var_map:
                 stack.pop()
                 continue
-            if not src.is_and(var):
+            gate = gates.get(var)
+            if gate is None:
                 if not identity_leaves:
                     raise KeyError(
                         f"leaf variable {var} has no mapping in the "
                         "destination AIG")
-                var_map[var] = lit_from_var(var)
+                var_map[var] = var << 1
                 stack.pop()
                 continue
-            gate = src.and_gate(var)
-            pending = [u for u in (lit_var(gate.left), lit_var(gate.right))
-                       if u not in var_map]
-            if pending:
-                stack.extend(pending)
+            left, right = gate.left, gate.right
+            mapped_left = var_map.get(left >> 1)
+            mapped_right = var_map.get(right >> 1)
+            if mapped_left is None or mapped_right is None:
+                # Right fanin pushed last, so it is rewritten first.
+                if mapped_left is None:
+                    stack.append(left >> 1)
+                if mapped_right is None:
+                    stack.append(right >> 1)
                 continue
-            left = _map_lit(var_map, gate.left)
-            right = _map_lit(var_map, gate.right)
-            var_map[var] = rewrite_and(dst, left, right)
+            # An uncomplemented fanin passes its mapped int object on
+            # unchanged (``x ^ 0`` would allocate a copy the gate keeps).
+            var_map[var] = rewrite_and(
+                dst, mapped_left ^ 1 if left & 1 else mapped_left,
+                mapped_right ^ 1 if right & 1 else mapped_right)
             stack.pop()
-    return _map_lit(var_map, lit)
-
-
-def _map_lit(var_map: Dict[int, int], lit: int) -> int:
-    mapped = var_map[lit_var(lit)]
-    return lit_negate(mapped) if lit_sign(lit) else mapped
+    mapped = var_map[root_var]
+    return mapped ^ 1 if lit & 1 else mapped
 
 
 def rewrite_cone(src: Aig, roots: Sequence[int], dst: Optional[Aig] = None,

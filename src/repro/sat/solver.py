@@ -862,28 +862,50 @@ class CdclSolver:
 
         ``failed_lit`` is the assumption found falsified; the returned set
         contains it plus the assumptions whose propagation forced it false.
+        MiniSat's analyzeFinal: one backward walk over the trail, from the
+        end of ``failed_lit``'s level down to the first decision level,
+        marks the reason literals of every marked variable (reasons only
+        hold literals assigned earlier); a marked decision is an assumption
+        of the core.  The walk stops once every marked variable has been
+        passed.
         """
         assumption_set = set(assumptions)
         conflict_set: Set[int] = {failed_lit} if failed_lit in assumption_set else set()
-        seen: Set[int] = set()
-        queue = [abs(failed_lit)]
-        while queue:
-            var = queue.pop()
-            if var in seen or self._level[var] == 0:
+        trail_lim = self._trail_lim
+        failed_var = abs(failed_lit)
+        levels = self._level
+        if not trail_lim or levels[failed_var] == 0:
+            return sorted(conflict_set, key=abs)
+        reasons = self._reason
+        trail = self._trail
+        # Everything the walk marks sits at or below the failed literal's
+        # level, so it starts at that level's last trail entry.
+        level = levels[failed_var]
+        top = trail_lim[level] if level < len(trail_lim) else len(trail)
+        seen = {failed_var}
+        pending = 1
+        for index in range(top - 1, trail_lim[0] - 1, -1):
+            true_lit = trail[index]
+            var = abs(true_lit)
+            if var not in seen:
                 continue
-            seen.add(var)
-            reason = self._reason[var]
+            reason = reasons[var]
             if reason is None:
                 # A decision: under assumption solving every decision below
                 # len(assumptions) levels is an assumption literal.
-                true_lit = var if self._assign[var] == 1 else -var
                 if true_lit in assumption_set:
                     conflict_set.add(true_lit)
                 elif -true_lit in assumption_set:
                     conflict_set.add(-true_lit)
             else:
                 for other in reason.lits:
-                    queue.append(abs(other))
+                    other_var = abs(other)
+                    if other_var not in seen and levels[other_var] > 0:
+                        seen.add(other_var)
+                        pending += 1
+            pending -= 1
+            if not pending:
+                break
         return sorted(conflict_set, key=abs)
 
     def _record_assumption_refutation(self, failed_lit: int,

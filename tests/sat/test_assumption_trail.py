@@ -18,6 +18,8 @@ and checks each answer on its own:
 
 Before and after every call the trail must also be consistent: each
 assigned variable on it once, with its value, at non-decreasing levels.
+The failed-assumption core itself, computed by one backward trail walk,
+must equal :func:`reference_analyze_final`'s reason-graph search.
 
 The longer campaign in ``tests/fuzz/test_assumption_trail_stream.py``
 reuses :func:`run_stream`.
@@ -30,6 +32,48 @@ import pytest
 
 from repro.bmc.incremental import grouped_refutation
 from repro.sat import Budget, CdclSolver, SatResult, check_proof
+
+
+def reference_analyze_final(solver, failed_lit, assumptions):
+    """The final-conflict core by a search over the reason graph: every
+    reason literal is queued (duplicates included) until the search meets
+    level 0 or a decision."""
+    assumption_set = set(assumptions)
+    conflict_set = {failed_lit} if failed_lit in assumption_set else set()
+    seen = set()
+    queue = [abs(failed_lit)]
+    while queue:
+        var = queue.pop()
+        if var in seen or solver._level[var] == 0:
+            continue
+        seen.add(var)
+        reason = solver._reason[var]
+        if reason is None:
+            true_lit = var if solver._assign[var] == 1 else -var
+            if true_lit in assumption_set:
+                conflict_set.add(true_lit)
+            elif -true_lit in assumption_set:
+                conflict_set.add(-true_lit)
+        else:
+            queue.extend(abs(other) for other in reason.lits)
+    return sorted(conflict_set, key=abs)
+
+
+def check_analyze_final(monkeypatch):
+    """Compare every final-conflict core with the reference; returns the
+    running count of compared cores."""
+    analyze_final = CdclSolver._analyze_final
+    compared = Counter()
+
+    def checked(self, failed_lit, assumptions):
+        want = reference_analyze_final(self, failed_lit, assumptions)
+        got = analyze_final(self, failed_lit, assumptions)
+        assert got == want
+        compared["cores"] += 1
+        return got
+
+    monkeypatch.setattr(CdclSolver, "_analyze_final", checked)
+    return compared
 
 
 def _fresh_answer(clauses, assumptions):
@@ -209,9 +253,11 @@ def run_stream(seed, queries, proof_logging):
 
 @pytest.mark.parametrize("proof_logging", [False, True])
 @pytest.mark.parametrize("seed", range(3))
-def test_query_stream_matches_fresh_solvers(seed, proof_logging):
+def test_query_stream_matches_fresh_solvers(seed, proof_logging, monkeypatch):
+    compared = check_analyze_final(monkeypatch)
     outcomes = run_stream(seed, 150, proof_logging)
     assert outcomes["sat"] > 0 and outcomes["unsat"] > 0
+    assert compared["cores"] > 0
     if proof_logging:
         assert outcomes["stripped"] > 0
 
