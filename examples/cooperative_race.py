@@ -13,19 +13,12 @@ next bound boundary and skips the searches it already decides.
 This walkthrough uses the deterministic in-process runner
 (``repro.share.cooperative_race``): same engines and the same turnstile
 schedule with sharing on and off, so the clause-count delta you see is
-the effect of the lemmas themselves, not scheduling luck.  It then
-replays the recorded share log through a single engine, reproducing the
-cooperative run's imports exactly — the determinism contract behind
-``python -m repro ... --share-replay FILE``.
+the effect of the lemmas themselves, not scheduling luck.
 """
-
-import tempfile
-from pathlib import Path
 
 from repro.circuits import get_instance
 from repro.core import EngineOptions
 from repro.share import cooperative_race
-from repro.share.log import read_share_log
 
 # A counterexample instance: sharing shines on FAIL cells, where the UMC
 # engines' refuted-depth facts let BMC skip straight to the failure depth.
@@ -45,10 +38,8 @@ def main() -> None:
     print(f"\nblind race:       {blind.result.verdict.value} via "
           f"{blind.winner}, {blind.clauses_total} clauses added in total")
 
-    # -- Cooperative: same turnstile, lemmas delivered, log recorded. -------
-    log_path = Path(tempfile.mkdtemp()) / "share.jsonl"
-    coop = cooperative_race(instance.build(), options=options,
-                            share=True, log_path=str(log_path))
+    # -- Cooperative: same turnstile, lemmas delivered. ---------------------
+    coop = cooperative_race(instance.build(), options=options, share=True)
     gain = 100.0 * (blind.clauses_total - coop.clauses_total) \
         / blind.clauses_total
     print(f"cooperative race: {coop.result.verdict.value} via "
@@ -59,33 +50,22 @@ def main() -> None:
     assert coop.result.verdict == blind.result.verdict
 
     # -- Who shared what: the per-engine traffic ledger. --------------------
-    print("\nper-engine lemma traffic (tx = published, rx = imported):")
-    for name, result in sorted(coop.results.items()):
-        stats = result.stats
-        print(f"  {name:10s} {result.verdict.value:9s} "
-              f"clauses={stats.clauses_added:6d} tx={stats.lemmas_tx:3d} "
+    print("\nper-engine clauses and lemma traffic "
+          "(tx = published, rx = imported):")
+    for name in sorted(coop.results):
+        stats, before = coop.results[name].stats, blind.results[name].stats
+        print(f"  {name:10s} {coop.results[name].verdict.value:9s} "
+              f"clauses {before.clauses_added:6d} -> "
+              f"{stats.clauses_added:6d} tx={stats.lemmas_tx:3d} "
               f"rx={stats.lemmas_rx:3d} "
               f"skipped_solves={stats.share_solves_skipped}")
-
-    # -- The share log: every publication, hashed and sequenced. ------------
-    data = read_share_log(str(log_path))
-    published = [data.published[seq] for seq in sorted(data.published)]
-    print(f"\nshare log: {len(published)} publications, "
-          f"{len(data.accepted)} accept records at {log_path}")
-    for shared in published[:5]:
-        print(f"  seq={shared.seq:3d} source={shared.source:10s} "
-              f"depth={shared.lemma.depth}")
-    if len(published) > 5:
-        print(f"  ... {len(published) - 5} more")
 
     print("\nNotes:")
     print(" * sharing is answer-preserving by construction: verdict, "
           "k_fp and j_fp are identical share-on vs share-off for every "
           "engine")
-    print(" * the multi-process form is `python -m repro design.aag "
-          "--engine portfolio --race --share [--share-log FILE]`; "
-          "`--share-replay FILE` re-runs one engine with the logged "
-          "imports, bit-identically")
+    print(" * the multi-process `python -m repro design.aag --engine "
+          "portfolio --race` is always blind")
     print(" * the committed cooperative-vs-blind table is "
           "benchmarks/results/race_sharing.txt — counterexample cells "
           "gain >= 25%, deep interpolation-won cells are documented as "

@@ -6,8 +6,6 @@ Examples::
     python -m repro design.aig --engine itpseq --max-bound 40 --time-limit 60
     python -m repro design.aag --engine portfolio --stats
     python -m repro design.aag --engine portfolio --race --jobs 4
-    python -m repro design.aag --engine portfolio --race --share --share-log lem.jsonl
-    python -m repro design.aag --engine itpseq --share-replay lem.jsonl
     python -m repro design.aag --no-preprocess --stats
     python -m repro design.aag --passes coi,fraig,cnf --stats
     python -m repro design.aag --engine itpseq --events trace.jsonl -v
@@ -74,24 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="max concurrent worker processes for --race "
                              "(default: one per engine; 0 = all cores)")
-    parser.add_argument("--share", dest="share", action="store_true",
-                        default=False,
-                        help="with --race: cooperative portfolio — workers "
-                             "exchange refuted-depth facts (\"no "
-                             "counterexample up to depth d\") over their "
-                             "result pipes")
-    parser.add_argument("--no-share", dest="share", action="store_false",
-                        help="with --race: blind race (the default)")
-    parser.add_argument("--share-log", default=None, metavar="FILE",
-                        help="with --share: record every published and "
-                             "accepted lemma to FILE as JSON lines; any "
-                             "engine's run is then reproducible bit for "
-                             "bit with --share-replay FILE")
-    parser.add_argument("--share-replay", default=None, metavar="FILE",
-                        help="re-run a single --engine with exactly the "
-                             "foreign lemmas a recorded share log "
-                             "delivered to it, regenerating its artefacts "
-                             "deterministically (conflicts with --race)")
     parser.add_argument("--property", type=int, default=0, metavar="N",
                         help="index of the bad literal to check (default: 0)")
     parser.add_argument("--max-bound", type=int, default=30, metavar="K",
@@ -160,10 +140,6 @@ def _print_result(result: VerificationResult, args: argparse.Namespace) -> None:
                 # With preprocessing off every pre_*/fraig_* counter is
                 # structurally zero — drop the whole group.
                 groups = tuple(g for g in groups if g != "preprocess")
-            if not (args.share or args.share_replay):
-                # Without a share bus attached the sharing counters are
-                # structurally zero too.
-                groups = tuple(g for g in groups if g != "share")
             for group, counters in result.stats.grouped(groups).items():
                 print(f"  [{group}]")
                 for key, value in counters.items():
@@ -251,20 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: --jobs must be >= 0 (0 = all cores)",
                   file=sys.stderr)
             return 3
-    if args.share and not args.race:
-        parser.print_usage(sys.stderr)
-        print("error: --share requires --race", file=sys.stderr)
-        return 3
-    if args.share_log is not None and not args.share:
-        parser.print_usage(sys.stderr)
-        print("error: --share-log requires --share", file=sys.stderr)
-        return 3
-    if args.share_replay is not None and (args.share or args.race
-                                          or args.engine == "portfolio"):
-        parser.print_usage(sys.stderr)
-        print("error: --share-replay re-runs a single --engine and "
-              "conflicts with --race/--share", file=sys.stderr)
-        return 3
 
     preprocess_passes = None
     if args.passes is not None:
@@ -284,17 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    share_port = None
-    if args.share_replay is not None:
-        from .share.bus import ReplayShareBus
-        from .share.log import read_share_log
-
-        try:
-            replay = read_share_log(args.share_replay)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        share_port = ReplayShareBus(replay).port(args.engine)
     tracer = None
     if args.events is not None and not args.race:
         from .obs.sinks import JsonlSink
@@ -307,11 +258,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             # (tracers hold live sinks and never cross process boundaries).
             result = Portfolio(options=options).run_first_solved(
                 model, parallel=args.race, jobs=args.jobs, tracer=tracer,
-                events_path=args.events if args.race else None,
-                share=args.share, share_log=args.share_log)
+                events_path=args.events if args.race else None)
         else:
-            result = run_engine(args.engine, model, options, tracer=tracer,
-                                share=share_port)
+            result = run_engine(args.engine, model, options, tracer=tracer)
     finally:
         if tracer is not None:
             tracer.close()

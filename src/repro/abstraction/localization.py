@@ -14,7 +14,7 @@ being believed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Set
 
 from ..aig.aig import Aig, lit_from_var, lit_var
 from ..aig.model import Model

@@ -261,10 +261,6 @@ class Aig:
         return self.op_or(self.add_and(cond, then_lit),
                           self.add_and(lit_negate(cond), else_lit))
 
-    def op_equal(self, a: int, b: int) -> int:
-        """Alias of :meth:`op_xnor` for readability in comparators."""
-        return self.op_xnor(a, b)
-
     # ------------------------------------------------------------------ #
     # Outputs, properties and constraints
     # ------------------------------------------------------------------ #

@@ -89,18 +89,6 @@ class AigBuilder:
     def not_word(self, a: Word) -> Word:
         return [lit_negate(bit) for bit in a]
 
-    def and_word(self, a: Word, b: Word) -> Word:
-        self._check_widths(a, b)
-        return [self.aig.add_and(x, y) for x, y in zip(a, b)]
-
-    def or_word(self, a: Word, b: Word) -> Word:
-        self._check_widths(a, b)
-        return [self.aig.op_or(x, y) for x, y in zip(a, b)]
-
-    def xor_word(self, a: Word, b: Word) -> Word:
-        self._check_widths(a, b)
-        return [self.aig.op_xor(x, y) for x, y in zip(a, b)]
-
     def mux_word(self, sel: int, then_word: Word, else_word: Word) -> Word:
         """Word-wide 2:1 multiplexer: ``sel ? then_word : else_word``."""
         self._check_widths(then_word, else_word)
@@ -143,10 +131,6 @@ class AigBuilder:
         """Return ``a - 1`` (modulo ``2 ** width``)."""
         return self.add_words(a, self.constant_word(len(a), (1 << len(a)) - 1))
 
-    def sub_words(self, a: Word, b: Word) -> Word:
-        """Return ``a - b`` (two's-complement, truncated)."""
-        return self.add_words(a, self.not_word(b), carry_in=TRUE)
-
     # ------------------------------------------------------------------ #
     # Comparators
     # ------------------------------------------------------------------ #
@@ -159,9 +143,6 @@ class AigBuilder:
         """Return a literal that is true iff ``a == value``."""
         return self.equals(a, self.constant_word(len(a), value))
 
-    def not_equals(self, a: Word, b: Word) -> int:
-        return lit_negate(self.equals(a, b))
-
     def less_than(self, a: Word, b: Word) -> int:
         """Unsigned ``a < b``."""
         self._check_widths(a, b)
@@ -172,9 +153,6 @@ class AigBuilder:
             lt = self.aig.op_or(bit_lt, self.aig.add_and(bit_eq, lt))
         return lt
 
-    def less_equal(self, a: Word, b: Word) -> int:
-        return lit_negate(self.less_than(b, a))
-
     def greater_equal_const(self, a: Word, value: int) -> int:
         return lit_negate(self.less_than(a, self.constant_word(len(a), value)))
 
@@ -184,13 +162,6 @@ class AigBuilder:
     def shift_left(self, a: Word, fill: int = FALSE) -> Word:
         """Return ``a`` shifted left by one bit (LSB filled with ``fill``)."""
         return [fill] + list(a[:-1])
-
-    def shift_right(self, a: Word, fill: int = FALSE) -> Word:
-        """Return ``a`` shifted right by one bit (MSB filled with ``fill``)."""
-        return list(a[1:]) + [fill]
-
-    def rotate_left(self, a: Word) -> Word:
-        return [a[-1]] + list(a[:-1])
 
     def one_hot(self, bits: Sequence[int]) -> int:
         """Return a literal true iff exactly one of ``bits`` is asserted."""

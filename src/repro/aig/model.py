@@ -110,9 +110,6 @@ class Model:
         return {latch.var: bool(latch.init) if latch.init is not None else False
                 for latch in self.latches}
 
-    def has_free_initial_latches(self) -> bool:
-        return any(latch.init is None for latch in self.latches)
-
     # ------------------------------------------------------------------ #
     # Semantics
     # ------------------------------------------------------------------ #

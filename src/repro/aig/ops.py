@@ -67,9 +67,6 @@ class LiteralMapper:
         """Declare how a source input/latch variable maps into the destination."""
         self._var_map[src_var] = dst_lit
 
-    def has_mapping(self, src_var: int) -> bool:
-        return src_var in self._var_map
-
     def copy_lit(self, lit: int) -> int:
         """Copy (recursively) a source literal; return the destination literal."""
         mapped = self._copy_var(lit >> 1)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .aig import Aig, lit_negate, lit_sign, lit_var
+from .aig import Aig, lit_sign, lit_var
 
 __all__ = [
     "simulate_comb",

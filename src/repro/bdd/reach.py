@@ -20,10 +20,10 @@ sizes used in this reproduction (tens of latches).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from ..aig.aig import Aig, lit_sign, lit_var
+from ..aig.aig import lit_sign, lit_var
 from ..aig.model import Model
 from .bdd import BddError, BddManager
 

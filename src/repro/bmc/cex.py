@@ -9,8 +9,8 @@ engines (and the test-suite) validate that a reported failure is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..aig.model import Model
 from ..aig.simulate import lit_value, simulate_comb

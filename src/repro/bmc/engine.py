@@ -105,7 +105,7 @@ class BmcEngine(UmcEngine):
     """
 
     name = "bmc"
-    stat_groups = ("solver", "preprocess", "share")
+    stat_groups = ("solver", "preprocess")
 
     def __init__(self, model: Model, check_kind: BmcCheckKind = BmcCheckKind.ASSUME,
                  validate_traces: bool = True, incremental: bool = True,
@@ -145,7 +145,7 @@ class BmcEngine(UmcEngine):
         for depth in range(self._max_depth + 1):
             self._current_bound = depth
             if depth > 0:
-                self._share_sync(depth)
+                self._share_sync()
             with self._bound_span(depth):
                 trace = (self._search_counterexample(depth) if self.incremental
                          else self._fresh_search(depth))

@@ -75,8 +75,8 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, Optional, Sequence, Tuple,
+                    Union)
 
 from ..aig.aig import Aig, lit_is_const, lit_negate
 from ..aig.model import Model
@@ -155,7 +155,7 @@ class UmcEngine:
     #: Statistic groups this engine can structurally populate — the CLI's
     #: grouped ``--stats`` rendering shows exactly these (see
     #: :meth:`repro.core.result.EngineStats.grouped`).
-    stat_groups = ("solver", "preprocess", "lifecycle", "share")
+    stat_groups = ("solver", "preprocess", "lifecycle")
 
     def __init__(self, model: Model, options: Optional[EngineOptions] = None,
                  tracer: Optional[NullTracer] = None,
@@ -615,22 +615,17 @@ class UmcEngine:
         self._share_validator = ImportValidator(self.model)
         self._share_validator.prepare()
 
-    def _share_sync(self, boundary: int) -> None:
-        """Exchange lemmas with the bus at a bound/obligation boundary.
+    def _share_sync(self) -> None:
+        """Import foreign lemmas from the bus at a bound/obligation boundary.
 
-        Imports are applied *only* here, and every accepted batch is
-        committed back keyed by ``boundary`` — which is exactly what makes
-        a recorded run replayable (:mod:`repro.share.log`).  May raise
+        Imports are applied *only* here, so what a run imports depends
+        only on the order of the engines' boundaries.  May raise
         :class:`repro.share.bus.ShareCancelled` when the surrounding race
         already ended.
         """
         if self.share is None:
             return
-        delivered = self.share.sync(boundary)
-        if not delivered:
-            return
-        accepted: List[int] = []
-        for shared in delivered:
+        for shared in self.share.sync():
             reason: Optional[str] = None
             if self._share_distrust:
                 reason = "imports distrusted after a disagreement"
@@ -645,13 +640,10 @@ class UmcEngine:
                 continue
             if not self._share_apply(shared.lemma):
                 continue  # sound but not usable by this engine: not accepted
-            accepted.append(shared.seq)
             self.stats.lemmas_rx += 1
             if self.tracer.enabled:
                 self.tracer.point("share_rx", seq=shared.seq,
                                   source=shared.source, kind=shared.lemma.kind)
-        if accepted:
-            self.share.commit(boundary, accepted)
 
     def _share_yield(self) -> None:
         """Heartbeat between solves inside one boundary (no lemma traffic).

@@ -48,7 +48,7 @@ class ItpSeqCbaEngine(ItpSeqEngine):
 
     name = "itpseqcba"
 
-    stat_groups = ("solver", "preprocess", "lifecycle", "cba", "share")
+    stat_groups = ("solver", "preprocess", "lifecycle", "cba")
 
     def _prepare_bounds(self) -> None:
         # Persistent incremental searchers: one on the current abstract model

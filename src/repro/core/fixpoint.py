@@ -85,6 +85,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..aig.aig import Aig
+from ..aig.ops import cone_gates
 from ..cnf.tseitin import TseitinEncoder
 from ..sat.solver import CdclSolver
 from ..sat.types import Budget, SatResult
@@ -285,7 +286,9 @@ class FixpointChecker:
         superseded column encodings that strengthening left behind.
         Returns the number of groups shed.
         """
-        live = set(self.aig.fanin_cone(list(live_roots)))
+        # Groups own only AND gates (leaves are never group-owned), so the
+        # live cones' gates decide.
+        live = cone_gates(self.aig, live_roots)
         kept: List[int] = []
         shed = 0
         for group in self._groups:

@@ -58,8 +58,8 @@ class ItpEngine(UmcEngine):
         k = 0
         while k < self.options.max_bound:
             k += 1
-            # Bound boundary: the replayable import point.
-            self._share_sync(k)
+            # Bound boundary: the import point.
+            self._share_sync()
             self._current_bound = k
             self._check_budget()
             with self._bound_span(k):

@@ -63,8 +63,8 @@ class ItpSeqEngine(UmcEngine):
         k = 0
         while k < self.options.max_bound:
             k += 1
-            # Lemma exchange happens at the bound boundary (the replay key).
-            self._share_sync(k)
+            # Lemma exchange happens at the bound boundary.
+            self._share_sync()
             self._current_bound = k
             self._check_budget()
 

@@ -57,7 +57,7 @@ class PdrEngine(UmcEngine):
 
     name = "pdr"
 
-    stat_groups = ("solver", "preprocess", "pdr", "share")
+    stat_groups = ("solver", "preprocess", "pdr")
 
     def __init__(self, model, options=None, tracer=None, share=None) -> None:
         super().__init__(model, options, tracer=tracer, share=share)
@@ -81,8 +81,8 @@ class PdrEngine(UmcEngine):
         k = frames.add_level()
         while k <= self.options.max_bound:
             # Frame opening is PDR's share boundary: foreign lemmas are
-            # imported here (and only here), keyed by k in the share log.
-            self._share_sync(k)
+            # imported here (and only here).
+            self._share_sync()
             self._current_bound = k
             with self._bound_span(k):
                 with self.tracer.span("strengthen"):

@@ -24,7 +24,7 @@ identity of the engine that happened to answer first may differ.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Type
 
 from ..aig.model import Model
 from .base import UmcEngine
@@ -51,26 +51,23 @@ ENGINES: Dict[str, Type[UmcEngine]] = {
 
 def run_engine(name: str, model: Model,
                options: Optional[EngineOptions] = None,
-               tracer=None, share=None) -> VerificationResult:
-    """Instantiate and run one engine by its registry name.
+               tracer=None) -> VerificationResult:
+    """Instantiate and run one engine by its registry name, solo.
 
-    ``share`` attaches a :class:`~repro.share.bus.SharePort` for
-    cooperative lemma exchange (see :mod:`repro.share`); ``None`` runs the
-    engine solo exactly as before.
+    Sharing never goes through here: the cooperative race
+    (:func:`repro.share.cooperative_race`) constructs its engines with a
+    share port itself.
     """
     try:
         engine_cls = ENGINES[name]
     except KeyError as exc:
         raise KeyError(f"unknown engine {name!r}; known: {sorted(ENGINES)}") from exc
     # Keep the two-argument constructor contract for engine subclasses that
-    # predate tracing/sharing (ad-hoc test engines monkeypatched into the
-    # registry included): each kwarg only travels when its value exists.
-    kwargs = {}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    if share is not None:
-        kwargs["share"] = share
-    return engine_cls(model, options, **kwargs).run()
+    # predate tracing (ad-hoc test engines monkeypatched into the registry
+    # included): the tracer only travels when there is one.
+    if tracer is None:
+        return engine_cls(model, options).run()
+    return engine_cls(model, options, tracer=tracer).run()
 
 
 class Portfolio:
@@ -86,9 +83,7 @@ class Portfolio:
 
     def run_first_solved(self, model: Model, parallel: bool = False,
                          jobs: Optional[int] = None, tracer=None,
-                         events_path: Optional[str] = None,
-                         share: bool = False,
-                         share_log: Optional[str] = None
+                         events_path: Optional[str] = None
                          ) -> VerificationResult:
         """Return the first definitive PASS/FAIL answer.
 
@@ -103,16 +98,13 @@ class Portfolio:
         ``tracer`` threads span tracing through the sequential mode; the
         parallel mode instead takes ``events_path`` (tracers hold live sinks
         and never cross a process boundary) and merges the per-worker
-        segments there.  ``share`` turns the parallel race cooperative —
-        lemmas travel over the worker pipes (:mod:`repro.share`) — and
-        ``share_log`` records the replayable lemma traffic.
+        segments there.
         """
         if parallel:
             from ..parallel import race_engines  # deferred: import cycle
             outcome = race_engines(model, self.engine_names, self.options,
                                    jobs=jobs, first_result_wins=True,
-                                   events_path=events_path,
-                                   share=share, share_log=share_log)
+                                   events_path=events_path)
             return outcome.result
         last: Optional[VerificationResult] = None
         for name in self.engine_names:
@@ -125,9 +117,7 @@ class Portfolio:
 
     def run_all(self, model: Model, parallel: bool = False,
                 jobs: Optional[int] = None, tracer=None,
-                events_path: Optional[str] = None,
-                share: bool = False,
-                share_log: Optional[str] = None
+                events_path: Optional[str] = None
                 ) -> Dict[str, VerificationResult]:
         """Run every engine and return all results keyed by engine name.
 
@@ -143,8 +133,7 @@ class Portfolio:
             from ..parallel import race_engines  # deferred: import cycle
             outcome = race_engines(model, self.engine_names, self.options,
                                    jobs=jobs, first_result_wins=False,
-                                   events_path=events_path,
-                                   share=share, share_log=share_log)
+                                   events_path=events_path)
             results = outcome.results
         else:
             for name in self.engine_names:

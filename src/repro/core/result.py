@@ -26,7 +26,9 @@ __all__ = ["Verdict", "VerificationResult", "EngineStats", "STAT_GROUPS",
 #: appears in exactly one group (a test pins this); engines declare
 #: which groups are structurally meaningful for them via their
 #: ``stat_groups`` class attribute, and the CLI's ``--stats`` rendering
-#: suppresses the groups an engine can only ever report as zero.
+#: suppresses the groups an engine can only ever report as zero.  No
+#: engine lists ``share``: the CLI never attaches a share bus, and only
+#: :func:`repro.share.cooperative_race` fills those counters.
 STAT_GROUPS: Dict[str, tuple] = {
     "solver": ("sat_calls", "sat_time", "clauses_added", "conflicts",
                "propagations", "max_call_conflicts"),

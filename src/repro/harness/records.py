@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..bdd.checker import BddVerdict
-from ..circuits.suite import SuiteInstance
 from ..core.result import EngineStats, VerificationResult
 
 __all__ = ["EngineRecord", "InstanceRecord"]

@@ -10,7 +10,7 @@ frames built, its j_fp the fixpoint frame index).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..circuits.suite import SuiteInstance, full_suite
 from .records import InstanceRecord

@@ -10,9 +10,9 @@ engines never call them on the hot path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from ..aig.aig import Aig, lit_negate
+from ..aig.aig import Aig
 from ..cnf.tseitin import TseitinEncoder
 from ..sat.proof import ResolutionProof
 from ..sat.solver import CdclSolver

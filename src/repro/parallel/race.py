@@ -29,6 +29,10 @@ grace period, after which an unresponsive worker is terminated and its
 slot filled with a synthesized OVERFLOW result — a worker that cannot
 even time itself out (e.g. stuck in one enormous SAT call) still cannot
 hang the race.
+
+Racing is always *blind*: workers exchange nothing but their final
+result.  The one cooperative mode is the deterministic in-process
+:func:`repro.share.coop.cooperative_race`.
 """
 
 from __future__ import annotations
@@ -78,8 +82,7 @@ class RaceOutcome:
 
 def _race_worker(conn, engine_name: str, model: Model,
                  options: EngineOptions,
-                 events_path: Optional[str] = None,
-                 share: bool = False) -> None:
+                 events_path: Optional[str] = None) -> None:
     """Worker body: run one engine, send the result, close the pipe.
 
     Must stay importable at module level so the ``spawn`` start method can
@@ -92,12 +95,6 @@ def _race_worker(conn, engine_name: str, model: Model,
     :class:`~repro.obs.tracer.Tracer` over a per-engine segment file, which
     the parent merges after the race.  The sink flushes per event line, so
     a terminated loser leaves a clean prefix of complete lines behind.
-
-    With ``share`` the pipe is duplex and doubles as the lemma bus
-    endpoint: the engine's :class:`~repro.share.bus.PipeSharePort` sends
-    ``("lemma", ...)`` / ``("share_acc", ...)`` frames up it, interleaved
-    with the final ``("result", ...)`` frame, and receives the parent's
-    ``("lemma_bcast", ...)`` re-broadcasts down it.
     """
     from ..core.portfolio import run_engine  # deferred: avoids an import cycle
 
@@ -107,14 +104,8 @@ def _race_worker(conn, engine_name: str, model: Model,
         from ..obs.tracer import Tracer
 
         tracer = Tracer(JsonlSink(segment_path(events_path, engine_name)))
-    share_port = None
-    if share:
-        from ..share.bus import PipeSharePort
-
-        share_port = PipeSharePort(conn, engine_name)
     try:
-        result = run_engine(engine_name, model, options, tracer=tracer,
-                            share=share_port)
+        result = run_engine(engine_name, model, options, tracer=tracer)
         conn.send(("result", result))
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -135,9 +126,7 @@ def race_engines(model: Model, engine_names: Sequence[str],
                  options: Optional[EngineOptions] = None,
                  jobs: Optional[int] = None,
                  first_result_wins: bool = True,
-                 events_path: Optional[str] = None,
-                 share: bool = False,
-                 share_log: Optional[str] = None) -> RaceOutcome:
+                 events_path: Optional[str] = None) -> RaceOutcome:
     """Run ``engine_names`` on ``model`` concurrently; see module docstring.
 
     ``jobs`` caps the number of simultaneously running workers (default:
@@ -150,18 +139,6 @@ def race_engines(model: Model, engine_names: Sequence[str],
     next to that path; after the race the segments are merged into
     ``events_path`` in registry order (never arrival order), so the merged
     stream's committed form is machine-load independent.
-
-    With ``share`` the race turns cooperative: the worker pipes become
-    duplex, each engine publishes lemmas (:mod:`repro.share.lemma`) up its
-    pipe, and the parent — the single global observer — assigns sequence
-    numbers, re-broadcasts to the other live workers, and (with
-    ``share_log``) records the replayable share log.  The parent writes
-    the log alone and flushes per line, so killing a loser mid-lemma still
-    leaves a parseable log behind.  *Which* lemmas arrive before a
-    worker's boundary depends on machine load — a live race is not
-    schedule-deterministic (use :func:`repro.share.coop.cooperative_race`
-    for that) — but every engine's own trajectory is exactly reproducible
-    from the log via ``--share-replay``.
     """
     options = options or EngineOptions()
     engine_names = list(engine_names)
@@ -181,64 +158,13 @@ def race_engines(model: Model, engine_names: Sequence[str],
     results: Dict[str, VerificationResult] = {}
     winner: Optional[str] = None
 
-    # Parent-side share hub state: the parent is the single sequence-number
-    # assigner and the single log writer.
-    log = None
-    if share and share_log is not None:
-        from ..share.log import ShareLog
-
-        log = ShareLog(share_log)
-    share_fingerprint: Optional[str] = None
-    share_synced: set = set()             # workers whose fingerprint matched
-    share_seq = 0
-
-    def handle_share_frame(name: str, frame: tuple) -> None:
-        nonlocal share_fingerprint, share_seq
-        kind = frame[0]
-        if kind == "share_fp" and len(frame) == 2:
-            fingerprint = frame[1]
-            if share_fingerprint is None:
-                share_fingerprint = fingerprint
-                if log is not None:
-                    log.header(fingerprint, engine_names)
-            if fingerprint == share_fingerprint:
-                share_synced.add(name)
-            return
-        if name not in share_synced:
-            return  # quarantined: its reduced model differs from the bus's
-        if kind == "lemma" and len(frame) == 2:
-            from ..share.lemma import lemma_from_wire
-
-            wire = frame[1]
-            try:
-                lemma = lemma_from_wire(wire)
-            except (ValueError, KeyError, TypeError):
-                return
-            seq = share_seq
-            share_seq += 1
-            if log is not None:
-                log.published(seq, name, lemma)
-            bcast = ("lemma_bcast", seq, name, wire)
-            for other, (_, other_conn) in running.items():
-                if other == name or other not in share_synced:
-                    continue
-                try:
-                    other_conn.send(bcast)
-                except (BrokenPipeError, OSError):
-                    pass  # that worker is on its way out; reap handles it
-        elif kind == "share_acc" and len(frame) == 3:
-            if log is not None:
-                log.accepted(name, frame[1], frame[2])
-
     def launch_next() -> None:
         while pending and len(running) < lanes:
             name = pending.pop(0)
-            # Sharing needs traffic both ways over the same pipe the
-            # result travels on; without it the read-only pipe suffices.
-            parent_conn, child_conn = ctx.Pipe(duplex=share)
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
             process = ctx.Process(target=_race_worker,
                                   args=(child_conn, name, model, options,
-                                        events_path, share),
+                                        events_path),
                                   daemon=True, name=f"race-{name}")
             process.start()
             child_conn.close()  # the child's end lives in the child now
@@ -285,12 +211,6 @@ def race_engines(model: Model, engine_names: Sequence[str],
                 except EOFError:  # worker died without reporting
                     frame = ("error", "worker exited without a result")
                 kind = frame[0] if isinstance(frame, tuple) and frame else "error"
-                if kind not in ("result", "error"):
-                    # Interleaved share traffic; the result frame follows
-                    # later on the same pipe.
-                    if share:
-                        handle_share_frame(name, frame)
-                    continue
                 payload = frame[1] if len(frame) > 1 else ""
                 if kind == "result":
                     results[name] = payload
@@ -314,8 +234,6 @@ def race_engines(model: Model, engine_names: Sequence[str],
         # Belt and braces: never leak a worker, whatever the exit path.
         for name in list(running):
             reap(name, terminate=True, message="cancelled: race aborted")
-        if log is not None:
-            log.close()
 
     for name in engine_names:  # lanes never freed up for these
         if name not in results:

@@ -18,7 +18,7 @@ within the current frame count.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["ProofObligation", "ObligationQueue"]

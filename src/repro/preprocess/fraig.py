@@ -66,7 +66,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..aig.aig import Aig, lit_from_var, lit_negate
+from ..aig.aig import lit_from_var, lit_negate
 from ..aig.model import Model
 from ..aig.ops import cone_gates
 from ..aig.simulate import (random_leaf_words, random_stimulus_rounds,

@@ -13,7 +13,7 @@ Neither produces proofs; they exist purely for cross-checking.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cnf.cnf import Cnf
 

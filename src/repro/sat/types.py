@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 __all__ = ["SatResult", "SolverStats", "Budget", "BudgetExceeded"]
 
@@ -98,6 +98,3 @@ class Budget:
 
     max_conflicts: Optional[int] = None
     max_time: Optional[float] = None
-
-    def unlimited(self) -> bool:
-        return self.max_conflicts is None and self.max_time is None

@@ -15,7 +15,7 @@ Rejection is cheap and silent by design: sharing is an optimisation, so a
 suspect lemma is simply not imported (the ``lemmas_retracted`` counter and
 a ``share_reject`` trace point record it).  Validation is deliberately
 *deterministic* — same seed, same rounds, same verdict on any machine —
-so replayed runs accept exactly what the original run accepted.
+so two runs of the same cooperative race accept the same lemmas.
 
 Validation is defence in depth, not the soundness story: even a malicious
 lemma that survives it can only make the proof-free counterexample

@@ -1,40 +1,25 @@
 """Publish/subscribe plumbing for cross-engine lemma sharing.
 
-Three port implementations behind one small protocol
-(:class:`SharePort`):
-
-* :class:`LocalShareBus` / :class:`LocalSharePort` — the in-process hub
-  used by the deterministic cooperative runner (:mod:`repro.share.coop`)
-  and by tests: publications get a global sequence number, are logged, and
-  land in every *other* port's inbox for delivery at its next sync.
-* :class:`PipeSharePort` — the worker-side port of a live multi-process
-  race (:mod:`repro.parallel.race`): publications travel up the worker's
-  existing result pipe interleaved with the final result frame, the
-  parent assigns sequence numbers, logs, and re-broadcasts to the other
-  live workers; accepted imports are reported back for parent-side
-  single-writer logging.
-* :class:`ReplayShareBus` / :class:`ReplaySharePort` — re-delivers a
-  recorded share log: at boundary ``b`` the port returns exactly the
-  lemmas the log's ``acc`` records name for ``(engine, b)``, so any
-  engine's cooperative run regenerates bit-identically.
+One small protocol (:class:`SharePort`, whose base class is the inert
+no-op port) and one implementation: :class:`LocalShareBus` /
+:class:`LocalSharePort`, the in-process hub behind the deterministic
+cooperative runner (:mod:`repro.share.coop`) and the share tests.
+Publications get a global sequence number and land in every *other*
+port's inbox for delivery at its next sync.
 
 Engines talk to their port only at bound/obligation boundaries
-(:meth:`repro.core.base.UmcEngine._share_sync`), which is what keeps a
-recorded run replayable: the log keys every import by its boundary.
+(:meth:`repro.core.base.UmcEngine._share_sync`), so what an engine
+imports depends only on the order in which the engines reach their
+boundaries — which the cooperative runner fixes deterministically.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, List, Optional
 
-from .lemma import Lemma, SharedLemma, lemma_from_wire
-from .log import ShareLog, ShareLogData
+from .lemma import Lemma, SharedLemma
 
-__all__ = ["ShareCancelled", "SharePort", "LocalShareBus", "LocalSharePort",
-           "PipeSharePort", "ReplayShareBus", "ReplaySharePort"]
-
-_log = logging.getLogger("repro.share.bus")
+__all__ = ["ShareCancelled", "SharePort", "LocalShareBus", "LocalSharePort"]
 
 
 class ShareCancelled(Exception):
@@ -64,7 +49,7 @@ class SharePort:
         """Offer a lemma to the bus; returns its sequence number if taken."""
         return None
 
-    def sync(self, boundary: int) -> List[SharedLemma]:
+    def sync(self) -> List[SharedLemma]:
         """Deliver pending foreign lemmas at a bound/obligation boundary.
 
         May raise :class:`ShareCancelled` when the surrounding race ended.
@@ -76,18 +61,12 @@ class SharePort:
 
         The cooperative turnstile uses it to preempt engines whose
         boundaries span many solver calls (the ITP refinement loop, a PDR
-        frame's obligation queue) so the work clock stays fair; it
-        never delivers lemmas, so recorded share logs are unaffected.  May
-        raise :class:`ShareCancelled` when the surrounding race ended.
+        frame's obligation queue) so the work clock stays fair; it never
+        delivers lemmas.  May raise :class:`ShareCancelled` when the
+        surrounding race ended.
         """
 
-    def commit(self, boundary: int, seqs: List[int]) -> None:
-        """Record which delivered lemmas were *accepted* at ``boundary``."""
 
-
-# --------------------------------------------------------------------- #
-# In-process bus
-# --------------------------------------------------------------------- #
 class LocalShareBus:
     """In-process hub: deterministic delivery for the cooperative runner.
 
@@ -96,9 +75,7 @@ class LocalShareBus:
     comparison runs the *same* sync cadence with zero lemma traffic.
     """
 
-    def __init__(self, log: Optional[ShareLog] = None,
-                 deliver: bool = True) -> None:
-        self.log = log
+    def __init__(self, deliver: bool = True) -> None:
         self.deliver = deliver
         self._ports: Dict[str, "LocalSharePort"] = {}
         self._seq = 0
@@ -111,8 +88,6 @@ class LocalShareBus:
     def register_fingerprint(self, fingerprint: str) -> bool:
         if self._fingerprint is None:
             self._fingerprint = fingerprint
-            if self.log is not None:
-                self.log.header(fingerprint, list(self._ports))
             return True
         return self._fingerprint == fingerprint
 
@@ -126,21 +101,11 @@ class LocalShareBus:
             return None
         seq = self._seq
         self._seq += 1
-        if self.log is not None:
-            self.log.published(seq, source, lemma)
         shared = SharedLemma(seq=seq, source=source, lemma=lemma)
         for name, port in self._ports.items():
             if name != source:
                 port.inbox.append(shared)
         return seq
-
-    def committed(self, engine: str, boundary: int, seqs: List[int]) -> None:
-        if self.log is not None:
-            self.log.accepted(engine, boundary, seqs)
-
-    def close(self) -> None:
-        if self.log is not None:
-            self.log.close()
 
 
 class LocalSharePort(SharePort):
@@ -161,126 +126,9 @@ class LocalSharePort(SharePort):
     def publish(self, lemma: Lemma) -> Optional[int]:
         return self.bus.publish(self.engine, lemma)
 
-    def sync(self, boundary: int) -> List[SharedLemma]:
+    def sync(self) -> List[SharedLemma]:
         if not self.bus.deliver:
             self.inbox.clear()
             return []
         delivered, self.inbox = self.inbox, []
         return delivered
-
-    def commit(self, boundary: int, seqs: List[int]) -> None:
-        self.bus.committed(self.engine, boundary, seqs)
-
-
-# --------------------------------------------------------------------- #
-# Worker-side port of a live race (pipe transport)
-# --------------------------------------------------------------------- #
-class PipeSharePort(SharePort):
-    """Share endpoint over a race worker's (duplex) result pipe.
-
-    Wire frames, interleaved with the worker's final ``("result", ...)``:
-
-    * worker → parent: ``("lemma", wire_dict)`` on publish and
-      ``("share_acc", boundary, seqs)`` on commit;
-    * parent → worker: ``("lemma_bcast", seq, source, wire_dict)``.
-
-    Sequence numbers are assigned by the parent (the only global
-    observer), which also writes the share log; a dead parent (or a pipe
-    torn down mid-race) silently disables the port — the engine keeps
-    running, it merely stops cooperating.
-    """
-
-    def __init__(self, conn, engine: str,
-                 fingerprint: Optional[str] = None) -> None:
-        super().__init__(engine)
-        self.conn = conn
-        self._fingerprint = fingerprint
-        self._alive = True
-
-    @property
-    def fingerprint(self) -> Optional[str]:
-        return self._fingerprint
-
-    def register_fingerprint(self, fingerprint: str) -> bool:
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint
-            # Announce upstream: the parent compares fingerprints across
-            # workers and quarantines any worker whose reduced model
-            # differs (no broadcasts to or from it).
-            self._send(("share_fp", fingerprint))
-            return True
-        return self._fingerprint == fingerprint
-
-    def _send(self, frame) -> None:
-        if not self._alive:
-            return
-        try:
-            self.conn.send(frame)
-        except (BrokenPipeError, OSError):
-            self._alive = False
-
-    def publish(self, lemma: Lemma) -> Optional[int]:
-        self._send(("lemma", lemma.to_wire()))
-        return None  # the parent assigns the sequence number
-
-    def sync(self, boundary: int) -> List[SharedLemma]:
-        delivered: List[SharedLemma] = []
-        if not self._alive:
-            return delivered
-        try:
-            while self.conn.poll():
-                frame = self.conn.recv()
-                if not (isinstance(frame, tuple) and len(frame) == 4
-                        and frame[0] == "lemma_bcast"):
-                    continue
-                _, seq, source, wire = frame
-                try:
-                    lemma = lemma_from_wire(wire)
-                except (ValueError, KeyError, TypeError):
-                    continue
-                delivered.append(SharedLemma(seq=int(seq), source=str(source),
-                                             lemma=lemma))
-        except (EOFError, BrokenPipeError, OSError):
-            self._alive = False
-        return delivered
-
-    def commit(self, boundary: int, seqs: List[int]) -> None:
-        if seqs:
-            self._send(("share_acc", boundary, list(seqs)))
-
-
-# --------------------------------------------------------------------- #
-# Replay
-# --------------------------------------------------------------------- #
-class ReplayShareBus:
-    """Re-deliver a recorded share log, boundary by boundary."""
-
-    def __init__(self, data: ShareLogData) -> None:
-        self.data = data
-
-    def port(self, engine: str) -> "ReplaySharePort":
-        return ReplaySharePort(self, engine)
-
-
-class ReplaySharePort(SharePort):
-    """Delivers exactly what the log's ``acc`` records name for this engine."""
-
-    def __init__(self, bus: ReplayShareBus, engine: str) -> None:
-        super().__init__(engine)
-        self.bus = bus
-
-    @property
-    def fingerprint(self) -> Optional[str]:
-        return self.bus.data.fingerprint
-
-    def register_fingerprint(self, fingerprint: str) -> bool:
-        recorded = self.bus.data.fingerprint
-        if recorded is not None and recorded != fingerprint:
-            _log.warning("share replay: model fingerprint mismatch "
-                         "(log %s, engine %s) — no lemmas will be delivered",
-                         recorded, fingerprint)
-            return False
-        return True
-
-    def sync(self, boundary: int) -> List[SharedLemma]:
-        return self.bus.data.deliveries(self.engine, boundary)

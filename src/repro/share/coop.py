@@ -1,10 +1,10 @@
 """Deterministic cooperative racing of heterogeneous engines.
 
-The multi-process race (:mod:`repro.parallel.race`) is the deployment
-vehicle; this module is the *reference semantics* for what a cooperative
-race computes.  All engines run in one process, one at a time, under a
-turnstile scheduler whose every decision is a pure function of the
-engines' own deterministic progress counters:
+This is the one cooperative mode: the multi-process race
+(:mod:`repro.parallel.race`) always runs its members blind.  All engines
+run in one process, one at a time, under a turnstile scheduler whose
+every decision is a pure function of the engines' own deterministic
+progress counters:
 
 * **Turn order.**  An engine surrenders its turn at every share-sync
   boundary (bound openings for the sequence engines, outer-frame openings
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from .bus import LocalShareBus, ShareCancelled, SharePort
-from .log import ShareLog
 
 __all__ = ["CoopOutcome", "cooperative_race"]
 
@@ -144,15 +143,12 @@ class _CoopPort(SharePort):
     def publish(self, lemma) -> Optional[int]:
         return self.inner.publish(lemma)
 
-    def sync(self, boundary: int):
+    def sync(self):
         self.turnstile.arrive(self.engine, self._clock())
-        return self.inner.sync(boundary)
+        return self.inner.sync()
 
     def yield_turn(self) -> None:
         self.turnstile.arrive(self.engine, self._clock())
-
-    def commit(self, boundary: int, seqs: List[int]) -> None:
-        self.inner.commit(boundary, seqs)
 
 
 # --------------------------------------------------------------------- #
@@ -174,7 +170,6 @@ class CoopOutcome:
     result: Optional[object]
     results: Dict[str, object] = field(default_factory=dict)
     clauses_total: int = 0
-    log_path: Optional[str] = None
 
 
 # --------------------------------------------------------------------- #
@@ -182,13 +177,12 @@ class CoopOutcome:
 # --------------------------------------------------------------------- #
 def cooperative_race(model, engine_names: Optional[List[str]] = None,
                      options=None, share: bool = True,
-                     log_path: Optional[str] = None,
                      first_result_wins: bool = True) -> CoopOutcome:
     """Race engines in-process with deterministic cooperative scheduling.
 
     ``engine_names`` defaults to the full portfolio registry plus
     ``"bmc"``; ``share=False`` runs the blind baseline (same schedule,
-    no lemma traffic); ``log_path`` records the replayable share log.
+    no lemma traffic).
     """
     # Deferred imports: repro.core.base imports this package at module
     # level, so importing repro.core here at import time would cycle.
@@ -205,11 +199,10 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
     if options is None:
         options = EngineOptions()
 
-    log = ShareLog(log_path) if log_path is not None else None
-    bus = LocalShareBus(log=log, deliver=share)
+    bus = LocalShareBus(deliver=share)
     turnstile = _Turnstile(list(engine_names))
-    # Ports exist before any thread starts so the log header (written at
-    # first fingerprint registration) lists every participant.
+    # Ports exist before any thread starts, so every participant's inbox
+    # receives the publications made during construction turns.
     ports = {name: _CoopPort(bus.port(name), turnstile)
              for name in engine_names}
 
@@ -267,11 +260,9 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
         thread.start()
     for thread in threads:
         thread.join()
-    bus.close()
 
     winner = winner_box[0] if winner_box else None
     clauses_total = sum(r.stats.clauses_added for r in results.values())
     return CoopOutcome(winner=winner,
                        result=results.get(winner) if winner else None,
-                       results=results, clauses_total=clauses_total,
-                       log_path=log_path)
+                       results=results, clauses_total=clauses_total)

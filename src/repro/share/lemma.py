@@ -1,33 +1,23 @@
-"""The typed, pickle-safe lemma wire format.
+"""The typed lemma kind the cooperative portfolio shares.
 
-One lemma kind crosses the portfolio's process and thread boundaries: a
-*sound fact about the shared reduced model* (every engine preprocesses
-the same source model through the same deterministic pipeline, so the
-reduced models — and hence their fingerprints — agree).
-:class:`DepthLemma` says "no counterexample of length ≤ depth exists".
-Any engine publishes it after refuting a bound in strict deepening
-order; it lets every other engine skip counterexample searches whose
-answer is already known.  The ``kind`` tag stays on the wire so records
-of retired kinds (or anything else) arriving from outside are rejected.
-
-Wire form
----------
-Lemmas are frozen dataclasses of scalars — pickle-safe for the
-worker pipes and JSON-safe for the share log (:meth:`to_wire` /
-:func:`lemma_from_wire` round-trip).
+One lemma kind crosses between engines: a *sound fact about the shared
+reduced model* (every engine preprocesses the same source model through
+the same deterministic pipeline, so the reduced models — and hence their
+fingerprints — agree).  :class:`DepthLemma` says "no counterexample of
+length ≤ depth exists".  Any engine publishes it after refuting a bound
+in strict deepening order; it lets every other engine skip
+counterexample searches whose answer is already known.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..aig.model import Model
 
-__all__ = ["Lemma", "DepthLemma", "SharedLemma",
-           "lemma_hash", "lemma_from_wire", "model_fingerprint"]
+__all__ = ["Lemma", "DepthLemma", "SharedLemma", "model_fingerprint"]
 
 
 @dataclass(frozen=True)
@@ -38,11 +28,8 @@ class DepthLemma:
 
     kind = "depth"
 
-    def to_wire(self) -> Dict[str, object]:
-        return {"kind": self.kind, "depth": self.depth}
 
-
-#: The type every bus, port and log carries.
+#: The type every bus and port carries.
 Lemma = DepthLemma
 
 
@@ -53,20 +40,6 @@ class SharedLemma:
     seq: int
     source: str
     lemma: Lemma
-
-
-def lemma_from_wire(data: Dict[str, object]) -> Lemma:
-    """Rebuild a lemma from its wire dict; raises ``ValueError`` on junk."""
-    kind = data.get("kind")
-    if kind == "depth":
-        return DepthLemma(depth=int(data["depth"]))
-    raise ValueError(f"unknown lemma kind {kind!r}")
-
-
-def lemma_hash(lemma: Lemma) -> str:
-    """A short stable content hash of the lemma's canonical wire form."""
-    payload = json.dumps(lemma.to_wire(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
 # --------------------------------------------------------------------- #

@@ -29,7 +29,7 @@ from repro.aig.aig import Aig
 from repro.bmc import incremental
 from repro.circuits import get_instance
 from repro.cnf import Clause
-from repro.core import EngineOptions, run_engine
+from repro.core import ENGINES, EngineOptions
 from repro.core import base
 from repro.itp.craig import InterpolantBuilder, RefutationCore
 from repro.itp.labeling import PartitionSpans
@@ -404,8 +404,8 @@ def run_recorded(recorder, engine, instance_name, peerless=False,
         "/peerless" if peerless else "")
     options.setdefault("max_bound", 20)
     share = LocalShareBus().port(engine) if peerless else None
-    result = run_engine(engine, get_instance(instance_name).build(),
-                        EngineOptions(**options), share=share)
+    result = ENGINES[engine](get_instance(instance_name).build(),
+                             EngineOptions(**options), share=share).run()
     assert result.verdict.value == get_instance(instance_name).expected
     return result
 

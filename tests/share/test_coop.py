@@ -1,10 +1,11 @@
-"""The deterministic cooperative runner: schedule and log reproducibility.
+"""The deterministic cooperative runner: schedule reproducibility.
 
 Two cooperative races of the same instance must agree on *everything* —
-winner, per-engine verdicts and stats, total clause count, and the share
-log byte for byte — on any machine and at any CPU count: the turnstile
-grants turns by the engines' own work counters (propagations plus
-weighted clause additions), never by wall time.
+winner, total clause count and, per engine, verdict, fixpoint pair and
+every deterministic counter (lemmas sent, received and retracted, solves
+skipped, solver work) — on any machine and at any CPU count: the
+turnstile grants turns by the engines' own work counters (propagations
+plus weighted clause additions), never by wall time.
 """
 
 from repro.circuits import get_instance
@@ -18,31 +19,35 @@ def _options():
                          max_propagations=50_000_000)
 
 
+def _counters(stats):
+    """Every counter except ``sat_time``, the one wall-clock field."""
+    row = stats.as_dict()
+    del row["sat_time"]
+    return row
+
+
 def _snapshot(outcome):
     return {
         "winner": outcome.winner,
         "clauses_total": outcome.clauses_total,
         "results": {
             name: (result.verdict.value, result.k_fp, result.j_fp,
-                   result.stats.clauses_added, result.stats.lemmas_tx,
-                   result.stats.lemmas_rx)
+                   _counters(result.stats))
             for name, result in outcome.results.items()
         },
     }
 
 
-def test_cooperative_race_is_deterministic(tmp_path):
+def test_cooperative_race_is_deterministic():
     model = get_instance("arb03").build()
-    outcomes, logs = [], []
-    for attempt in range(2):
-        log_path = tmp_path / f"run{attempt}.jsonl"
-        outcome = cooperative_race(model, options=_options(),
-                                   log_path=str(log_path))
-        outcomes.append(_snapshot(outcome))
-        logs.append(log_path.read_bytes())
-    assert outcomes[0] == outcomes[1]
-    assert logs[0] == logs[1]
-    assert outcomes[0]["winner"] is not None
+    first, second = (_snapshot(cooperative_race(model, options=_options()))
+                     for _ in range(2))
+    assert first == second
+    assert first["winner"] is not None
+    # The race really exchanged lemmas, so the identity covers imports.
+    counters = [row[3] for row in first["results"].values()]
+    assert sum(c["lemmas_tx"] for c in counters) > 0
+    assert sum(c["lemmas_rx"] for c in counters) > 0
 
 
 def test_cooperative_race_verdicts_match_expectations():

@@ -1,16 +1,14 @@
 """Sharing is answer-preserving — the headline guarantee.
 
-Three legs per instance, for every engine in the portfolio plus bmc:
+Two legs per instance, for every engine in the portfolio plus bmc:
 
 * **solo** — the engine runs alone on a share port with no peer
   (``LocalShareBus().port(name)``), so it imports nothing;
 * **cooperative** — a run-all race, where foreign lemmas may skip
   proof-free counterexample searches but never touch a proof-logged
-  solve;
-* **replay** — each engine re-run alone against the race's share log
-  (``ReplayShareBus``), the artefact-regeneration path.
+  solve.
 
-Verdict, ``k_fp`` and ``j_fp`` must be identical across all three on the
+Verdict, ``k_fp`` and ``j_fp`` must be identical across both on the
 quick and redundant suites.  This is the test that pins "sharing defaults
 to free speedup, never a different answer".
 
@@ -28,11 +26,10 @@ import pytest
 from repro.bmc.engine import BmcEngine, BmcResult
 from repro.circuits.suite import quick_suite, redundant_suite
 from repro.core import EngineOptions
-from repro.core.portfolio import ENGINES, run_engine
+from repro.core.portfolio import ENGINES
 from repro.share import cooperative_race
-from repro.share.bus import LocalShareBus, ReplayShareBus
+from repro.share.bus import LocalShareBus
 from repro.share.lemma import DepthLemma
-from repro.share.log import read_share_log
 
 MAX_BOUND = 20
 
@@ -56,7 +53,7 @@ def _outcome(name, model, port=None):
     if name == "bmc":
         return _bmc_outcome(BmcEngine(model, share=port)
                             .run(max_depth=MAX_BOUND))
-    result = run_engine(name, model, options=_options(), share=port)
+    result = ENGINES[name](model, options=_options(), share=port).run()
     return (result.verdict.value, result.k_fp, result.j_fp)
 
 
@@ -71,19 +68,14 @@ def _from_race(name, result):
 
 
 @pytest.mark.parametrize("name", sorted(_INSTANCES))
-def test_share_identity(name, tmp_path):
+def test_share_identity(name):
     instance = _INSTANCES[name]
-    log_path = tmp_path / "share.jsonl"
     outcome = cooperative_race(instance.build(), options=_options(),
-                               first_result_wins=False,
-                               log_path=str(log_path))
-    bus = ReplayShareBus(read_share_log(str(log_path)))
+                               first_result_wins=False)
     for engine in ALL_ENGINES:
         solo = _solo(engine, instance.build())
         raced = _from_race(engine, outcome.results[engine])
-        replayed = _outcome(engine, instance.build(), bus.port(engine))
         assert raced == solo, (name, engine, raced, solo)
-        assert replayed == solo, (name, engine, replayed, solo)
         default = _outcome(engine, instance.build())
         assert default[0] == solo[0], (name, engine, default, solo)
         # The suite's planted ground truth holds wherever the engine solved.

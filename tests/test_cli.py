@@ -281,48 +281,20 @@ def test_verbose_flag_logs_to_stderr(safe_aag, capsys):
     assert _strip_time(info.out) == _strip_time(quiet.out)
 
 
-def test_share_flag_combinations_are_validated(safe_aag, tmp_path, capsys):
-    log = str(tmp_path / "lemmas.jsonl")
-    assert main([safe_aag, "--engine", "portfolio", "--share"]) == 3
-    assert "requires --race" in capsys.readouterr().err
-    assert main([safe_aag, "--engine", "portfolio", "--race",
-                 "--share-log", log]) == 3
-    assert "requires --share" in capsys.readouterr().err
-    assert main([safe_aag, "--engine", "portfolio", "--race", "--share",
-                 "--share-replay", log]) == 3
-    assert "conflicts" in capsys.readouterr().err
-
-
-def test_unreadable_share_replay_log_is_input_error(safe_aag, tmp_path,
-                                                    capsys):
-    # A log that cannot be read must not replay as an empty one (a silent
-    # solo run that exits 0).
-    missing = str(tmp_path / "missing.jsonl")
-    assert main([safe_aag, "--engine", "itpseq",
-                 "--share-replay", missing]) == 3
-    err = capsys.readouterr().err
-    assert "error:" in err and "missing.jsonl" in err
-
-
-def test_shared_race_records_replayable_log(safe_aag, tmp_path, capsys):
-    from repro.share.log import read_share_log
-
-    log = str(tmp_path / "lemmas.jsonl")
-    assert main([safe_aag, "--engine", "portfolio", "--race", "--share",
-                 "--share-log", log, "--stats"]) == 0
-    out = capsys.readouterr().out
-    assert "share" in out              # the sharing counter group printed
-    data = read_share_log(log)
-    assert data.fingerprint is not None
-
-    # The recorded log re-drives a single engine deterministically.
-    assert main([safe_aag, "--engine", "itpseq",
-                 "--share-replay", log, "--stats"]) == 0
-    assert "share" in capsys.readouterr().out
+def test_retired_share_flags_are_usage_errors(safe_aag, capsys):
+    # The race is always blind; the cooperative mode lives in
+    # repro.share.cooperative_race, not on the command line.
+    for flag in ("--share", "--no-share", "--share-log", "--share-replay"):
+        with pytest.raises(SystemExit) as info:
+            main([safe_aag, "--engine", "portfolio", "--race", flag,
+                  "lemmas.jsonl"])
+        assert info.value.code == 3
+        assert flag in capsys.readouterr().err
 
 
 def test_no_share_race_prints_no_share_group(safe_aag, capsys):
     assert main([safe_aag, "--engine", "portfolio", "--race",
-                 "--no-share", "--stats"]) == 0
+                 "--stats"]) == 0
     out = capsys.readouterr().out
-    assert "lemmas_tx" not in out
+    assert "[solver]" in out
+    assert "[share]" not in out and "lemmas_tx" not in out
