@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "the sequential portfolio grants it to each "
                              "member in turn, --race to all concurrently "
                              "(default: none)")
-    parser.add_argument("--no-validate", action="store_true",
-                        help="skip replaying counterexample traces on the model")
     parser.add_argument("--preprocess", dest="preprocess", action="store_true",
                         default=True,
                         help="run the model-preprocessing pipeline before "
@@ -240,7 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         options = EngineOptions(max_bound=args.max_bound,
                                 time_limit=args.time_limit,
-                                validate_traces=not args.no_validate,
                                 preprocess=args.preprocess,
                                 preprocess_passes=preprocess_passes)
     except ValueError as exc:

@@ -108,12 +108,11 @@ class BmcEngine(UmcEngine):
     stat_groups = ("solver", "preprocess")
 
     def __init__(self, model: Model, check_kind: BmcCheckKind = BmcCheckKind.ASSUME,
-                 validate_traces: bool = True, incremental: bool = True,
+                 incremental: bool = True,
                  preprocess: bool = True,
                  preprocess_passes: Optional[tuple] = None,
                  tracer=None, share=None) -> None:
         options = EngineOptions(bmc_check=check_kind,
-                                validate_traces=validate_traces,
                                 preprocess=preprocess,
                                 preprocess_passes=preprocess_passes)
         super().__init__(model, options, tracer=tracer, share=share)

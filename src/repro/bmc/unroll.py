@@ -201,14 +201,14 @@ class Unroller:
                 for constraint in self.model.constraints]
 
     def assert_formula(self, aig_lit: int, frame: int, partition: Optional[int],
-                       negate: bool = False, group: Optional[int] = None) -> None:
+                       group: Optional[int] = None) -> None:
         """Assert an arbitrary AIG predicate (e.g. an interpolant) at a frame.
 
         The predicate must be a cone over latch variables of the model's AIG;
         its leaves are bound to the frame's latch instances.
         """
-        lit = self._encode(frame, aig_lit, partition)
-        self._add_clause([-lit if negate else lit], partition, group)
+        self._add_clause([self._encode(frame, aig_lit, partition)], partition,
+                         group)
 
     # ------------------------------------------------------------------ #
     # Witness extraction

@@ -10,17 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Clause", "Cnf", "neg", "var_of"]
-
-
-def neg(lit: int) -> int:
-    """Negate a DIMACS literal."""
-    return -lit
-
-
-def var_of(lit: int) -> int:
-    """Return the variable of a DIMACS literal."""
-    return abs(lit)
+__all__ = ["Clause", "Cnf"]
 
 
 class Clause:

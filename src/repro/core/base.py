@@ -781,12 +781,12 @@ class UmcEngine:
                                   model_name=self.model.name, k_fp=k_fp, j_fp=j_fp)
 
     def _fail(self, k_fp: int, trace: Optional[Trace]) -> VerificationResult:
-        if trace is not None and self.preprocess is not None:
-            # The trace is over the reduced model's variables; lift it back
-            # to the original inputs/latches so validation (and the caller)
-            # see a counterexample of the *source* model.
-            trace = self.preprocess.lift_trace(trace)
-        if trace is not None and self.options.validate_traces:
+        if trace is not None:
+            if self.preprocess is not None:
+                # The trace is over the reduced model's variables; lift it
+                # back to the original inputs/latches so validation (and the
+                # caller) see a counterexample of the *source* model.
+                trace = self.preprocess.lift_trace(trace)
             if not trace.check(self._source_model):
                 raise RuntimeError(
                     f"{self.name} produced a counterexample that does not replay "

@@ -100,8 +100,7 @@ class ItpEngine(UmcEngine):
         while True:
             j += 1
             with self.tracer.span("itp_extract"):
-                builder = InterpolantBuilder(self.aig, unroller.cut_var_map(1),
-                                             system=self.options.itp_system)
+                builder = InterpolantBuilder(self.aig, unroller.cut_var_map(1))
                 itp = builder.extract(proof, a_partitions=[1])
                 itp = self._register_interpolant(self.aig, itp)
 

@@ -104,8 +104,7 @@ class ItpSeqEngine(UmcEngine):
                           unroller: Unroller) -> List[int]:
         """Eq. (2): every element from the one refutation."""
         cut_maps = {j: unroller.cut_var_map(j) for j in range(1, k + 1)}
-        sequence = extract_sequence(proof, k + 1, cut_maps, self.aig,
-                                    system=self.options.itp_system)
+        sequence = extract_sequence(proof, k + 1, cut_maps, self.aig)
         elements = list(sequence.elements)
         for j in range(1, k + 1):
             elements[j] = self._register_interpolant(self.aig, elements[j])

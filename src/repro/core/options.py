@@ -8,6 +8,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -25,7 +26,10 @@ class EngineOptions:
     solo run refutes every bound and step on its one proof-logged
     unrolling, and a share-attached run on fresh checks
     (``UmcEngine._group_proof_active``); every refutation is trimmed
-    before extraction (``UmcEngine._trim_proof``).
+    before extraction (``UmcEngine._trim_proof``).  Every interpolant
+    is McMillan's (the Pudlák system stays in :mod:`repro.itp.craig` as
+    a test oracle), and every FAIL trace is replayed on the source model
+    before it is reported (``UmcEngine._fail``).
 
     Attributes
     ----------
@@ -35,7 +39,8 @@ class EngineOptions:
         Wall-clock budget in seconds for one verification run (the paper
         used 1800 s on its testbed); ``None`` disables the limit.  Exceeding
         it yields an ``OVERFLOW`` verdict, mirroring the paper's *ovf*.
-        Must be non-negative; ``0.0`` overflows at the first budgeted call.
+        Must be non-negative and not NaN; ``0.0`` overflows at the first
+        budgeted call.
     conflict_limit:
         Per-SAT-call conflict budget; ``None`` disables it.  Must be
         non-negative; ``0`` allows no conflict above decision level 0, so
@@ -64,12 +69,8 @@ class EngineOptions:
         other axis of Fig. 7); they raise ``ValueError`` on ``BOUND``.  The
         standard-interpolation engine always refutes with bound-k checks
         as required for its correctness.
-    itp_system:
-        Interpolation system: ``"mcmillan"`` or ``"pudlak"``.
     alpha_s:
         Serialisation ratio for serial interpolation sequences (Fig. 4).
-    validate_traces:
-        Replay counterexamples on the concrete model before reporting FAIL.
     preprocess:
         Run the model-preprocessing pipeline (:mod:`repro.preprocess`)
         before encoding anything: cone-of-influence reduction, stuck-latch
@@ -91,9 +92,7 @@ class EngineOptions:
     max_clauses: Optional[int] = None
     max_propagations: Optional[int] = None
     bmc_check: BmcCheckKind = BmcCheckKind.ASSUME
-    itp_system: str = "mcmillan"
     alpha_s: float = 0.5
-    validate_traces: bool = True
     preprocess: bool = True
     preprocess_passes: Optional[Tuple[str, ...]] = None
 
@@ -106,12 +105,12 @@ class EngineOptions:
             raise ValueError(f"alpha_s must be within [0, 1], got {self.alpha_s}")
         if self.max_bound < 1:
             raise ValueError("max_bound must be at least 1")
-        if self.time_limit is not None and self.time_limit < 0:
-            raise ValueError("time_limit must be non-negative (or None)")
+        if self.time_limit is not None and (self.time_limit < 0
+                                            or math.isnan(self.time_limit)):
+            raise ValueError("time_limit must be non-negative (or None), "
+                             f"got {self.time_limit}")
         if self.conflict_limit is not None and self.conflict_limit < 0:
             raise ValueError("conflict_limit must be non-negative (or None)")
-        if self.itp_system not in ("mcmillan", "pudlak"):
-            raise ValueError(f"unknown interpolation system {self.itp_system!r}")
         if self.max_clauses is not None and self.max_clauses < 1:
             raise ValueError("max_clauses must be at least 1 (or None)")
         if self.max_propagations is not None and self.max_propagations < 1:

@@ -17,7 +17,7 @@ Contract with the rest of the system:
   the frame index at which the fixpoint F_j = F_{j+1} appeared (0 for
   failures, per the paper's convention);
 * counterexamples are reconstructed from the obligation chain and replayed
-  on the concrete model before being reported (``options.validate_traces``);
+  on the concrete model before being reported (``UmcEngine._fail``);
 * **every** SAT query of a run — bad-state checks, relative induction,
   lifting, clause pushing — executes on the *single* persistent solver
   inside the engine's :class:`~repro.pdr.frames.FrameSequence`, so the

@@ -76,25 +76,22 @@ def compute_serial_sequence(
     calls it with an *abstract* model and its abstract searcher, the plain
     serial engine with the concrete ones.
     """
-    options = engine.options
     aig = model.aig
     n = k + 1                                   # number of partitions in Γ
-    n_serial = min(int(options.alpha_s * n), k)  # number of serially-built cuts
+    n_serial = min(int(engine.options.alpha_s * n), k)  # serially-built cuts
 
     elements: List[int] = [TRUE] + [FALSE] * k + [FALSE]
 
     if n_serial == 0:
         # Fully parallel: just Eq. (2) on the base proof.
         cut_maps = {j: base_unroller.cut_var_map(j) for j in range(1, k + 1)}
-        parallel = extract_sequence(base_proof, n, cut_maps, aig,
-                                    system=options.itp_system)
+        parallel = extract_sequence(base_proof, n, cut_maps, aig)
         for j in range(1, k + 1):
             elements[j] = engine._register_interpolant(aig, parallel.element(j))
         return elements
 
     # Serial element 1 = ITP(A₁, A₂..Aₙ): extract it from the base refutation.
-    builder = InterpolantBuilder(aig, base_unroller.cut_var_map(1),
-                                 system=options.itp_system)
+    builder = InterpolantBuilder(aig, base_unroller.cut_var_map(1))
     elements[1] = engine._register_interpolant(
         aig, builder.extract(base_proof, a_partitions=[1]))
 
@@ -108,8 +105,7 @@ def compute_serial_sequence(
         proof, cuts, shift = _suffix_refutation(engine, model, searcher, k,
                                                 j, elements[j - 1])
         cut = j - shift
-        step_builder = InterpolantBuilder(aig, cuts.cut_var_map(cut),
-                                          system=options.itp_system)
+        step_builder = InterpolantBuilder(aig, cuts.cut_var_map(cut))
         elements[j] = engine._register_interpolant(
             aig, step_builder.extract(proof, a_partitions=range(1, cut + 1)))
 
@@ -123,7 +119,6 @@ def compute_serial_sequence(
         cut_maps = {cut: cuts.cut_var_map(cut)
                     for cut in range(first, k + 1 - shift)}
         remainder = extract_sequence(proof, k + 1 - shift, cut_maps, aig,
-                                     system=options.itp_system,
                                      first_cut=first)
         for offset in range(1, k - n_serial + 1):
             elements[n_serial + offset] = engine._register_interpolant(

@@ -13,8 +13,8 @@ contracts:
   configuration, and BMC reports the same failing depth;
 * preprocessing on-vs-off yields identical verdicts (and depths on FAIL)
   per engine;
-* FAIL traces replay on the raw model: engines already validate their
-  own lifted traces (``validate_traces``), and mutant traces are lowered
+* FAIL traces replay on the raw model: engines always replay their own
+  lifted traces (``UmcEngine._fail``), and mutant traces are lowered
   through the mutation's variable maps and replayed on the *base* model.
 
 Any violation is a :class:`Problem`.  The failing variant is then shrunk

@@ -75,7 +75,6 @@ class HarnessConfig:
     run_bdds: bool = True
     bdd_node_limit: int = 200_000
     bdd_time_limit: Optional[float] = 30.0
-    check_expected: bool = True
     jobs: int = 1
     #: Directory for span-trace event streams (``None`` = tracing off).
     #: Every engine cell writes ``<events_dir>/<instance>__<engine>.jsonl``
@@ -184,7 +183,7 @@ class ExperimentRunner:
         )
 
     def _check_record(self, record: InstanceRecord) -> None:
-        if self.config.check_expected and not record.verdict_consistent():
+        if not record.verdict_consistent():
             raise RuntimeError(
                 f"verdict mismatch on {record.name}: expected {record.expected}, "
                 f"got { {e: r.verdict for e, r in record.engines.items()} } "

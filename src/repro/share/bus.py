@@ -45,9 +45,8 @@ class SharePort:
         """Adopt-or-compare the model fingerprint; False on mismatch."""
         return True
 
-    def publish(self, lemma: Lemma) -> Optional[int]:
-        """Offer a lemma to the bus; returns its sequence number if taken."""
-        return None
+    def publish(self, lemma: Lemma) -> None:
+        """Offer a lemma to the bus."""
 
     def sync(self) -> List[SharedLemma]:
         """Deliver pending foreign lemmas at a bound/obligation boundary.
@@ -96,16 +95,14 @@ class LocalShareBus:
             self._ports[engine] = LocalSharePort(self, engine)
         return self._ports[engine]
 
-    def publish(self, source: str, lemma: Lemma) -> Optional[int]:
+    def publish(self, source: str, lemma: Lemma) -> None:
         if not self.deliver:
-            return None
-        seq = self._seq
+            return
+        shared = SharedLemma(seq=self._seq, source=source, lemma=lemma)
         self._seq += 1
-        shared = SharedLemma(seq=seq, source=source, lemma=lemma)
         for name, port in self._ports.items():
             if name != source:
                 port.inbox.append(shared)
-        return seq
 
 
 class LocalSharePort(SharePort):
@@ -123,8 +120,8 @@ class LocalSharePort(SharePort):
     def register_fingerprint(self, fingerprint: str) -> bool:
         return self.bus.register_fingerprint(fingerprint)
 
-    def publish(self, lemma: Lemma) -> Optional[int]:
-        return self.bus.publish(self.engine, lemma)
+    def publish(self, lemma: Lemma) -> None:
+        self.bus.publish(self.engine, lemma)
 
     def sync(self) -> List[SharedLemma]:
         if not self.bus.deliver:

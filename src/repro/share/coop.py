@@ -140,8 +140,8 @@ class _CoopPort(SharePort):
     def register_fingerprint(self, fingerprint: str) -> bool:
         return self.inner.register_fingerprint(fingerprint)
 
-    def publish(self, lemma) -> Optional[int]:
-        return self.inner.publish(lemma)
+    def publish(self, lemma) -> None:
+        self.inner.publish(lemma)
 
     def sync(self):
         self.turnstile.arrive(self.engine, self._clock())

@@ -50,8 +50,7 @@ def test_abstraction_overapproximates_failures():
     model = token_ring(4)
     abstraction = LocalizationAbstraction(model, set())
     result = BmcEngine(abstraction.abstract_model,
-                       check_kind=BmcCheckKind.EXACT,
-                       validate_traces=False).run(max_depth=2)
+                       check_kind=BmcCheckKind.EXACT).run(max_depth=2)
     assert result.is_failure  # spurious, but present by construction
 
 

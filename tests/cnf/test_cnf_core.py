@@ -1,26 +1,9 @@
-"""Unit tests for clause/CNF containers and DIMACS I/O."""
-
-import io
+"""Unit tests for the clause and CNF containers."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cnf import (
-    Clause,
-    Cnf,
-    DimacsError,
-    dumps_dimacs,
-    loads_dimacs,
-    neg,
-    var_of,
-)
-
-
-def test_literal_helpers():
-    assert neg(3) == -3
-    assert neg(-7) == 7
-    assert var_of(-9) == 9
-    assert var_of(4) == 4
+from repro.cnf import Clause, Cnf
 
 
 def test_clause_normalisation_and_membership():
@@ -102,39 +85,3 @@ def test_cnf_satisfaction():
     cnf = Cnf([[1, 2], [-1, 2]])
     assert cnf.is_satisfied_by({1: True, 2: True})
     assert not cnf.is_satisfied_by({1: True, 2: False})
-
-
-def test_dimacs_roundtrip():
-    cnf = Cnf([[1, -2], [2, 3, -4], [-1]])
-    text = dumps_dimacs(cnf, comment="roundtrip test")
-    parsed = loads_dimacs(text)
-    assert [c.literals for c in parsed.clauses] == [c.literals for c in cnf.clauses]
-    assert parsed.num_vars >= 4
-    assert text.startswith("c roundtrip test")
-
-
-def test_dimacs_parse_with_multiline_clauses_and_comments():
-    text = """c a comment
-p cnf 3 2
-1 -2
-0
-2 3 0
-"""
-    cnf = loads_dimacs(text)
-    assert len(cnf) == 2
-    assert cnf.clauses[0] == Clause([1, -2])
-
-
-def test_dimacs_bad_problem_line():
-    with pytest.raises(DimacsError):
-        loads_dimacs("p qbf 3 2\n1 0\n")
-
-
-def test_dimacs_write_to_file(tmp_path):
-    from repro.cnf import read_dimacs, write_dimacs
-
-    cnf = Cnf([[1, 2], [-2]])
-    path = str(tmp_path / "test.cnf")
-    write_dimacs(cnf, path)
-    parsed = read_dimacs(path)
-    assert len(parsed) == 2

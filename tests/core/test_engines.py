@@ -119,12 +119,6 @@ def test_itp_engine_keeps_bound_checks():
         assert engine.run().verdict is Verdict.PASS
 
 
-def test_itpseq_engine_with_pudlak_system():
-    options = _options(itp_system="pudlak")
-    result = ItpSeqEngine(token_ring(4), options).run()
-    assert result.verdict is Verdict.PASS
-
-
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_serial_engine_alpha_sweep(alpha):
     options = _options(alpha_s=alpha)

@@ -23,7 +23,6 @@ def test_options_defaults_follow_paper():
     options = EngineOptions()
     assert options.alpha_s == 0.5
     assert options.bmc_check is BmcCheckKind.ASSUME
-    assert options.itp_system == "mcmillan"
 
 
 def test_options_validation():
@@ -32,9 +31,12 @@ def test_options_validation():
     with pytest.raises(ValueError):
         EngineOptions(max_bound=0)
     with pytest.raises(ValueError):
-        EngineOptions(itp_system="magic")
-    with pytest.raises(ValueError):
         EngineOptions(time_limit=-1.0)
+    # NaN fails every comparison, so it must be rejected explicitly.
+    with pytest.raises(ValueError, match="time_limit"):
+        EngineOptions(time_limit=float("nan"))
+    with pytest.raises(ValueError, match="time_limit"):
+        BmcEngine(token_ring(4)).run(max_depth=3, time_limit=float("nan"))
     # A zero limit is valid: it forces an immediate overflow.
     assert EngineOptions(time_limit=0.0).time_limit == 0.0
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from repro.bmc import BmcCheckKind
 from repro.bmc.cex import Trace
 from repro.circuits import get_instance
 from repro.core import EngineOptions, run_engine
@@ -50,7 +51,7 @@ def test_verification_result_roundtrip_pass_and_fail():
 
 def test_engine_options_roundtrip():
     options = EngineOptions(max_bound=12, time_limit=3.5, max_clauses=1000,
-                            itp_system="pudlak", alpha_s=0.25)
+                            bmc_check=BmcCheckKind.EXACT, alpha_s=0.25)
     assert _roundtrip(options) == options
 
 

@@ -86,11 +86,6 @@ class _LiarEngine(UmcEngine):
 
     name = "liar"
 
-    def __init__(self, model, options=None):
-        super().__init__(model, options)
-        self.options = (options or EngineOptions()).with_changes(
-            validate_traces=False)
-
     def _run(self):
         return self._fail(1, None)
 

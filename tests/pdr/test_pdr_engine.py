@@ -8,9 +8,8 @@ Three cross-checks anchor the engine:
 * the four interpolation engines must agree bit-identically wherever they
   produce a definitive answer within their time budget;
 * every FAIL trace must replay to a concrete property violation under
-  ``aig/simulate`` — asserted here *without* the engine's own internal
-  validation, so the test would catch a broken reconstruction even if
-  ``validate_traces`` were wrong.
+  ``aig/simulate`` — asserted here directly, not only through the
+  engine's own replay in ``UmcEngine._fail``.
 
 The suite also audits the tentpole's structural claim: a whole run
 executes on ONE persistent solver, verified through the ``SolverStats``
@@ -87,9 +86,8 @@ def test_pdr_agrees_with_interpolation_engines(pdr_results, engine_name):
 
 @pytest.mark.parametrize("name", FAIL_INSTANCES)
 def test_fail_traces_replay_to_property_violation(name):
-    # validate_traces=False: the replay below must stand on its own.
     model = get_instance(name).build()
-    result = run_engine("pdr", model, _options(validate_traces=False))
+    result = run_engine("pdr", model, _options())
     assert result.verdict is Verdict.FAIL
     assert result.trace is not None
     assert result.trace.depth == result.k_fp

@@ -149,6 +149,13 @@ def test_negative_time_limit_is_input_error_not_overflow(safe_aag, capsys):
     assert "error: time_limit must be non-negative" in capsys.readouterr().err
 
 
+def test_nan_time_limit_is_input_error_not_unlimited(safe_aag, capsys):
+    # argparse's float() accepts "nan", which fails every comparison: it
+    # must be rejected, not run as a limit that never expires.
+    assert main([safe_aag, "--time-limit", "nan"]) == 3
+    assert "error: time_limit must be non-negative" in capsys.readouterr().err
+
+
 def test_property_index_out_of_range_is_input_error(safe_aag, capsys):
     assert main([safe_aag, "--property", "7"]) == 3
     assert "error" in capsys.readouterr().err
@@ -290,6 +297,16 @@ def test_retired_share_flags_are_usage_errors(safe_aag, capsys):
                   "lemmas.jsonl"])
         assert info.value.code == 3
         assert flag in capsys.readouterr().err
+
+
+def test_no_validate_flag_is_a_usage_error(unsafe_aag, capsys):
+    # Every FAIL trace is replayed on the source model; nothing turns
+    # that off.
+    with pytest.raises(SystemExit) as info:
+        main([unsafe_aag, "--no-validate"])
+    assert info.value.code == 3
+    assert "--no-validate" in capsys.readouterr().err
+    assert main([unsafe_aag, "--trace"]) == 1
 
 
 def test_no_share_race_prints_no_share_group(safe_aag, capsys):
