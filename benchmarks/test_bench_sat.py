@@ -198,8 +198,8 @@ def test_pdr_query_stream(benchmark, save_timing, monkeypatch):
         return _queue_share(instance_name)
 
     share = benchmark.pedantic(measure, rounds=1, iterations=1)
-    # PDR's 731 queries plus the preprocessing pass's one fraig miter solve.
-    assert totals["solves"] == 732
+    # PDR's 598 queries plus the preprocessing pass's one fraig miter solve.
+    assert totals["solves"] == 599
     seconds = totals["seconds"]
     rows = [[instance_name, totals["solves"], totals["decisions"],
              totals["propagations"], round(seconds, 3),

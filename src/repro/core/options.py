@@ -101,6 +101,13 @@ class EngineOptions:
         return replace(self, **kwargs)
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below and infinity passes them, so a
+        # non-finite count would silently switch its bound off.
+        for name in ("max_bound", "conflict_limit", "max_clauses",
+                     "max_propagations"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite integer, got {value}")
         if not 0.0 <= self.alpha_s <= 1.0:
             raise ValueError(f"alpha_s must be within [0, 1], got {self.alpha_s}")
         if self.max_bound < 1:

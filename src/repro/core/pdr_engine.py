@@ -19,13 +19,14 @@ Contract with the rest of the system:
 * counterexamples are reconstructed from the obligation chain and replayed
   on the concrete model before being reported (``UmcEngine._fail``);
 * **every** SAT query of a run — bad-state checks, relative induction,
-  lifting, clause pushing — executes on the *single* persistent solver
-  inside the engine's :class:`~repro.pdr.frames.FrameSequence`, so the
-  solver count is independent of the frame count and
-  ``engine.stats.sat_calls`` equals that solver's
-  ``SolverStats.solve_calls``.  This engine never touches the proof-logging
-  path (PDR needs no interpolants), so unlike its four siblings it builds
-  no fresh solver per bound at all.
+  clause pushing — executes on the *single* persistent solver inside the
+  engine's :class:`~repro.pdr.frames.FrameSequence`, so the solver count
+  is independent of the frame count and ``engine.stats.sat_calls`` equals
+  that solver's ``SolverStats.solve_calls``.  Lifting a witness state to a
+  cube is no SAT query at all: the frames shrink it by ternary simulation
+  of the circuit.  This engine never touches the proof-logging path (PDR
+  needs no interpolants), so unlike its four siblings it builds no fresh
+  solver per bound at all.
 
 The engine reads only the shared :class:`~repro.core.options.EngineOptions`
 (bound, budgets, preprocessing, trace validation).  Generalization is

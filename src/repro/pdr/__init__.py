@@ -8,8 +8,8 @@ relation, answering thousands of shallow SAT queries on one persistent
 incremental solver.
 
 * :class:`FrameSequence` — the frames, their per-level activation-literal
-  clause groups, and every SAT query (bad-state, relative induction, cube
-  lifting, clause pushing);
+  clause groups, every SAT query (bad-state, relative induction, clause
+  pushing) and cube lifting by ternary simulation;
 * :class:`ProofObligation` / :class:`ObligationQueue` — the backward
   counterexample search;
 * :func:`generalize` — inductive generalization by literal dropping.

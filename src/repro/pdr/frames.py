@@ -23,9 +23,8 @@ transition relation T(V⁰, V¹) inside **one**
   live clauses only, so the solver-side clause count stays proportional to
   the frame contents — the same delta-not-total accounting that
   :mod:`repro.bmc.incremental` established for BMC deepening;
-* per-query obligations (the ¬s term of a relative-induction check, the
-  ¬t′ term of a lifting check) live in throwaway groups released right
-  after the query.
+* a query's own obligation (the ¬s term of a relative-induction check)
+  lives in a throwaway group released right after the query.
 
 Learned clauses, VSIDS activities and saved phases persist across every
 query of the run, which is where PDR's thousands of shallow SAT calls
@@ -36,6 +35,20 @@ transition (constraint) literals, then the frame activations from the top
 frame down, then the query's throwaway group, then the cube — so queries at
 different levels share the high-frame prefix, and releasing the throwaway
 group keeps it.
+
+Lifting
+-------
+A witness state is shrunk to a cube by ternary simulation (Eén, Mishchenko
+and Brayton FMCAD'11), not by a SAT query: with the witness inputs held,
+a latch may go to X as long as the target — the bad literal, or the
+successor cube's next-state literals — stays a known 1.  One call of the
+lane-parallel kernel :func:`~repro.aig.simulate.ternary_simulate_comb`
+frees each latch in its own lane; a second checks every droppable latch
+at once.  Only when that check fails does a greedy pass free the
+candidates one at a time in sorted latch order, and since ternary
+simulation is monotone the result always equals that sequential greedy
+lift.  Lifting touches no solver, so it neither counts as a SAT call nor
+disturbs the kept assumption trail between frame queries.
 
 The solver hook
 ---------------
@@ -52,6 +65,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..aig.model import Model, StateCube
+from ..aig.simulate import ternary_simulate_comb
 from ..bmc.unroll import Unroller
 from ..sat.solver import CdclSolver
 from ..sat.types import SatResult
@@ -110,12 +124,15 @@ class FrameSequence:
         self._init_cube: Cube = {latch.var: bool(latch.init)
                                  for latch in model.latches
                                  if latch.init is not None}
-        # Cube lifting shrinks a SAT witness to the assumptions an UNSAT core
-        # retains; with invariant constraints in the formula the shrunk cube
-        # no longer guarantees that *every* contained state satisfies them,
-        # which trace reconstruction relies on — so lifting is disabled and
+        # Cube lifting frees the latches a witness's target does not depend
+        # on; a freed latch may take values that violate the invariant
+        # constraints, which trace reconstruction relies on every state of a
+        # cube satisfying — so with constraints lifting is disabled and
         # obligations carry full states instead.
         self._lifting = not model.constraints
+        #: Next-state literal of each latch (the lifting targets).
+        self._next_lit: Dict[int, int] = {latch.var: latch.next
+                                          for latch in model.latches}
         #: Per-level activation group handle (index 0 = the S₀ group).
         self._groups: List[int] = []
         #: Per-level live blocked cubes (delta encoding; index 0 unused).
@@ -185,14 +202,6 @@ class FrameSequence:
         lits = []
         for var, value in sorted(cube.items()):
             cnf = self.unroller.latch_cnf_var(frame, var)
-            lits.append(cnf if value else -cnf)
-        return lits
-
-    def _input_lits(self, inputs: Mapping[int, bool]) -> List[int]:
-        """CNF literals of a primary-input valuation at time frame 0."""
-        lits = []
-        for var, value in sorted(inputs.items()):
-            cnf = self.unroller.input_cnf_var(0, var)
             lits.append(cnf if value else -cnf)
         return lits
 
@@ -305,50 +314,76 @@ class FrameSequence:
     def lift_bad(self, state: Cube, inputs: Mapping[int, bool]) -> Cube:
         """Shrink a bad state to a cube all of whose states violate p.
 
-        UNSAT?(state ∧ inputs ∧ p) must hold by construction; the failed
-        assumptions projected onto the latch literals are the lifted cube.
+        Under ``inputs`` the bad literal evaluates to a known 1 with every
+        dropped latch at X, so every state of the cube is bad.
         """
-        if not self._lifting:
-            return dict(state)
-        state_lits = self._cube_lits(state, 0)
-        result = self._solve(
-            self.solver,
-            state_lits + self._input_lits(inputs) + [-self._bad0])
-        return self._lifted_from_core(state, state_lits, result)
+        return self._lift("bad", state, inputs, [self.model.bad_literal])
 
     def lift_predecessor(self, state: Cube, inputs: Mapping[int, bool],
                          successor: Mapping[int, bool]) -> Cube:
         """Shrink a predecessor state to a cube that still forces the step.
 
-        UNSAT?(state ∧ inputs ∧ T ∧ ¬successor′) holds by construction, so
-        every state of the lifted cube reaches ``successor`` under the same
+        Under ``inputs`` each successor latch's next-state literal evaluates
+        to that latch's value in ``successor`` with every dropped latch at
+        X, so every state of the cube reaches ``successor`` under the same
         inputs — the guarantee counterexample reconstruction relies on.
+        """
+        return self._lift("pred", state, inputs,
+                          [self._next_lit[var] ^ (not value)
+                           for var, value in successor.items()])
+
+    def _lift(self, kind: str, state: Cube, inputs: Mapping[int, bool],
+              targets: List[int]) -> Cube:
+        """Free the latches of ``state`` that the targets do not need.
+
+        Lane i of the first simulation frees latch i alone; a latch is a
+        candidate when its lane keeps every target a known 1.  Monotonicity
+        of ternary simulation makes the greedy lift a subset of the
+        candidates, so when freeing them all together holds it is exactly
+        the candidate set, and otherwise the candidates are tried one at a
+        time in sorted order.
         """
         if not self._lifting:
             return dict(state)
-        state_lits = self._cube_lits(state, 0)
-        temp = self.solver.new_group()
-        try:
-            self.solver.add_clause(
-                [-lit for lit in self._cube_lits(successor, 1)], group=temp)
-            result = self._solve(
-                self.solver,
-                [self.solver.group_literal(temp)] + state_lits
-                + self._input_lits(inputs))
-            return self._lifted_from_core(state, state_lits, result)
-        finally:
-            self.solver.release_group(temp)
+        latches = sorted(state)
+        single = self._targets_known(state, inputs, targets, len(latches), {
+            var: ~(1 << lane) for lane, var in enumerate(latches)})
+        dropped = [var for lane, var in enumerate(latches)
+                   if single >> lane & 1]
+        if len(dropped) > 1 and not self._targets_known(
+                state, inputs, targets, 1, dict.fromkeys(dropped, 0)):
+            candidates, dropped = dropped, []
+            for var in candidates:
+                if self._targets_known(state, inputs, targets, 1,
+                                       dict.fromkeys(dropped + [var], 0)):
+                    dropped.append(var)
+        lifted = {var: state[var] for var in latches if var not in dropped}
+        if self.tracer.enabled:
+            self.tracer.point("lift", kind=kind, latches=len(state),
+                              kept=len(lifted))
+        return lifted
 
-    def _lifted_from_core(self, state: Cube, state_lits: List[int],
-                          result: SatResult) -> Cube:
-        if result is not SatResult.UNSAT:  # pragma: no cover - defensive
-            raise RuntimeError("lifting query was satisfiable; the witness "
-                               "state does not force its transition")
-        conflict = set(self.solver.conflict_assumptions())
-        lifted = {var: value
-                  for lit, (var, value) in zip(state_lits, sorted(state.items()))
-                  if lit in conflict}
-        return lifted if lifted else dict(state)
+    def _targets_known(self, state: Cube, inputs: Mapping[int, bool],
+                       targets: List[int], width: int,
+                       known: Mapping[int, int]) -> int:
+        """Lanes in which every target literal is a known 1.
+
+        Inputs and latches are known in all ``width`` lanes, except that a
+        latch listed in ``known`` is known only in that word's lanes.
+        """
+        mask = (1 << width) - 1
+        values = ternary_simulate_comb(
+            self.model.aig,
+            {var: (mask if value else 0, mask)
+             for var, value in inputs.items()},
+            {var: (mask if value else 0, known.get(var, mask))
+             for var, value in state.items()},
+            width)
+        lanes = mask
+        for lit in targets:
+            value, word_known = values[lit >> 1]
+            lanes &= value ^ word_known if lit & 1 else value
+        return lanes
 
     # ------------------------------------------------------------------ #
     # Strengthening and pushing

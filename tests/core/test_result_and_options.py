@@ -45,6 +45,16 @@ def test_options_validation():
         BmcEngine(token_ring(4)).run(max_depth=3, conflict_limit=-5)
     # Zero is valid: no conflict above decision level 0 is allowed.
     assert EngineOptions(conflict_limit=0).conflict_limit == 0
+    # A non-finite count would switch its bound off without a word.
+    for name in ("max_bound", "conflict_limit", "max_clauses",
+                 "max_propagations"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                EngineOptions(**{name: value})
+    with pytest.raises(ValueError, match="conflict_limit"):
+        BmcEngine(token_ring(4)).run(max_depth=3, conflict_limit=float("nan"))
+    with pytest.raises(ValueError, match="conflict_limit"):
+        BmcEngine(token_ring(4)).run(max_depth=3, conflict_limit=float("inf"))
 
 
 def test_options_with_changes_returns_copy():

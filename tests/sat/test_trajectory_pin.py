@@ -56,10 +56,10 @@ def solver_totals(monkeypatch):
 
 
 @pytest.mark.parametrize("name,expected", [
-    ("ring06", {"solve_calls": 322, "decisions": 780, "propagations": 15803,
-                "conflicts": 95, "clauses_added": 507}),
-    ("arb05", {"solve_calls": 197, "decisions": 1127, "propagations": 6552,
-               "conflicts": 33, "clauses_added": 303}),
+    ("ring06", {"solve_calls": 262, "decisions": 819, "propagations": 11728,
+                "conflicts": 97, "clauses_added": 507}),
+    ("arb05", {"solve_calls": 161, "decisions": 1138, "propagations": 4925,
+               "conflicts": 36, "clauses_added": 303}),
 ])
 def test_pdr_trajectory(solver_totals, name, expected):
     result = run_engine("pdr", get_instance(name).build(), _budget_options())
